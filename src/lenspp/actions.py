@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InvalidDimension, InvalidRotation, InvalidSpan
-from .gfp import rank, require_odd_prime
+from .gfp import inv, rank, require_odd_prime
 
 
 @dataclass(frozen=True)
@@ -74,12 +74,18 @@ def validate(data: RotationData) -> RotationData:
 
 
 def from_json(obj: dict) -> RotationData:
-    """Parse the {"p":..,"n":..,"R":[..],"Q":[..]} space format; entries may be unreduced."""
+    """Parse the {"p":..,"n":..,"R":[..],"Q":[..]} space format; entries may be
+    unreduced but must be JSON integers (not floats, strings or booleans)."""
     try:
-        raw = RotationData(obj["p"], obj["n"], tuple(obj["R"]), tuple(obj["Q"]))
+        p, n, R, Q = obj["p"], obj["n"], obj["R"], obj["Q"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"space object needs integer p, n and integer lists R, Q: {exc}")
-    return validate(raw)
+    # type(x) is int: bool is an int subclass, but true/false is no rotation number
+    if not (isinstance(R, list) and isinstance(Q, list)) or any(
+        type(x) is not int for x in (p, n, *R, *Q)
+    ):
+        raise ValueError(f"space object needs integer p, n and integer lists R, Q, got {obj!r}")
+    return validate(RotationData(p, n, tuple(R), tuple(Q)))
 
 
 def to_json(data: RotationData) -> dict:
@@ -87,31 +93,33 @@ def to_json(data: RotationData) -> dict:
 
 
 def is_free(data: RotationData) -> FreenessReport:
-    """Scan all nontrivial group elements for a simultaneous zero on both blocks.
+    """Decide freeness from the n^2 column blocks, reporting the first
+    violation of a scan over all nontrivial group elements.
 
-    The witness is the first violation found scanning g1 fastest
-    ((1,0),(2,0),...,(0,1),(1,1),...), with (i, j) the first violating
-    column pair, 1-based within each block.
+    The scan runs g1 fastest ((1,0),(2,0),...,(0,1),(1,1),...); the witness
+    is the first violating element in that order, with (i, j) the first
+    violating column pair, 1-based within each block.  Columns i and j are
+    both rotated trivially by some g != 0 iff their 2x2 block is singular,
+    and then the g doing so are the annihilator line of the block's nonzero
+    column (every g if both are zero), whose first element in scan order is
+    (-y/x, 1) for a column (x, y) with x != 0, and (1, 0) otherwise.
     """
-    p, n, R, Q = data.p, data.n, data.R, data.Q
-    for g2 in range(p):
-        for g1 in range(p):
-            if g1 == 0 and g2 == 0:
+    p, n = data.p, data.n
+    cols = [(r % p, q % p) for r, q in zip(data.R, data.Q)]
+    best = None
+    for x1, y1 in cols[:n]:
+        for x2, y2 in cols[n:]:
+            if (x1 * y2 - y1 * x2) % p:
                 continue
-            i = next(
-                (k for k in range(n) if (g1 * R[k] + g2 * Q[k]) % p == 0),
-                None,
-            )
-            if i is None:
-                continue
-            j = next(
-                (k for k in range(n, 2 * n) if (g1 * R[k] + g2 * Q[k]) % p == 0),
-                None,
-            )
-            if j is None:
-                continue
-            return FreenessReport(False, (g1, g2), (i + 1, j - n + 1))
-    return FreenessReport(True, None, None)
+            x, y = (x1, y1) if x1 or y1 else (x2, y2)
+            g = (-y * inv(x, p) % p, 1) if x else (1, 0)
+            if best is None or (g[1], g[0]) < (best[1], best[0]):
+                best = g
+    if best is None:
+        return FreenessReport(True, None, None)
+    g1, g2 = best
+    fixed = [(g1 * x + g2 * y) % p == 0 for x, y in cols]
+    return FreenessReport(False, best, (fixed.index(True) + 1, fixed.index(True, n) - n + 1))
 
 
 def is_free_plane_form(data: RotationData) -> bool:
@@ -120,7 +128,7 @@ def is_free_plane_form(data: RotationData) -> bool:
 
     The span intersects B_ij nontrivially iff the 2x2 matrix
     [[R[i], Q[i]], [R[j], Q[j]]] is singular, so freeness is n^2 determinant
-    checks.  Independent of the element scan in is_free.
+    checks.  is_free decides by the same blocks and adds the scan-order witness.
     """
     p, n, R, Q = data.p, data.n, data.R, data.Q
     for i in range(n):

@@ -16,6 +16,7 @@ reductions (sums and minima), and serialization is canonical.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -31,14 +32,18 @@ from .classify import (
     homeomorphic,
 )
 from .errors import CapacityError
+# product_of_linear_forms and total_pontrjagin_raw are the form-valued
+# counterparts of k_pair and pontrjagin_coeffs; the per-space kernel below
+# does not call them, but perfbench/tracing.py wraps them under these names.
 from .forms import (
     HomogeneousForm,
     apply_matrix,
+    k_pair,
     product_of_linear_forms,
     substitution_matrix,
 )
 from .gfp import inv, is_quadratic_residue, require_odd_prime
-from .pontrjagin import total_pontrjagin_raw
+from .pontrjagin import pontrjagin_coeffs, total_pontrjagin_raw
 from .quotient_ring import CohomRingModel
 
 CENSUS_PRIME_CAP = 7
@@ -92,23 +97,13 @@ class CensusRecord:
         }
 
 
-def _decode(index: int, p: int, length: int) -> tuple[int, ...]:
-    """Base-p digits, most significant first, so index order is lex order."""
-    digits = []
-    for _ in range(length):
-        index, d = divmod(index, p)
-        digits.append(d)
-    return tuple(reversed(digits))
-
-
 def _rank2(R, Q, p) -> bool:
     i0 = next((i for i, x in enumerate(R) if x), None)
     if i0 is None:
         return False
-    if not any(Q):
-        return False
-    lam = Q[i0] * inv(R[i0], p) % p if Q[i0] else 0
-    return any((lam * x - y) % p for x, y in zip(R, Q))
+    a, b = R[i0], Q[i0]
+    # Q is off the line of R iff some a*Q[i] - b*R[i] is nonzero
+    return any((a * y - b * x) % p for x, y in zip(R, Q))
 
 
 def _free_by_planes(R, Q, p, n) -> bool:
@@ -118,6 +113,18 @@ def _free_by_planes(R, Q, p, n) -> bool:
             if (ri * Q[j] - qi * R[j]) % p == 0:
                 return False
     return True
+
+
+def _scan(p: int, n: int, start: int, stop: int) -> Iterator[tuple[tuple, tuple, bool]]:
+    """(R, Q, free) for every rank-2 pair whose R has lex index in
+    [start, stop) among the p^(2n) vectors, in lex order of (R, Q)."""
+    vectors = list(itertools.product(range(p), repeat=2 * n))
+    for R in vectors[start:stop]:
+        if not any(R):
+            continue
+        for Q in vectors:
+            if _rank2(R, Q, p):
+                yield R, Q, _free_by_planes(R, Q, p, n)
 
 
 def enumerate_free(
@@ -139,16 +146,9 @@ def enumerate_free(
                 f"exhaustive census covers p <= {CENSUS_PRIME_CAP}, n = 2 "
                 f"({size}^2 raw pairs here); pass a sample size instead"
             )
-        for ri in range(size):
-            R = _decode(ri, p, 2 * n)
-            if not any(R):
-                continue
-            for qi in range(size):
-                Q = _decode(qi, p, 2 * n)
-                if not _rank2(R, Q, p):
-                    continue
-                if _free_by_planes(R, Q, p, n):
-                    yield RotationData(p, n, R, Q)
+        for R, Q, free in _scan(p, n, 0, size):
+            if free:
+                yield RotationData(p, n, R, Q)
         return
     rng = random.Random(seed)
     seen: set[tuple] = set()
@@ -165,17 +165,27 @@ def enumerate_free(
         yield RotationData(p, n, R, Q)
 
 
-# one model per canonical form, shared by every member of the class
-@lru_cache(maxsize=None)
+# one model per canonical form, shared by every member of the class; the
+# census and sampled-census benchmark workloads reach 4 and 10 classes
+@lru_cache(maxsize=1024)
 def _canon_model(p: int, n: int, canon: tuple) -> CohomRingModel:
     return CohomRingModel(
         p, n, HomogeneousForm(p, canon[0]), HomogeneousForm(p, canon[1])
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _self_substitutions(p: int, n: int, canon: tuple) -> tuple[tuple, ...]:
     return _matching_substitutions(p, n, canon, canon)
+
+
+def _transport(model: CohomRingModel, A: tuple, t: tuple) -> tuple:
+    """Substitute A into each (degree, coeffs) component, then reduce."""
+    p = model.p
+    return tuple(
+        (deg, model.reduce_coeffs(apply_matrix(substitution_matrix(p, deg // 2, A), coeffs, p)))
+        for deg, coeffs in t
+    )
 
 
 @lru_cache(maxsize=2**20)
@@ -183,70 +193,46 @@ def _min_fingerprint(p: int, n: int, canon: tuple, t0: tuple) -> tuple:
     """Least transported class: minimize the reduced component tuple over the
     canonical form's self-witness substitutions."""
     model = _canon_model(p, n, canon)
-    best = t0
-    for g in _self_substitutions(p, n, canon):
-        cand = []
-        for deg, coeffs in t0:
-            M = substitution_matrix(p, deg // 2, g)
-            moved = HomogeneousForm(p, apply_matrix(M, coeffs, p))
-            cand.append((deg, model.reduce(moved).coeffs))
-        cand = tuple(cand)
-        if cand < best:
-            best = cand
-    return best
-
-
-def _k_pair(data: RotationData) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return (
-        product_of_linear_forms(data.p, data.first_block()).coeffs,
-        product_of_linear_forms(data.p, data.second_block()).coeffs,
-    )
+    return min([t0, *(_transport(model, g, t0) for g in _self_substitutions(p, n, canon))])
 
 
 def _classify_item(data: RotationData) -> tuple[tuple, tuple]:
-    """(canonical k pair, Pontrjagin fingerprint) for one free space."""
+    """(canonical k pair, Pontrjagin fingerprint) for one free space.
+
+    Runs on coefficient tuples throughout; data is trusted (validated, or
+    produced by the census scan)."""
     p, n = data.p, data.n
-    canon, a0 = _canonicalize(p, n, _k_pair(data))
-    model = _canon_model(p, n, canon)
-    raw = total_pontrjagin_raw(data)
-    t0 = []
-    for k in range(1, n):
-        deg = 4 * k
-        form = raw.get(deg, HomogeneousForm(p, (0,) * (2 * k + 1)))
-        M = substitution_matrix(p, 2 * k, a0)
-        moved = HomogeneousForm(p, apply_matrix(M, form.coeffs, p))
-        t0.append((deg, model.reduce(moved).coeffs))
-    fingerprint = _min_fingerprint(p, n, canon, tuple(t0))
-    return canon, fingerprint
+    canon, a0 = _canonicalize(p, n, k_pair(p, n, data.R, data.Q))
+    raw = pontrjagin_coeffs(p, zip(data.R, data.Q), n - 1)
+    t0 = _transport(
+        _canon_model(p, n, canon), a0, tuple((4 * k, c) for k, c in enumerate(raw, 1))
+    )
+    return canon, _min_fingerprint(p, n, canon, t0)
+
+
+def _add(groups: dict, key: tuple, count: int, R: tuple, Q: tuple) -> None:
+    """Merge count members with least pair (R, Q) into the cell at key."""
+    got = groups.get(key)
+    if got is None:
+        groups[key] = [count, R, Q]
+    else:
+        got[0] += count
+        if (R, Q) < (got[1], got[2]):
+            got[1], got[2] = R, Q
 
 
 def _census_chunk(args: tuple) -> tuple[int, int, dict]:
     """Scan R-indices [start, stop); returns (validated pairs, free count,
     {(canonical, fingerprint): [count, min R, min Q]})."""
     p, n, start, stop = args
-    size = p ** (2 * n)
     total = 0
     free = 0
     groups: dict[tuple, list] = {}
-    for ri in range(start, stop):
-        R = _decode(ri, p, 2 * n)
-        r_nonzero = any(R)
-        for qi in range(size):
-            Q = _decode(qi, p, 2 * n)
-            if not r_nonzero or not _rank2(R, Q, p):
-                continue
-            total += 1
-            if not _free_by_planes(R, Q, p, n):
-                continue
+    for R, Q, acts_freely in _scan(p, n, start, stop):
+        total += 1
+        if acts_freely:
             free += 1
-            key = _classify_item(RotationData(p, n, R, Q))
-            got = groups.get(key)
-            if got is None:
-                groups[key] = [1, R, Q]
-            else:
-                got[0] += 1
-                if (R, Q) < (got[1], got[2]):
-                    got[1], got[2] = R, Q
+            _add(groups, _classify_item(RotationData(p, n, R, Q)), 1, R, Q)
     return total, free, groups
 
 
@@ -263,14 +249,7 @@ def run_census(
         for data in enumerate_free(p, n, sample=sample, seed=seed):
             free += 1
             total += 1
-            key = _classify_item(data)
-            got = groups.get(key)
-            if got is None:
-                groups[key] = [1, data.R, data.Q]
-            else:
-                got[0] += 1
-                if (data.R, data.Q) < (got[1], got[2]):
-                    got[1], got[2] = data.R, data.Q
+            _add(groups, _classify_item(data), 1, data.R, data.Q)
     else:
         if p > CENSUS_PRIME_CAP or n != 2:
             raise CapacityError(
@@ -295,13 +274,7 @@ def run_census(
             total += chunk_total
             free += chunk_free
             for key, (cnt, R, Q) in chunk_groups.items():
-                got = groups.get(key)
-                if got is None:
-                    groups[key] = [cnt, R, Q]
-                else:
-                    got[0] += cnt
-                    if (R, Q) < (got[1], got[2]):
-                        got[1], got[2] = R, Q
+                _add(groups, key, cnt, R, Q)
     reps = tuple(
         ClassRepresentative(R=tuple(rq[1]), Q=tuple(rq[2]), canonical=key[0],
                             fingerprint=key[1], count=rq[0])

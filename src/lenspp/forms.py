@@ -109,16 +109,28 @@ def one(p: int) -> HomogeneousForm:
     return HomogeneousForm(p, (1,))
 
 
+def linear_product(p: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """Coefficients of prod_i (r_i * a + q_i * b) over plain ints; unchecked."""
+    out = (1,)
+    for pair in pairs:
+        out = _conv(out, pair, p)
+    return out
+
+
+def k_pair(p: int, n: int, R: Sequence[int], Q: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Coefficient tuples of the two block products; unchecked."""
+    return linear_product(p, zip(R[:n], Q[:n])), linear_product(p, zip(R[n:], Q[n:]))
+
+
 def product_of_linear_forms(p: int, pairs: Iterable[tuple[int, int]]) -> HomogeneousForm:
     """The form prod_i (r_i * a + q_i * b); the empty product is 1."""
     require_odd_prime(p)
-    out = (1,)
-    for r, q in pairs:
-        out = _conv(out, (int(r) % p, int(q) % p), p)
-    return HomogeneousForm(p, out)
+    return HomogeneousForm(p, linear_product(p, ((int(r) % p, int(q) % p) for r, q in pairs)))
 
 
-@lru_cache(maxsize=None)
+# keys (p, pair, k): all p^2 pairs times the degrees substituted, e.g. 504
+# at p = 13, n = 2; 2^14 holds every pair at p = 31 through degree 14
+@lru_cache(maxsize=2**14)
 def _pair_power(p: int, pair: tuple[int, int], k: int) -> tuple[int, ...]:
     out = (1,)
     for _ in range(k):
@@ -182,7 +194,5 @@ def k_invariant(data: RotationData) -> KInvariant:
         raise HypothesisViolation(
             f"k-invariant formula needs p > n, got p = {data.p}, n = {data.n}"
         )
-    return KInvariant(
-        product_of_linear_forms(data.p, data.first_block()),
-        product_of_linear_forms(data.p, data.second_block()),
-    )
+    first, second = k_pair(data.p, data.n, data.R, data.Q)
+    return KInvariant(HomogeneousForm(data.p, first), HomogeneousForm(data.p, second))

@@ -10,7 +10,7 @@ one variable, prod_i (1 + r_i^2 a^2), is truncated by a^m = 0.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .actions import RotationData
 from .errors import InvalidRotation
@@ -19,42 +19,28 @@ from .gfp import require_odd_prime, span_key
 from .quotient_ring import CohomRingModel, TotalClass
 
 
-def _graded_product_of_one_plus_squares(
-    p: int, squares: Sequence[tuple[int, ...]], truncation: int
-) -> dict[int, tuple[int, ...]]:
-    """Expand prod (1 + s) for degree-2 coefficient vectors s, keeping
-    polynomial degrees <= truncation; returns {poly degree: coeffs}."""
-    comps: dict[int, list[int]] = {0: [1]}
-    for sq in squares:
-        out: dict[int, list[int]] = {}
-        for d, coeffs in comps.items():
-            cur = out.setdefault(d, [0] * (d + 1))
-            for k, c in enumerate(coeffs):
-                cur[k] = (cur[k] + c) % p
-            if d + 2 <= truncation:
-                cur2 = out.setdefault(d + 2, [0] * (d + 3))
-                for k, c in enumerate(coeffs):
-                    if c:
-                        for t, s in enumerate(sq):
-                            cur2[k + t] = (cur2[k + t] + c * s) % p
-        comps = out
-    return {d: tuple(coeffs) for d, coeffs in comps.items()}
+def pontrjagin_coeffs(p: int, pairs: Iterable[tuple[int, int]], top: int) -> list[tuple[int, ...]]:
+    """Coefficient tuples of e_1 .. e_top, the elementary symmetric polynomials
+    of the squares (r*a + q*b)^2; e_k has polynomial degree 2k.  Unchecked."""
+    e = [[1]] + [[0] * (2 * k + 1) for k in range(1, top + 1)]
+    for seen, (r, q) in enumerate(pairs):
+        s0, s1, s2 = r * r, 2 * r * q, q * q
+        # descending k, so e[k - 1] still lacks this square
+        for k in range(min(top, seen + 1), 0, -1):
+            cur = e[k]
+            for t, c in enumerate(e[k - 1]):
+                if c:
+                    cur[t] += c * s0
+                    cur[t + 1] += c * s1
+                    cur[t + 2] += c * s2
+    return [tuple(c % p for c in coeffs) for coeffs in e[1:]]
 
 
 def total_pontrjagin_raw(data: RotationData) -> dict[int, HomogeneousForm]:
     """Unreduced graded components {cohomological degree 4k: form}, truncated."""
     p = data.p
-    truncation = 2 * data.n - 1
-    squares = []
-    for r, q in data.rotation_pairs():
-        # (r*a + q*b)^2
-        squares.append((r * r % p, 2 * r * q % p, q * q % p))
-    comps = _graded_product_of_one_plus_squares(p, squares, truncation)
-    return {
-        2 * d: HomogeneousForm(p, coeffs)
-        for d, coeffs in comps.items()
-        if d > 0
-    }
+    comps = pontrjagin_coeffs(p, data.rotation_pairs(), data.n - 1)
+    return {4 * k: HomogeneousForm(p, coeffs) for k, coeffs in enumerate(comps, 1)}
 
 
 def total_pontrjagin(data: RotationData, model: CohomRingModel) -> TotalClass:
@@ -85,12 +71,9 @@ def lens_total_pontrjagin(p: int, rotations: Sequence[int]) -> TotalClass:
     if any(x == 0 for x in rotations):
         raise InvalidRotation("lens-space rotation numbers must be nonzero mod p")
     truncation = max(len(rotations) - 1, 0)
-    squares = [(r * r % p, 0, 0) for r in rotations]
-    comps = _graded_product_of_one_plus_squares(p, squares, truncation)
+    comps = pontrjagin_coeffs(p, [(r, 0) for r in rotations], truncation // 2)
     return TotalClass(
         p,
         truncation,
-        tuple(
-            (2 * d, HomogeneousForm(p, coeffs)) for d, coeffs in sorted(comps.items()) if d > 0
-        ),
+        tuple((4 * k, HomogeneousForm(p, coeffs)) for k, coeffs in enumerate(comps, 1)),
     )

@@ -72,13 +72,23 @@ class CohomRingModel:
         """Canonical coset representative: kill every pivot coordinate."""
         if form.p != self.p:
             raise ValueError("form modulus differs from the model's")
-        basis, pivots = self._basis(form.deg)
-        coeffs = list(form.coeffs)
+        return HomogeneousForm(self.p, self.reduce_coeffs(form.coeffs))
+
+    def reduce_coeffs(self, coeffs: tuple[int, ...]) -> tuple[int, ...]:
+        """reduce() on a bare coefficient tuple (length = degree + 1); unchecked.
+
+        Rref rows vanish on each other's pivots, so every row is subtracted
+        with the input's own coefficient at its pivot."""
+        p = self.p
+        basis, pivots = self._basis(len(coeffs) - 1)
+        out = list(coeffs)
         for row, piv in zip(basis, pivots):
-            c = coeffs[piv]
+            c = coeffs[piv] % p
             if c:
-                coeffs = [(x - c * y) % self.p for x, y in zip(coeffs, row)]
-        return HomogeneousForm(self.p, tuple(coeffs))
+                for k, y in enumerate(row):
+                    if y:
+                        out[k] -= c * y
+        return tuple(x % p for x in out)
 
     def in_ideal(self, form: HomogeneousForm) -> bool:
         return self.reduce(form).is_zero()

@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 
 from lenspp.actions import (
+    FreenessReport,
     RotationData,
     from_json,
     is_free,
@@ -170,3 +172,67 @@ def test_freeness_invariant_under_block_permutations(d):
     # reverse coordinates inside each block
     rev = lambda v: v[:n][::-1] + v[n:][::-1]
     assert is_free(validate(RotationData(p, n, rev(d.R), rev(d.Q)))).free
+
+
+def _scan_is_free(data: RotationData) -> FreenessReport:
+    """The element scan is_free reports as: every nontrivial (g1, g2), g1
+    fastest, first column of each block it rotates trivially."""
+    p, n, R, Q = data.p, data.n, data.R, data.Q
+    for g2 in range(p):
+        for g1 in range(p):
+            if g1 == 0 and g2 == 0:
+                continue
+            zero = [(g1 * r + g2 * q) % p == 0 for r, q in zip(R, Q)]
+            if any(zero[:n]) and any(zero[n:]):
+                return FreenessReport(False, (g1, g2), (zero.index(True) + 1, zero.index(True, n) - n + 1))
+    return FreenessReport(True, None, None)
+
+
+def test_is_free_matches_element_scan_exhaustive_p3():
+    """Every raw pair at p=3, n=2, zero columns and rank < 2 included."""
+    p, n = 3, 2
+    vectors = list(itertools.product(range(p), repeat=2 * n))
+    for R in vectors:
+        for Q in vectors:
+            d = RotationData(p, n, R, Q)
+            assert is_free(d) == _scan_is_free(d), (R, Q)
+
+
+@pytest.mark.parametrize("p,n", [(5, 2), (7, 3), (11, 2), (13, 3)])
+def test_is_free_matches_element_scan_random(p, n):
+    rng = random.Random(p * 100 + n)
+    violations = 0
+    for _ in range(20_000):
+        # zeros are drawn often so that zero columns and singular blocks show up
+        draw = lambda: tuple(0 if rng.random() < 0.3 else rng.randrange(p) for _ in range(2 * n))
+        d = RotationData(p, n, draw(), draw())
+        report = is_free(d)
+        assert report == _scan_is_free(d), (d.R, d.Q)
+        violations += not report.free
+    assert 0 < violations < 20_000
+
+
+def test_is_free_is_linear_in_p():
+    """A prime far beyond any element scan answers at once."""
+    assert is_free(product_of_lens_spaces(100003, (1, 1), (1, 2))).free
+    d = RotationData(100003, 2, (1, 0, 0, 5), (0, 1, 7, 0))
+    assert is_free(d) == FreenessReport(False, (1, 0), (2, 1))
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"p": "5", "n": 2, "R": [1, 1, 0, 0], "Q": [0, 0, 1, 1]},
+        {"p": 5.0, "n": 2, "R": [1, 1, 0, 0], "Q": [0, 0, 1, 1]},
+        {"p": 5, "n": True, "R": [1, 1, 0, 0], "Q": [0, 0, 1, 1]},
+        {"p": 5, "n": 2, "R": [1, 1, 0, 0], "Q": "0011"},
+        {"p": 5, "n": 2, "R": [1, 1.0, 0, 0], "Q": [0, 0, 1, 1]},
+        {"p": 5, "n": 2, "R": [1, 1, 0, 0], "Q": [0, 0, [1], 1]},
+        {"p": 5, "n": 2, "R": [1, 1, 0, 0], "Q": [0, 0, 1, False]},
+        {"p": 5, "n": 2, "R": [1, 1, 0, 0]},
+        [5, 2, [1, 1, 0, 0], [0, 0, 1, 1]],
+    ],
+)
+def test_from_json_rejects_non_integer_fields(obj):
+    with pytest.raises(ValueError):
+        from_json(obj)

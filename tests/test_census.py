@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import json
+import random
 
 import pytest
 
@@ -16,8 +18,13 @@ from lenspp.census import (
     verify_application,
     write_census,
 )
-from lenspp.classify import homeomorphic, homotopy_equivalent
+from lenspp import census, classify, forms
+from lenspp.classify import canonical_form, homeomorphic, homotopy_equivalent
 from lenspp.errors import CapacityError, InvalidSpan
+from lenspp.forms import HomogeneousForm, k_invariant, substitute
+from lenspp.gfp import Mat2
+from lenspp.pontrjagin import total_pontrjagin_raw
+from lenspp.quotient_ring import CohomRingModel
 
 
 def test_enumerate_free_contains_standard_product():
@@ -78,10 +85,23 @@ def test_census_p3_counts():
     assert sum(r.count for r in rec.representatives) == rec.free_count
 
 
-def test_census_p5_counts():
+def _ndjson_sha256(rec, out_dir) -> str:
+    return hashlib.sha256(write_census(rec, out_dir)[0].read_bytes()).hexdigest()
+
+
+def test_census_p3_bytes(tmp_path):
+    assert _ndjson_sha256(run_census(3, 2), tmp_path) == (
+        "4b30262b5dfc50888b1014f69d425cc57300e7ac7b0838973d94d8265e5a4024"
+    )
+
+
+def test_census_p5_counts(tmp_path):
     """Frozen regression pins; derived once from the exhaustive run and
     cross-checked against the pairwise classifier on representatives."""
     rec = run_census(5, 2)
+    assert _ndjson_sha256(rec, tmp_path) == (
+        "afd579dbf53fcf09d7a642403be29fce65a3516e5c462b6789e1f72285662efc"
+    )
     assert rec.total_pairs == 386880
     assert rec.free_count == 161280
     assert rec.homotopy_classes == 4
@@ -136,6 +156,14 @@ def test_census_reversed_order_recount():
         assert min(members) == (by_key[key].R, by_key[key].Q)
 
 
+def _relabel(d, m):
+    """d with the group generators changed by m: same homotopy class."""
+    a, b, c, e = m
+    R = tuple((a * r + b * q) % d.p for r, q in zip(d.R, d.Q))
+    Q = tuple((c * r + e * q) % d.p for r, q in zip(d.R, d.Q))
+    return validate(RotationData(d.p, d.n, R, Q))
+
+
 def test_census_counts_invariant_under_group_relabeling():
     """Applying one fixed basis change to every space permutes the census."""
     p, n = 3, 2
@@ -143,9 +171,7 @@ def test_census_counts_invariant_under_group_relabeling():
     m = (1, 1, 0, 1)  # unipotent relabeling of the two generators
     sizes = {}
     for d in enumerate_free(p, n):
-        R2 = tuple((m[0] * r + m[1] * q) % p for r, q in zip(d.R, d.Q))
-        Q2 = tuple((m[2] * r + m[3] * q) % p for r, q in zip(d.R, d.Q))
-        key = _classify_item(validate(RotationData(p, n, R2, Q2)))
+        key = _classify_item(_relabel(d, m))
         sizes[key] = sizes.get(key, 0) + 1
     assert sorted(sizes.values()) == sorted(r.count for r in rec.representatives)
     assert len(sizes) == rec.homeomorphism_classes
@@ -221,3 +247,74 @@ def test_run_census_sampled():
     assert rec.sampled
     assert rec.free_count == 40
     assert sum(r.count for r in rec.representatives) == 40
+
+
+def _classify_with_forms(d, memo):
+    """The census key through the form-valued APIs: k_invariant and its
+    canonical form, total_pontrjagin_raw, substitute and
+    CohomRingModel.reduce, minimized over the canonical form's self-witnesses."""
+    p, n = d.p, d.n
+    canon, a0 = classify._canonicalize(p, n, k_invariant(d).coeff_pair())
+    if p > 3 and p > n + 1:
+        assert tuple(f.coeffs for f in canonical_form(d)) == canon
+    model = CohomRingModel(p, n, HomogeneousForm(p, canon[0]), HomogeneousForm(p, canon[1]))
+    raw = total_pontrjagin_raw(d)
+    t0 = tuple(
+        (deg, model.reduce(substitute(raw[deg], Mat2(p, a0))).coeffs) for deg in sorted(raw)
+    )
+    if (canon, t0) not in memo:
+        moved = [
+            tuple(
+                (deg, model.reduce(substitute(HomogeneousForm(p, c), Mat2(p, g))).coeffs)
+                for deg, c in t0
+            )
+            for g in classify._matching_substitutions(p, n, canon, canon)
+        ]
+        memo[canon, t0] = min([t0, *moved])
+    return canon, memo[canon, t0]
+
+
+def test_classify_item_matches_form_path_p3():
+    memo = {}
+    for d in enumerate_free(3, 2):
+        assert _classify_item(d) == _classify_with_forms(d, memo), (d.R, d.Q)
+
+
+@pytest.mark.parametrize("n,sample", [(2, 300), (3, 8)])
+def test_classify_item_matches_form_path_p5(n, sample):
+    memo = {}
+    for d in enumerate_free(5, n, sample=sample, seed=11):
+        assert _classify_item(d) == _classify_with_forms(d, memo), (d.R, d.Q)
+
+
+def test_classify_item_matches_form_path_p7_n3():
+    """One seeded space and relabelled copies of it, so that a single orbit
+    search (~0.2 M pairs) covers them all."""
+    rng = random.Random(7)
+    (d,) = enumerate_free(7, 3, sample=1, seed=7)
+    spaces = [d]
+    while len(spaces) < 6:
+        m = tuple(rng.randrange(7) for _ in range(4))
+        if (m[0] * m[3] - m[1] * m[2]) % 7:
+            spaces.append(_relabel(d, m))
+    memo = {}
+    try:
+        for x in spaces:
+            assert _classify_item(x) == _classify_with_forms(x, memo), (x.R, x.Q)
+    finally:
+        classify._ORBITS.pop((7, 3), None)
+
+
+def test_census_kernel_builds_almost_no_forms(monkeypatch):
+    created = []
+    post_init = forms.HomogeneousForm.__post_init__
+
+    def counting(self):
+        created.append(1)
+        post_init(self)
+
+    census._canon_model.cache_clear()
+    monkeypatch.setattr(forms.HomogeneousForm, "__post_init__", counting)
+    rec = run_census(3, 2)
+    assert rec.free_count == 1344
+    assert 0 < len(created) < 100

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lenspp
 from lenspp.actions import product_of_lens_spaces
 from lenspp.cli import main, parse_space
 
@@ -183,3 +188,43 @@ def test_stdout_is_single_json_document(capsys):
     assert code == 0
     json.loads(captured.out)
     assert captured.out.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        '{"p": 5, "n": 2, "R": [1, 1, 0, 0], "Q": "0011"}',
+        '{"p": "5", "n": 2, "R": [1, 1, 0, 0], "Q": [0, 0, 1, 1]}',
+        '{"p": 5, "n": 2.0, "R": [1, 1, 0, 0], "Q": [0, 0, 1, 1]}',
+        '{"p": 5, "n": 2, "R": [true, 1, 0, 0], "Q": [0, 0, 1, 1]}',
+        '{"p": 5, "n": 2, "R": [1, 1, 0, 0], "Q": [0, 0, [1], 1]}',
+    ],
+)
+def test_json_space_with_non_integer_field_exits_2(capsys, space):
+    code, doc, _ = run_cli(capsys, "check-free", space)
+    assert code == 2
+    assert doc["error"] == "invalid"
+
+
+def run_cli_process(*argv, timeout=20):
+    """Run the CLI in a fresh interpreter; fails if it exceeds timeout seconds."""
+    src = str(Path(lenspp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run(
+        [sys.executable, "-m", "lenspp", *argv],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
+
+
+def test_check_free_large_prime_answers_within_budget():
+    proc = run_cli_process("check-free", "lens p=100003 r=1,1 rp=1,2")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["free"] is True
+
+
+def test_compare_homeo_beyond_gl2_cap_refuses_within_budget():
+    proc = run_cli_process(
+        "compare", "--level", "homeo", "lens p=10007 r=1,1 rp=1,1", "lens p=10007 r=1,2 rp=1,3"
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stdout)["error"] == "capacity"

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from lenspp.errors import InvalidRotation
 from lenspp.forms import k_invariant
 from lenspp.pontrjagin import (
     lens_total_pontrjagin,
+    pontrjagin_coeffs,
     total_pontrjagin,
     total_pontrjagin_raw,
 )
@@ -130,3 +132,64 @@ def test_raw_class_invariant_under_block_permutation(d):
     perm = lambda v: (v[1], v[0]) + v[2:]
     d2 = RotationData(p, n, perm(d.R), perm(d.Q))
     assert total_pontrjagin_raw(d2) == total_pontrjagin_raw(d)
+
+
+def _graded_product_of_one_plus_squares(p, squares, truncation):
+    """prod (1 + s) over degree-2 coefficient vectors s, expanded by degree
+    and truncated at polynomial degree `truncation`: {degree: coeffs}."""
+    comps = {0: [1]}
+    for sq in squares:
+        out = {}
+        for d, coeffs in comps.items():
+            cur = out.setdefault(d, [0] * (d + 1))
+            for k, c in enumerate(coeffs):
+                cur[k] = (cur[k] + c) % p
+            if d + 2 <= truncation:
+                cur2 = out.setdefault(d + 2, [0] * (d + 3))
+                for k, c in enumerate(coeffs):
+                    if c:
+                        for t, s in enumerate(sq):
+                            cur2[k + t] = (cur2[k + t] + c * s) % p
+        comps = out
+    return {d: tuple(coeffs) for d, coeffs in comps.items()}
+
+
+def _squares(p, pairs):
+    return [(r * r % p, 2 * r * q % p, q * q % p) for r, q in pairs]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_pontrjagin_coeffs_match_graded_expansion(p):
+    rng = random.Random(p)
+    for _ in range(300):
+        pairs = [(rng.randrange(p), rng.randrange(p)) for _ in range(rng.randrange(9))]
+        top = rng.randrange(6)
+        for truncation in (2 * top, 2 * top + 1):
+            graded = _graded_product_of_one_plus_squares(p, _squares(p, pairs), truncation)
+            expect = [graded.get(2 * k, (0,) * (2 * k + 1)) for k in range(1, top + 1)]
+            assert pontrjagin_coeffs(p, pairs, top) == expect
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(5, 2), (7, 3), (11, 4)]).flatmap(lambda pn: free_space_strategy(*pn)))
+def test_raw_class_matches_graded_expansion(d):
+    graded = _graded_product_of_one_plus_squares(d.p, _squares(d.p, d.rotation_pairs()), 2 * d.n - 1)
+    assert {deg: f.coeffs for deg, f in total_pontrjagin_raw(d).items()} == {
+        2 * deg: c for deg, c in graded.items() if deg > 0
+    }
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_lens_class_matches_graded_expansion(p):
+    rng = random.Random(p)
+    for m in range(0, 9):
+        rotations = [rng.randrange(1, p) for _ in range(m)]
+        truncation = max(m - 1, 0)
+        graded = _graded_product_of_one_plus_squares(
+            p, [(r * r % p, 0, 0) for r in rotations], truncation
+        )
+        cls = lens_total_pontrjagin(p, rotations)
+        assert cls.truncation == truncation
+        assert tuple((deg, f.coeffs) for deg, f in cls.components) == tuple(
+            (2 * deg, c) for deg, c in sorted(graded.items()) if deg > 0
+        )

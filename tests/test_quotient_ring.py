@@ -143,3 +143,22 @@ def test_ideal_substitution_equivariance(data):
     m_sub = CohomRingModel(p, 2, substitute(k.first, A), substitute(k.second, A))
     h = data.draw(form_strategy(p, data.draw(st.integers(2, 3))))
     assert m.in_ideal(h) == m_sub.in_ideal(substitute(h, A))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(5, 2), (7, 3)]), st.data())
+def test_reduce_coeffs_matches_sequential_elimination(pn, data):
+    """The one-pass tuple reduction equals eliminating pivot by pivot, on
+    unreduced input and on degrees above the truncation too."""
+    p, n = pn
+    f = data.draw(form_strategy(p, n).filter(lambda f: not f.is_zero()))
+    g = data.draw(form_strategy(p, n).filter(lambda g: not g.is_zero()))
+    m = CohomRingModel(p, n, f, g)
+    deg = data.draw(st.integers(0, 2 * n + 1))
+    raw = data.draw(st.lists(st.integers(-50, 50), min_size=deg + 1, max_size=deg + 1))
+    coeffs = [x % p for x in raw]
+    for row, piv in zip(m.ideal_basis(deg), m._basis(deg)[1]):
+        c = coeffs[piv]
+        coeffs = [(x - c * y) % p for x, y in zip(coeffs, row)]
+    assert m.reduce_coeffs(tuple(raw)) == tuple(coeffs)
+    assert m.reduce(HomogeneousForm(p, tuple(raw))).coeffs == tuple(coeffs)
