@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -36,7 +37,6 @@ from .errors import CapacityError
 # counterparts of k_pair and pontrjagin_coeffs; the per-space kernel below
 # does not call them, but perfbench/tracing.py wraps them under these names.
 from .forms import (
-    HomogeneousForm,
     apply_matrix,
     k_pair,
     product_of_linear_forms,
@@ -44,7 +44,7 @@ from .forms import (
 )
 from .gfp import inv, is_quadratic_residue, require_odd_prime
 from .pontrjagin import pontrjagin_coeffs, total_pontrjagin_raw
-from .quotient_ring import CohomRingModel
+from .quotient_ring import CohomRingModel, ring_model
 
 CENSUS_PRIME_CAP = 7
 
@@ -127,6 +127,29 @@ def _scan(p: int, n: int, start: int, stop: int) -> Iterator[tuple[tuple, tuple,
                 yield R, Q, _free_by_planes(R, Q, p, n)
 
 
+def free_count(p: int, n: int) -> int:
+    """Exact number of free (R, Q) pairs, in closed form.
+
+    A nonzero column (r, q) is fixed by exactly one of the p + 1 cyclic
+    subgroups of (Z/p)^2, and a block with a zero column by all of them; a
+    pair is free iff the subgroups fixing its two blocks are disjoint sets.
+    A block of n nonzero columns is fixed by exactly a given set of s
+    subgroups in E_s = s! * S(n, s) * (p - 1)^n ways (S the Stirling numbers
+    of the second kind), so free = sum over s, t >= 1 of
+    C(p + 1, s) * C(p + 1 - s, t) * E_s * E_t."""
+    stirling = [1] + [0] * n  # S(k, s) for the current k, starting at k = 0
+    for k in range(1, n + 1):
+        for s in range(k, 0, -1):
+            stirling[s] = s * stirling[s] + stirling[s - 1]
+        stirling[0] = 0
+    exact = [math.factorial(s) * stirling[s] * (p - 1) ** n for s in range(n + 1)]
+    return sum(
+        math.comb(p + 1, s) * math.comb(p + 1 - s, t) * exact[s] * exact[t]
+        for s in range(1, n + 1)
+        for t in range(1, n + 1)
+    )
+
+
 def enumerate_free(
     p: int, n: int, sample: int | None = None, seed: int = 0
 ) -> Iterator[RotationData]:
@@ -150,6 +173,11 @@ def enumerate_free(
             if free:
                 yield RotationData(p, n, R, Q)
         return
+    population = free_count(p, n)
+    if sample > population:
+        raise CapacityError(
+            f"sample of {sample} exceeds the {population} free spaces at p = {p}, n = {n}"
+        )
     rng = random.Random(seed)
     seen: set[tuple] = set()
     attempts = 0
@@ -163,15 +191,6 @@ def enumerate_free(
             continue
         seen.add((R, Q))
         yield RotationData(p, n, R, Q)
-
-
-# one model per canonical form, shared by every member of the class; the
-# census and sampled-census benchmark workloads reach 4 and 10 classes
-@lru_cache(maxsize=1024)
-def _canon_model(p: int, n: int, canon: tuple) -> CohomRingModel:
-    return CohomRingModel(
-        p, n, HomogeneousForm(p, canon[0]), HomogeneousForm(p, canon[1])
-    )
 
 
 @lru_cache(maxsize=1024)
@@ -192,7 +211,7 @@ def _transport(model: CohomRingModel, A: tuple, t: tuple) -> tuple:
 def _min_fingerprint(p: int, n: int, canon: tuple, t0: tuple) -> tuple:
     """Least transported class: minimize the reduced component tuple over the
     canonical form's self-witness substitutions."""
-    model = _canon_model(p, n, canon)
+    model = ring_model(p, n, canon)
     return min([t0, *(_transport(model, g, t0) for g in _self_substitutions(p, n, canon))])
 
 
@@ -205,7 +224,7 @@ def _classify_item(data: RotationData) -> tuple[tuple, tuple]:
     canon, a0 = _canonicalize(p, n, k_pair(p, n, data.R, data.Q))
     raw = pontrjagin_coeffs(p, zip(data.R, data.Q), n - 1)
     t0 = _transport(
-        _canon_model(p, n, canon), a0, tuple((4 * k, c) for k, c in enumerate(raw, 1))
+        ring_model(p, n, canon), a0, tuple((4 * k, c) for k, c in enumerate(raw, 1))
     )
     return canon, _min_fingerprint(p, n, canon, t0)
 
@@ -357,9 +376,10 @@ def verify_application(p: int) -> ApplicationReport:
     sufficiency = []
     necessity = []
     units = range(1, p)
+    spaces = {(a, b): product_of_lens_spaces(p, (1, a), (1, b)) for a in units for b in units}
     for r1 in units:
         for r2 in units:
-            X = product_of_lens_spaces(p, (1, r1), (1, r2))
+            X = spaces[r1, r2]
             for q1 in units:
                 for q2 in units:
                     quadruples += 1
@@ -367,7 +387,7 @@ def verify_application(p: int) -> ApplicationReport:
                     criterion = is_quadratic_residue(ratio, p) or is_quadratic_residue(
                         p - ratio, p
                     )
-                    Y = product_of_lens_spaces(p, (1, q1), (1, q2))
+                    Y = spaces[q1, q2]
                     verdict = homeomorphic(X, Y).equivalent
                     if criterion:
                         criterion_true += 1

@@ -11,8 +11,12 @@ other's modulo the cohomology ideal.
 
 Witness searches enumerate A (then B) in row-major order over matrix
 entries and report the first witness, so runs are reproducible; identical
-k-invariants short-circuit to the identity witness first.  The classical
-one-lens-space criteria are provided as baselines for cross-checks.
+k-invariants short-circuit to the identity witness first.  The span test
+is shared across scalar classes: lam*A carries span k(X) to the same plane
+as A, so it is decided once per element of PGL2 (p(p^2 - 1) of them, a
+(p - 1)-th of GL2), on integer tuples, and the mix B is solved only for the
+A whose class matched.  The classical one-lens-space criteria are provided
+as baselines for cross-checks.
 """
 
 from __future__ import annotations
@@ -27,12 +31,15 @@ from .forms import (
     KInvariant,
     apply_matrix,
     k_invariant,
+    k_pair,
     substitute,
     substitution_matrix,
 )
-from .gfp import Mat2, gl2_tuples, inv, primitive_root, require_odd_prime, span_key
-from .pontrjagin import total_pontrjagin, total_pontrjagin_raw
-from .quotient_ring import build_model
+from .gfp import Mat2, gl2_tuples, inv, pair_span_key, primitive_root, require_odd_prime
+# total_pontrjagin_raw is the form-valued counterpart of pontrjagin_coeffs;
+# the deciders do not call it, but perfbench/tracing.py wraps it under this name.
+from .pontrjagin import pontrjagin_coeffs, total_pontrjagin_raw
+from .quotient_ring import ring_model
 
 LEVEL_HOMOTOPY = "homotopy"
 LEVEL_SIMPLE = "simple_homotopy"
@@ -103,7 +110,13 @@ def _transported(p, deg, A, x1, x2):
     M = substitution_matrix(p, deg, A)
     u = apply_matrix(M, x1, p)
     v = apply_matrix(M, x2, p)
-    return u, v, span_key([u, v], p)
+    return u, v, pair_span_key(u, v, p)
+
+
+@lru_cache(maxsize=64)
+def _inverses(p):
+    """Table of inverses mod p; entry 0 is unused."""
+    return (0,) + tuple(pow(x, p - 2, p) for x in range(1, p))
 
 
 def _mix_solver(u, v, p):
@@ -140,6 +153,44 @@ def _mix_solver(u, v, p):
     return solve
 
 
+def _span_matches(p, n, kx_pair, ky_pair, marked=False):
+    """Yield (A, rows1, rows2), A in row-major order over GL2 (only the
+    identity when marked), for every substitution A carrying span k(X) onto
+    span k(Y); rows1 and rows2 list the mixes (c, d) with c*u + d*v = y1,
+    resp. y2, where (u, v) is k(X) transported by A.
+
+    lam*A transports each degree-n form to lam^n times its image under A, so
+    the span test depends only on A's scalar class.  It runs once per class,
+    on the member whose first nonzero entry is 1; that member comes first in
+    row-major order, and the later members reuse its verdict and scale its
+    (u, v)."""
+    x1, x2 = kx_pair
+    y1, y2 = ky_pair
+    target = pair_span_key(y1, y2, p)
+    inverses = _inverses(p)
+    matched: dict[tuple, tuple] = {}  # class representative -> its (u, v)
+    for A in ((_IDENT,) if marked else gl2_tuples(p)):
+        lead = A[0] or A[1]
+        if lead == 1:
+            u, v, key = _transported(p, n, A, x1, x2)
+            if key != target:
+                continue
+            matched[A] = (u, v)
+        else:
+            if not matched:
+                continue
+            s = inverses[lead]
+            got = matched.get((A[0] * s % p, A[1] * s % p, A[2] * s % p, A[3] * s % p))
+            if got is None:
+                continue
+            scale = pow(lead, n, p)
+            u, v = (tuple(scale * c % p for c in w) for w in got)
+        solve = _mix_solver(u, v, p)
+        rows1 = solve(y1)
+        if rows1:
+            yield A, rows1, solve(y2)
+
+
 def _decide(X, Y, level, marked=False, class_check=None):
     if (X.p, X.n) != (Y.p, Y.n):
         return Verdict(False, None, 0, level)
@@ -147,30 +198,18 @@ def _decide(X, Y, level, marked=False, class_check=None):
     _require_hypotheses(p, n)
     _require_free(X)
     _require_free(Y)
-    kx = k_invariant(X)
-    ky = k_invariant(Y)
-    x1, x2 = kx.first.coeffs, kx.second.coeffs
-    y1, y2 = ky.first.coeffs, ky.second.coeffs
+    kx = k_pair(p, n, X.R, X.Q)
+    ky = k_pair(p, n, Y.R, Y.Q)
     checked = 0
 
-    if (x1, x2) == (y1, y2):
+    if kx == ky:
         checked += 1
         if class_check is None or class_check(_IDENT):
             w = EquivalenceWitness(Mat2.identity(p), Mat2.identity(p), level)
             return Verdict(True, w, checked, level)
 
-    target_span = span_key([y1, y2], p)
-    substitutions = (_IDENT,) if marked else gl2_tuples(p)
     class_ok: dict[tuple, bool] = {}
-    for A in substitutions:
-        u, v, sk = _transported(p, n, A, x1, x2)
-        if sk != target_span:
-            continue
-        solve = _mix_solver(u, v, p)
-        rows1 = solve(y1)
-        if not rows1:
-            continue
-        rows2 = solve(y2)
+    for A, rows1, rows2 in _span_matches(p, n, kx, ky, marked):
         for c, d in rows1:
             for e, f in rows2:
                 checked += 1
@@ -213,21 +252,17 @@ def homeomorphic(X: RotationData, Y: RotationData, marked: bool = False) -> Verd
     _require_hypotheses(p, n)
     _require_free(X)
     _require_free(Y)
-    model_y = build_model(k_invariant(Y), p, n)
-    cls_x = total_pontrjagin_raw(X)
-    cls_y = total_pontrjagin(Y, model_y)
-    degrees = sorted(set(cls_x) | {deg for deg, _ in cls_y.components})
+    model_y = ring_model(p, n, k_pair(p, n, Y.R, Y.Q))
+    cls_x = pontrjagin_coeffs(p, X.rotation_pairs(), n - 1)
+    # reduction is linear and idempotent, so reduce(moved - cls_y) vanishes
+    # iff reduce(moved) equals the reduced class of Y
+    cls_y = [model_y.reduce_coeffs(c) for c in pontrjagin_coeffs(p, Y.rotation_pairs(), n - 1)]
 
-    def class_check(A_entries: tuple) -> bool:
-        A = Mat2(p, A_entries)
-        for degree in degrees:
-            fx = cls_x.get(degree)
-            if fx is None:
-                fx = HomogeneousForm(p, (0,) * (degree // 2 + 1))
-            moved = substitute(fx, A)
-            if not model_y.reduce(moved - cls_y.component(degree)).is_zero():
-                return False
-        return True
+    def class_check(A: tuple) -> bool:
+        return all(
+            model_y.reduce_coeffs(apply_matrix(substitution_matrix(p, 2 * k, A), fx, p)) == fy
+            for k, (fx, fy) in enumerate(zip(cls_x, cls_y), 1)
+        )
 
     return _decide(X, Y, LEVEL_HOMEO, marked, class_check)
 
@@ -244,24 +279,11 @@ def matching_substitutions(X: RotationData, Y: RotationData) -> tuple[tuple, ...
 
 
 def _matching_substitutions(p, n, kx_pair, ky_pair) -> tuple[tuple, ...]:
-    x1, x2 = kx_pair
-    y1, y2 = ky_pair
-    target_span = span_key([y1, y2], p)
-    found = []
-    for A in gl2_tuples(p):
-        u, v, sk = _transported(p, n, A, x1, x2)
-        if sk != target_span:
-            continue
-        solve = _mix_solver(u, v, p)
-        rows1 = solve(y1)
-        if not rows1:
-            continue
-        rows2 = solve(y2)
-        if any(
-            (c * f - d * e) % p in (1, p - 1) for c, d in rows1 for e, f in rows2
-        ):
-            found.append(A)
-    return tuple(found)
+    return tuple(
+        A
+        for A, rows1, rows2 in _span_matches(p, n, kx_pair, ky_pair)
+        if any((c * f - d * e) % p in (1, p - 1) for c, d in rows1 for e, f in rows2)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,40 @@ from .errors import CapacityError, InvalidPrime
 GL2_PRIME_CAP = 31
 
 
+# Miller-Rabin with the first thirteen prime bases is exact below this bound
+# (psi_13 of Sorenson and Webster); primality above it is refused, not guessed.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_odd_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; raises CapacityError for odd p at or above
+    MR_EXACT_BOUND, where the fixed bases no longer decide."""
     if not isinstance(p, int) or p < 3 or p % 2 == 0:
         return False
-    return all(p % d for d in range(3, int(p**0.5) + 1, 2))
+    if p in _MR_BASES:
+        return True
+    if any(p % b == 0 for b in _MR_BASES):
+        return False
+    if p >= MR_EXACT_BOUND:
+        raise CapacityError(
+            f"primality of {p} is decided exactly only below {MR_EXACT_BOUND}"
+        )
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def require_odd_prime(p: int) -> int:
@@ -194,3 +224,24 @@ def span_key(rows: Iterable[Iterable[int]], p: int) -> tuple[tuple[int, ...], ..
     """Canonical key for the row space: the nonzero rows of the rref."""
     reduced, pivots = rref_with_pivots(rows, p)
     return reduced[: len(pivots)]
+
+
+def pair_span_key(u: tuple[int, ...], v: tuple[int, ...], p: int) -> tuple[tuple[int, ...], ...]:
+    """span_key([u, v], p) for two rows of ints in [0, p); unchecked."""
+    m = len(u)
+    i = next((k for k in range(m) if u[k] or v[k]), None)
+    if i is None:
+        return ()
+    if not u[i]:
+        u, v = v, u
+    s = pow(u[i], p - 2, p)
+    r1 = [x * s % p for x in u]
+    f = v[i]
+    r2 = [(y - f * x) % p for x, y in zip(r1, v)]
+    j = next((k for k in range(i + 1, m) if r2[k]), None)
+    if j is None:
+        return (tuple(r1),)
+    t = pow(r2[j], p - 2, p)
+    r2 = [x * t % p for x in r2]
+    g = r1[j]
+    return (tuple((x - g * y) % p for x, y in zip(r1, r2)), tuple(r2))

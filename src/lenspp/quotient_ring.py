@@ -13,6 +13,7 @@ it depends only on the span of {f, g}, not on the basis chosen.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DegenerateIdeal
 from .forms import HomogeneousForm
@@ -119,6 +120,15 @@ class CohomRingModel:
 def build_model(k, p: int, n: int) -> CohomRingModel:
     """Model of the truncated even cohomology ring from a k-invariant."""
     return CohomRingModel(p, n, k.first, k.second)
+
+
+# one model per k-coefficient pair: the census shares one per canonical form
+# (its workloads reach 4 and 10), and verify_application(11) compares against
+# 100 distinct spaces
+@lru_cache(maxsize=1024)
+def ring_model(p: int, n: int, pair: tuple) -> CohomRingModel:
+    """Model for a k-coefficient pair (f, g) of validated spaces."""
+    return CohomRingModel(p, n, HomogeneousForm(p, pair[0]), HomogeneousForm(p, pair[1]))
 
 
 @dataclass(frozen=True)

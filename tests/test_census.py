@@ -14,6 +14,7 @@ from lenspp.actions import (
 from lenspp.census import (
     _classify_item,
     enumerate_free,
+    free_count,
     run_census,
     verify_application,
     write_census,
@@ -24,7 +25,7 @@ from lenspp.errors import CapacityError, InvalidSpan
 from lenspp.forms import HomogeneousForm, k_invariant, substitute
 from lenspp.gfp import Mat2
 from lenspp.pontrjagin import total_pontrjagin_raw
-from lenspp.quotient_ring import CohomRingModel
+from lenspp.quotient_ring import CohomRingModel, ring_model
 
 
 def test_enumerate_free_contains_standard_product():
@@ -63,6 +64,38 @@ def test_enumerate_free_capacity_guard():
         next(enumerate_free(11, 2))
     with pytest.raises(CapacityError):
         next(enumerate_free(5, 3))
+
+
+def _free_pairs_by_blocks(p, n):
+    """Free (R, Q) pairs counted by brute force over pairs of column blocks:
+    free iff every column of one block is independent of every column of
+    the other."""
+    cols = list(itertools.product(range(p), repeat=2))
+    apart = {(c, d): (c[0] * d[1] - c[1] * d[0]) % p != 0 for c in cols for d in cols}
+    blocks = list(itertools.product(cols, repeat=n))
+    return sum(
+        all(apart[c, d] for c in first for d in second)
+        for first in blocks
+        for second in blocks
+    )
+
+
+@pytest.mark.parametrize("p, n, free", [(3, 2, 1344), (5, 2, 161280), (3, 3, 26880)])
+def test_free_count_closed_form_matches_brute_force(p, n, free):
+    assert free_count(p, n) == _free_pairs_by_blocks(p, n) == free
+
+
+def test_free_count_at_p7_matches_the_census():
+    assert free_count(7, 2) == 3_120_768
+
+
+def test_oversized_sample_is_refused_before_sampling():
+    with pytest.raises(CapacityError):
+        next(enumerate_free(3, 2, sample=1345))
+    with pytest.raises(CapacityError):
+        run_census(3, 2, sample=1_000_000)
+    # the whole population is still a valid sample
+    assert sum(1 for _ in enumerate_free(3, 2, sample=1344, seed=1)) == 1344
 
 
 def test_enumerate_free_sampling_is_seeded_and_free():
@@ -313,7 +346,7 @@ def test_census_kernel_builds_almost_no_forms(monkeypatch):
         created.append(1)
         post_init(self)
 
-    census._canon_model.cache_clear()
+    ring_model.cache_clear()
     monkeypatch.setattr(forms.HomogeneousForm, "__post_init__", counting)
     rec = run_census(3, 2)
     assert rec.free_count == 1344

@@ -1,4 +1,6 @@
 import itertools
+import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,15 @@ from hypothesis import strategies as st
 
 from conftest import free_space_strategy
 from lenspp.actions import RotationData, product_of_lens_spaces, validate
+from lenspp import classify
 from lenspp.classify import (
+    LEVEL_HOMEO,
+    LEVEL_HOMOTOPY,
+    LEVEL_SIMPLE,
+    EquivalenceWitness,
+    Verdict,
+    _matching_substitutions,
+    _mix_solver,
     canonical_form,
     homeomorphic,
     homotopy_equivalent,
@@ -20,8 +30,16 @@ from lenspp.errors import (
     HypothesisViolation,
     InvalidRotation,
 )
-from lenspp.forms import k_invariant, substitute
-from lenspp.gfp import Mat2, inv, is_quadratic_residue
+from lenspp.forms import (
+    HomogeneousForm,
+    apply_matrix,
+    k_invariant,
+    substitute,
+    substitution_matrix,
+)
+from lenspp.gfp import Mat2, gl2_tuples, inv, is_quadratic_residue, span_key
+from lenspp.pontrjagin import total_pontrjagin, total_pontrjagin_raw
+from lenspp.quotient_ring import build_model
 
 
 def lens(p, r1, r2):
@@ -247,3 +265,193 @@ def test_lens_simple_implies_homotopy():
         for rp in itertools.product(range(1, p), repeat=2):
             if lens_simple_homotopy_equivalent(p, 2, r, rp):
                 assert lens_homotopy_equivalent(p, 2, r, rp)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the per-substitution GL2 scan the deciders ran before the span test
+# was shared across scalar classes.  Every A gets its own transport and its
+# own validated rref.
+
+_IDENT = (1, 0, 0, 1)
+
+
+@lru_cache(maxsize=2**17)
+def _oracle_transported(p, deg, A, x1, x2):
+    M = substitution_matrix(p, deg, A)
+    u = apply_matrix(M, x1, p)
+    v = apply_matrix(M, x2, p)
+    return u, v, span_key([u, v], p)
+
+
+def _oracle_decide(X, Y, level, marked=False, class_check=None):
+    p, n = X.p, X.n
+    kx = k_invariant(X)
+    ky = k_invariant(Y)
+    x1, x2 = kx.first.coeffs, kx.second.coeffs
+    y1, y2 = ky.first.coeffs, ky.second.coeffs
+    checked = 0
+    if (x1, x2) == (y1, y2):
+        checked += 1
+        if class_check is None or class_check(_IDENT):
+            w = EquivalenceWitness(Mat2.identity(p), Mat2.identity(p), level)
+            return Verdict(True, w, checked, level)
+    target_span = span_key([y1, y2], p)
+    substitutions = (_IDENT,) if marked else gl2_tuples(p)
+    class_ok = {}
+    for A in substitutions:
+        u, v, sk = _oracle_transported(p, n, A, x1, x2)
+        if sk != target_span:
+            continue
+        solve = _mix_solver(u, v, p)
+        rows1 = solve(y1)
+        if not rows1:
+            continue
+        rows2 = solve(y2)
+        for c, d in rows1:
+            for e, f in rows2:
+                checked += 1
+                if (c * f - d * e) % p not in (1, p - 1):
+                    continue
+                if class_check is not None:
+                    ok = class_ok.get(A)
+                    if ok is None:
+                        ok = class_ok[A] = class_check(A)
+                    if not ok:
+                        continue
+                w = EquivalenceWitness(Mat2(p, A), Mat2(p, (c, d, e, f)), level)
+                return Verdict(True, w, checked, level)
+    return Verdict(False, None, checked, level)
+
+
+def _oracle_homeomorphic(X, Y, marked=False):
+    p = X.p
+    model_y = build_model(k_invariant(Y), p, X.n)
+    cls_x = total_pontrjagin_raw(X)
+    cls_y = total_pontrjagin(Y, model_y)
+    degrees = sorted(set(cls_x) | {deg for deg, _ in cls_y.components})
+
+    def class_check(A_entries):
+        A = Mat2(p, A_entries)
+        for degree in degrees:
+            fx = cls_x.get(degree)
+            if fx is None:
+                fx = HomogeneousForm(p, (0,) * (degree // 2 + 1))
+            moved = substitute(fx, A)
+            if not model_y.reduce(moved - cls_y.component(degree)).is_zero():
+                return False
+        return True
+
+    return _oracle_decide(X, Y, LEVEL_HOMEO, marked, class_check)
+
+
+def _oracle_matching_substitutions(p, n, kx_pair, ky_pair):
+    x1, x2 = kx_pair
+    y1, y2 = ky_pair
+    target_span = span_key([y1, y2], p)
+    found = []
+    for A in gl2_tuples(p):
+        u, v, sk = _oracle_transported(p, n, A, x1, x2)
+        if sk != target_span:
+            continue
+        solve = _mix_solver(u, v, p)
+        rows1 = solve(y1)
+        if not rows1:
+            continue
+        rows2 = solve(y2)
+        if any((c * f - d * e) % p in (1, p - 1) for c, d in rows1 for e, f in rows2):
+            found.append(A)
+    return tuple(found)
+
+
+def _random_free(rng, p, n):
+    while True:
+        R = tuple(rng.randrange(p) for _ in range(2 * n))
+        Q = tuple(rng.randrange(p) for _ in range(2 * n))
+        if all((R[i] * Q[j] - Q[i] * R[j]) % p for i in range(n) for j in range(n, 2 * n)):
+            return validate(RotationData(p, n, R, Q))
+
+
+def _relabelled(rng, X):
+    """X with new generators, columns permuted within their blocks, the blocks
+    maybe swapped, random column signs, and half the time one column scaled:
+    the scaling keeps span k(X) up to substitution but may leave no det +-1
+    mix, which gives negatives with checked_pairs > 0."""
+    p, n = X.p, X.n
+    while True:
+        a, b, c, d = (rng.randrange(p) for _ in range(4))
+        if (a * d - b * c) % p:
+            break
+    cols = [((a * r + b * q) % p, (c * r + d * q) % p) for r, q in zip(X.R, X.Q)]
+    first, second = cols[:n], cols[n:]
+    rng.shuffle(first)
+    rng.shuffle(second)
+    if rng.random() < 0.5:
+        first, second = second, first
+    cols = [(r, q) if rng.random() < 0.5 else (-r % p, -q % p) for r, q in first + second]
+    if rng.random() < 0.5:
+        t = rng.randrange(2, p)
+        cols[0] = (t * cols[0][0] % p, t * cols[0][1] % p)
+    return validate(RotationData(p, n, tuple(r for r, _ in cols), tuple(q for _, q in cols)))
+
+
+def test_scan_matches_the_per_substitution_oracle():
+    deciders = (
+        (homotopy_equivalent, lambda X, Y, m: _oracle_decide(X, Y, LEVEL_HOMOTOPY, m)),
+        (simple_homotopy_equivalent, lambda X, Y, m: _oracle_decide(X, Y, LEVEL_SIMPLE, m)),
+        (homeomorphic, _oracle_homeomorphic),
+    )
+    kinds = set()
+    try:
+        for p, n, pairs in ((5, 2, 12), (7, 2, 10), (7, 3, 6), (11, 2, 4), (13, 2, 3)):
+            rng = random.Random(100 * p + n)
+            for i in range(pairs):
+                X = _random_free(rng, p, n)
+                Y = _relabelled(rng, X) if i % 2 == 0 else _random_free(rng, p, n)
+                for decide, oracle in deciders:
+                    for marked in (False, True):
+                        got, want = decide(X, Y, marked), oracle(X, Y, marked)
+                        assert got.to_json() == want.to_json(), (X, Y, got.level, marked)
+                        kinds.add((got.equivalent, got.checked_pairs > 0))
+                kx, ky = k_invariant(X).coeff_pair(), k_invariant(Y).coeff_pair()
+                assert _matching_substitutions(p, n, kx, ky) == _oracle_matching_substitutions(
+                    p, n, kx, ky
+                )
+                assert _matching_substitutions(p, n, kx, kx) == _oracle_matching_substitutions(
+                    p, n, kx, kx
+                )
+    finally:
+        _oracle_transported.cache_clear()
+    # positives, negatives with no span match, and negatives whose span
+    # matches but admit no det +-1 mix
+    assert kinds >= {(True, True), (False, False), (False, True)}
+
+
+def _pencil_squares(X):
+    """Members of the pencil span k(X) that are squares of linear forms
+    (n = 2: zero discriminant); preserved by substitution and by the mix."""
+    p = X.p
+    f, g = k_invariant(X).coeff_pair()
+    count = 0
+    for s, t in itertools.product(range(p), repeat=2):
+        c0, c1, c2 = ((s * x + t * y) % p for x, y in zip(f, g))
+        if (c0 or c1 or c2) and (c1 * c1 - 4 * c0 * c2) % p == 0:
+            count += 1
+    return count
+
+
+def test_negative_scan_transports_once_per_scalar_class():
+    p = 13
+    rng = random.Random(5)
+    while True:
+        X, Y = _random_free(rng, p, 2), _random_free(rng, p, 2)
+        if _pencil_squares(X) != _pencil_squares(Y):
+            break  # certified negative: the decider must exhaust every class
+    classify._transported.cache_clear()
+    try:
+        v = homotopy_equivalent(X, Y)
+        info = classify._transported.cache_info()
+    finally:
+        classify._transported.cache_clear()
+    assert not v.equivalent
+    pgl2 = p * (p * p - 1)  # 2,184; GL2 has 26,208
+    assert info.misses <= pgl2

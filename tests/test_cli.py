@@ -228,3 +228,15 @@ def test_compare_homeo_beyond_gl2_cap_refuses_within_budget():
     )
     assert proc.returncode == 3, proc.stderr
     assert json.loads(proc.stdout)["error"] == "capacity"
+
+
+def test_check_free_mersenne_prime_answers_within_budget():
+    proc = run_cli_process("check-free", "lens p=2305843009213693951 r=1,1 rp=1,2")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["free"] is True
+
+
+def test_oversized_sample_refuses_within_budget(tmp_path):
+    proc = run_cli_process("census", "3", "2", "--sample", "1000000", "--out", str(tmp_path))
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stdout)["error"] == "capacity"

@@ -11,6 +11,8 @@ from lenspp.gfp import (
     gl2_tuples,
     inv,
     is_odd_prime,
+    pair_span_key,
+    MR_EXACT_BOUND,
     is_quadratic_residue,
     quadratic_residues,
     rank,
@@ -27,6 +29,38 @@ def test_is_odd_prime():
     ]
     assert not is_odd_prime(2)
     assert not is_odd_prime(1)
+
+
+def _trial_division_odd_prime(p):
+    return p >= 3 and p % 2 == 1 and all(p % d for d in range(3, int(p**0.5) + 1, 2))
+
+
+def test_miller_rabin_matches_trial_division_below_1e5():
+    assert [q for q in range(100_000) if is_odd_prime(q)] == [
+        q for q in range(100_000) if _trial_division_odd_prime(q)
+    ]
+
+
+def test_miller_rabin_large_known_values():
+    assert is_odd_prime(2**61 - 1)
+    assert is_odd_prime(2**31 - 1)
+    assert not is_odd_prime(2**61 + 1)
+    assert not is_odd_prime((2**31 - 1) * (2**19 - 1))
+    # Carmichael numbers and a strong pseudoprime to bases 2, 3, 5, 7
+    for composite in (561, 1105, 41041, 3_215_031_751):
+        assert not is_odd_prime(composite)
+    # the least strong pseudoprime to every prime base through 37: the base 41
+    # is what decides it
+    assert not is_odd_prime(318_665_857_834_031_151_167_461)
+
+
+def test_miller_rabin_refuses_past_its_exact_range():
+    with pytest.raises(CapacityError):
+        is_odd_prime(2**89 - 1)  # prime, but above the bound
+    with pytest.raises(CapacityError):
+        require_odd_prime(MR_EXACT_BOUND)
+    assert not is_odd_prime(2**90)  # even numbers need no test
+    assert not is_odd_prime(3 * (2**89 - 1))  # nor multiples of a base
 
 
 def test_require_odd_prime_rejects():
@@ -147,3 +181,12 @@ def test_rref_preserves_row_space(p, data):
     # mutual membership: every row of each matrix reduces to 0 against the other
     assert span_key(list(m) + list(reduced), p) == span_key(m, p)
     assert rank(m, p) == rank(reduced, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([3, 5, 7, 13]), st.data())
+def test_pair_span_key_equals_span_key(p, data):
+    m = data.draw(st.integers(1, 5))
+    row = st.tuples(*(st.integers(0, p - 1) for _ in range(m)))
+    u, v = data.draw(row), data.draw(row)
+    assert pair_span_key(u, v, p) == span_key([u, v], p)
