@@ -15,8 +15,14 @@ k-invariants short-circuit to the identity witness first.  The span test
 is shared across scalar classes: lam*A carries span k(X) to the same plane
 as A, so it is decided once per element of PGL2 (p(p^2 - 1) of them, a
 (p - 1)-th of GL2), on integer tuples, and the mix B is solved only for the
-A whose class matched.  The classical one-lens-space criteria are provided
-as baselines for cross-checks.
+A whose class matched.
+
+The canonical form, the census grouping key, is the least pair in the
+k-invariant pair's (A, B) orbit.  Substitution and mix commute, so the orbit
+is built in one pass over GL2 as a union of B-orbits: each A transports the
+pair once, and only a transported pair not yet seen is mixed by the det +-1
+group.  The classical one-lens-space criteria are provided as baselines for
+cross-checks.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from .forms import (
     substitute,
     substitution_matrix,
 )
-from .gfp import Mat2, gl2_tuples, inv, pair_span_key, primitive_root, require_odd_prime
+from .gfp import Mat2, gl2_pm_tuples, gl2_tuples, inv, pair_span_key, require_odd_prime
 # total_pontrjagin_raw is the form-valued counterpart of pontrjagin_coeffs;
 # the deciders do not call it, but perfbench/tracing.py wraps it under this name.
 from .pontrjagin import pontrjagin_coeffs, total_pontrjagin_raw
@@ -306,53 +312,46 @@ def _mat_inv(a, p):
     return (a[3] * s % p, -a[1] * s % p, -a[2] * s % p, a[0] * s % p)
 
 
-@lru_cache(maxsize=None)
-def _generators(p):
-    g = primitive_root(p)
-    a_gens = ((1, 1, 0, 1), (1, 0, 1, 1), (g, 0, 0, 1))  # generate GL2
-    b_gens = ((1, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 0))  # generate det +-1
-    return a_gens, b_gens
-
-
 def _canonicalize(p: int, n: int, key: tuple) -> tuple[tuple, tuple]:
     """Orbit minimum of a k-coefficient pair under the (A, B) action, plus a
     substitution A0 carrying this pair onto the minimum.
 
-    One BFS enumerates the whole orbit, so every member's answer is cached at
-    once; each element carries the substitution part of a witness from the
-    seed, and witnesses compose as A_seed->x ^-1 * A_seed->min.
+    Substitution and mix commute, so the orbit is the union over A in GL2 of
+    the B-orbits of the transported pair key.A.  One pass over GL2
+    transports the key once per A; a transported pair already seen lies in a
+    B-orbit already enumerated, otherwise all its det +-1 mixes (read off a
+    table of the p^2 combinations c*u + d*v) are added with A as their
+    substitution part.  Every member's answer is cached at once, and
+    witnesses compose as A_key->x ^-1 * A_key->min.
     """
     cache = _ORBITS.setdefault((p, n), {})
     got = cache.get(key)
     if got is not None:
         return got
-    a_gens, b_gens = _generators(p)
-    seen: dict[tuple, tuple] = {key: _IDENT}
-    frontier = [key]
-    while frontier:
-        nxt = []
-        for pair in frontier:
-            a_part = seen[pair]
-            c1, c2 = pair
-            for g in a_gens:
-                M = substitution_matrix(p, n, g)
-                moved = (apply_matrix(M, c1, p), apply_matrix(M, c2, p))
-                if moved not in seen:
-                    seen[moved] = _mat_mul(a_part, g, p)
-                    nxt.append(moved)
-            for b in b_gens:
-                mixed = (
-                    tuple((b[0] * x + b[1] * y) % p for x, y in zip(c1, c2)),
-                    tuple((b[2] * x + b[3] * y) % p for x, y in zip(c1, c2)),
-                )
-                if mixed not in seen:
-                    seen[mixed] = a_part
-                    nxt.append(mixed)
-        frontier = nxt
+    x1, x2 = key
+    mixes = gl2_pm_tuples(p)
+    seen: set[tuple] = set()
+    b_orbits = []  # (A, the B-orbit of key.A)
+    for A in gl2_tuples(p):
+        M = substitution_matrix(p, n, A)
+        u = apply_matrix(M, x1, p)
+        v = apply_matrix(M, x2, p)
+        if (u, v) in seen:
+            continue
+        lin = {
+            (c, d): tuple((c * x + d * y) % p for x, y in zip(u, v))
+            for c in range(p)
+            for d in range(p)
+        }
+        members = {(lin[b[0], b[1]], lin[b[2], b[3]]) for b in mixes}
+        seen |= members
+        b_orbits.append((A, members))
     canon = min(seen)
-    a_canon = seen[canon]
-    for pair, a_part in seen.items():
-        cache[pair] = (canon, _mat_mul(_mat_inv(a_part, p), a_canon, p))
+    a_canon = next(A for A, members in b_orbits if canon in members)
+    for A, members in b_orbits:
+        entry = (canon, _mat_mul(_mat_inv(A, p), a_canon, p))
+        for pair in members:
+            cache[pair] = entry
     return cache[key]
 
 

@@ -145,7 +145,7 @@ def _require_enumerable(p: int) -> None:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def gl2_tuples(p: int) -> tuple[tuple[int, int, int, int], ...]:
     """Every invertible (a11, a12, a21, a22) over GF(p), row-major entry order."""
     _require_enumerable(p)
@@ -159,7 +159,7 @@ def gl2_tuples(p: int) -> tuple[tuple[int, int, int, int], ...]:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def gl2_pm_tuples(p: int) -> tuple[tuple[int, int, int, int], ...]:
     """The det = +-1 elements, same enumeration order as gl2_tuples."""
     return tuple(e for e in gl2_tuples(p) if (e[0] * e[3] - e[1] * e[2]) % p in (1, p - 1))

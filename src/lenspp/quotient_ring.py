@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .errors import DegenerateIdeal
 from .forms import HomogeneousForm
-from .gfp import rref_with_pivots, span_key
+from .gfp import rref_with_pivots
 
 
 class CohomRingModel:
@@ -93,13 +93,6 @@ class CohomRingModel:
 
     def in_ideal(self, form: HomogeneousForm) -> bool:
         return self.reduce(form).is_zero()
-
-    def same_ideal(self, other: "CohomRingModel") -> bool:
-        if (self.p, self.n) != (other.p, other.n):
-            return False
-        return span_key([self.f.coeffs, self.g.coeffs], self.p) == span_key(
-            [other.f.coeffs, other.g.coeffs], other.p
-        )
 
     def equal_in_quotient(self, u, v) -> bool:
         """Equality mod the ideal, for forms or whole TotalClass objects."""

@@ -34,10 +34,12 @@ from lenspp.forms import (
     HomogeneousForm,
     apply_matrix,
     k_invariant,
+    k_pair,
     substitute,
     substitution_matrix,
 )
-from lenspp.gfp import Mat2, gl2_tuples, inv, is_quadratic_residue, span_key
+from lenspp.census import enumerate_free
+from lenspp.gfp import Mat2, gl2_tuples, inv, is_quadratic_residue, primitive_root, span_key
 from lenspp.pontrjagin import total_pontrjagin, total_pontrjagin_raw
 from lenspp.quotient_ring import build_model
 
@@ -455,3 +457,95 @@ def test_negative_scan_transports_once_per_scalar_class():
     assert not v.equivalent
     pgl2 = p * (p * p - 1)  # 2,184; GL2 has 26,208
     assert info.misses <= pgl2
+
+
+# ---------------------------------------------------------------------------
+# oracle: the whole-orbit BFS over generators of GL2 and of the det +-1 group
+# that _canonicalize ran before the orbit became one pass over GL2.
+
+def _oracle_canonicalize(orbits, p, n, key):
+    got = orbits.get(key)
+    if got is not None:
+        return got
+    g = primitive_root(p)
+    a_gens = ((1, 1, 0, 1), (1, 0, 1, 1), (g, 0, 0, 1))  # generate GL2
+    b_gens = ((1, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 0))  # generate det +-1
+    seen = {key: _IDENT}
+    frontier = [key]
+    while frontier:
+        nxt = []
+        for pair in frontier:
+            a_part = seen[pair]
+            c1, c2 = pair
+            for a in a_gens:
+                M = substitution_matrix(p, n, a)
+                moved = (apply_matrix(M, c1, p), apply_matrix(M, c2, p))
+                if moved not in seen:
+                    seen[moved] = classify._mat_mul(a_part, a, p)
+                    nxt.append(moved)
+            for b in b_gens:
+                mixed = (
+                    tuple((b[0] * x + b[1] * y) % p for x, y in zip(c1, c2)),
+                    tuple((b[2] * x + b[3] * y) % p for x, y in zip(c1, c2)),
+                )
+                if mixed not in seen:
+                    seen[mixed] = a_part
+                    nxt.append(mixed)
+        frontier = nxt
+    canon = min(seen)
+    a_canon = seen[canon]
+    for pair, a_part in seen.items():
+        orbits[pair] = (canon, classify._mat_mul(classify._mat_inv(a_part, p), a_canon, p))
+    return orbits[key]
+
+
+def _carries(p, n, pair, a0, canon):
+    """Some det +-1 mix takes pair, substituted by a0, onto canon."""
+    M = substitution_matrix(p, n, a0)
+    solve = _mix_solver(apply_matrix(M, pair[0], p), apply_matrix(M, pair[1], p), p)
+    return any(
+        (c * f - d * e) % p in (1, p - 1) for c, d in solve(canon[0]) for e, f in solve(canon[1])
+    )
+
+
+def _check_against_bfs(p, n, keys):
+    oracle = {}
+    for key in keys:
+        classify._canonicalize(p, n, key)
+        _oracle_canonicalize(oracle, p, n, key)
+    cache = classify._ORBITS[(p, n)]
+    assert cache.keys() == oracle.keys()
+    for pair, (canon, a0) in cache.items():
+        assert canon == oracle[pair][0], pair
+        assert _carries(p, n, pair, a0, canon), pair
+
+
+def test_canonicalize_matches_the_bfs_oracle_on_every_free_space_p3(monkeypatch):
+    monkeypatch.setattr(classify, "_ORBITS", {})
+    _check_against_bfs(3, 2, [k_pair(3, 2, d.R, d.Q) for d in enumerate_free(3, 2)])
+
+
+@pytest.mark.parametrize("p,n,count", [(5, 2, 8), (7, 2, 1), (5, 3, 3)])
+def test_canonicalize_matches_the_bfs_oracle_on_seeded_keys(monkeypatch, p, n, count):
+    monkeypatch.setattr(classify, "_ORBITS", {})
+    rng = random.Random(10 * p + n)
+    _check_against_bfs(p, n, [k_invariant(_random_free(rng, p, n)).coeff_pair() for _ in range(count)])
+
+
+def test_one_new_orbit_transports_once_per_gl2_element(monkeypatch):
+    calls = []
+    real = classify.apply_matrix
+
+    def counting(M, vec, p):
+        calls.append(None)
+        return real(M, vec, p)
+
+    monkeypatch.setattr(classify, "apply_matrix", counting)
+    monkeypatch.setattr(classify, "_ORBITS", {})
+    p, n = 5, 3
+    key = k_invariant(_random_free(random.Random(53), p, n)).coeff_pair()
+    canon, _ = classify._canonicalize(p, n, key)
+    made = len(calls)
+    assert made <= 2 * len(gl2_tuples(p))  # 960; the generator BFS made ~28,800
+    classify._canonicalize(p, n, canon)
+    assert len(calls) == made  # a cached orbit member transports nothing
