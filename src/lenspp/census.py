@@ -9,6 +9,11 @@ cell iff they are homeomorphic in the classifier's sense, because the
 transported classes of a space form one orbit under the canonical form's
 self-witnesses and orbits are equal or disjoint.
 
+Relabelling the two group generators multiplies [R; Q] on the left by
+GL2(F_p) and leaves both keys unchanged, so each space is classified
+through the reduced basis of its row space, and each plane (|GL2| free
+spaces) is classified once per process.
+
 Outputs are deterministic byte-for-byte: the enumeration order is fixed,
 workers only partition the scan and are merged with order-independent
 reductions (sums and minima), and serialization is canonical.
@@ -19,6 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -42,7 +48,7 @@ from .forms import (
     product_of_linear_forms,
     substitution_matrix,
 )
-from .gfp import inv, is_quadratic_residue, require_odd_prime
+from .gfp import inv, is_quadratic_residue, pair_span_key, require_odd_prime
 from .pontrjagin import pontrjagin_coeffs, total_pontrjagin_raw
 from .quotient_ring import CohomRingModel, ring_model
 
@@ -218,11 +224,25 @@ def _min_fingerprint(p: int, n: int, canon: tuple, t0: tuple) -> tuple:
 def _classify_item(data: RotationData) -> tuple[tuple, tuple]:
     """(canonical k pair, Pontrjagin fingerprint) for one free space.
 
-    Runs on coefficient tuples throughout; data is trusted (validated, or
-    produced by the census scan)."""
-    p, n = data.p, data.n
-    canon, a0 = _canonicalize(p, n, k_pair(p, n, data.R, data.Q))
-    raw = pontrjagin_coeffs(p, zip(data.R, data.Q), n - 1)
+    The key depends only on the plane spanned by R and Q, so this is a
+    lookup on that plane; data is trusted (validated, or produced by the
+    census scan)."""
+    return _classify_plane(data.p, data.n, pair_span_key(data.R, data.Q, data.p))
+
+
+@lru_cache(maxsize=2**16)
+def _classify_plane(p: int, n: int, plane: tuple) -> tuple[tuple, tuple]:
+    """The census key of the free space whose rows are the two rref rows of
+    plane, on coefficient tuples throughout.
+
+    Another basis of the plane relabels the two group generators, which
+    moves the k-pair and the Pontrjagin class by one and the same linear
+    substitution: the canonical form stays, and the transported class moves
+    within the orbit of the canonical form's self-witnesses, over which the
+    fingerprint is a minimum."""
+    R, Q = plane
+    canon, a0 = _canonicalize(p, n, k_pair(p, n, R, Q))
+    raw = pontrjagin_coeffs(p, zip(R, Q), n - 1)
     t0 = _transport(
         ring_model(p, n, canon), a0, tuple((4 * k, c) for k, c in enumerate(raw, 1))
     )
@@ -276,7 +296,7 @@ def run_census(
                 "pass a sample size instead"
             )
         size = p ** (2 * n)
-        workers = max(1, min(int(workers), size))
+        workers = max(1, min(int(workers), size, os.cpu_count() or 1))
         if workers == 1:
             chunks = [(p, n, 0, size)]
             results = map(_census_chunk, chunks)

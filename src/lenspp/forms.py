@@ -138,7 +138,7 @@ def _pair_power(p: int, pair: tuple[int, int], k: int) -> tuple[int, ...]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2**18)
 def substitution_matrix(p: int, deg: int, entries: tuple[int, int, int, int]) -> tuple[tuple[int, ...], ...]:
     """Matrix of the substitution a -> e11*a + e12*b, b -> e21*a + e22*b on
     degree-`deg` coefficient vectors; column k is the image of a^(deg-k)b^k."""

@@ -82,20 +82,6 @@ def quadratic_residues(p: int) -> frozenset[int]:
     return frozenset(t * t % p for t in range(1, p))
 
 
-@lru_cache(maxsize=None)
-def primitive_root(p: int) -> int:
-    """Smallest generator of GF(p)^x; p is tiny here so a direct scan is fine."""
-    require_odd_prime(p)
-    for g in range(2, p):
-        x, seen = 1, set()
-        for _ in range(p - 1):
-            x = x * g % p
-            seen.add(x)
-        if len(seen) == p - 1:
-            return g
-    raise InvalidPrime(f"no primitive root mod {p}; not prime?")
-
-
 @dataclass(frozen=True)
 class Mat2:
     """2x2 matrix over GF(p); entries row-major (a11, a12, a21, a22)."""
@@ -229,8 +215,10 @@ def span_key(rows: Iterable[Iterable[int]], p: int) -> tuple[tuple[int, ...], ..
 def pair_span_key(u: tuple[int, ...], v: tuple[int, ...], p: int) -> tuple[tuple[int, ...], ...]:
     """span_key([u, v], p) for two rows of ints in [0, p); unchecked."""
     m = len(u)
-    i = next((k for k in range(m) if u[k] or v[k]), None)
-    if i is None:
+    for i in range(m):
+        if u[i] or v[i]:
+            break
+    else:
         return ()
     if not u[i]:
         u, v = v, u
@@ -238,10 +226,12 @@ def pair_span_key(u: tuple[int, ...], v: tuple[int, ...], p: int) -> tuple[tuple
     r1 = [x * s % p for x in u]
     f = v[i]
     r2 = [(y - f * x) % p for x, y in zip(r1, v)]
-    j = next((k for k in range(i + 1, m) if r2[k]), None)
-    if j is None:
+    for j in range(i + 1, m):
+        if r2[j]:
+            break
+    else:
         return (tuple(r1),)
     t = pow(r2[j], p - 2, p)
     r2 = [x * t % p for x in r2]
     g = r1[j]
-    return (tuple((x - g * y) % p for x, y in zip(r1, r2)), tuple(r2))
+    return (tuple([(x - g * y) % p for x, y in zip(r1, r2)]), tuple(r2))

@@ -23,7 +23,7 @@ from lenspp import census, classify, forms
 from lenspp.classify import canonical_form, homeomorphic, homotopy_equivalent
 from lenspp.errors import CapacityError, InvalidSpan
 from lenspp.forms import HomogeneousForm, k_invariant, substitute
-from lenspp.gfp import Mat2
+from lenspp.gfp import Mat2, gl2_tuples
 from lenspp.pontrjagin import total_pontrjagin_raw
 from lenspp.quotient_ring import CohomRingModel, ring_model
 
@@ -175,6 +175,31 @@ def test_census_workers_merge_identically():
     assert solo == multi
 
 
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps inline."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus, pools", [(3, [3]), (None, [])])
+def test_census_workers_capped_at_cpu_count(monkeypatch, cpus, pools):
+    sizes = []
+    monkeypatch.setattr(census, "ProcessPoolExecutor", lambda max_workers: _InlinePool(sizes, max_workers))
+    monkeypatch.setattr(census.os, "cpu_count", lambda: cpus)
+    assert run_census(3, 2, workers=1000) == run_census(3, 2)
+    assert sizes == pools
+
+
 def test_census_reversed_order_recount():
     """Grouping the stream in reversed order reproduces the counts."""
     rec = run_census(3, 2)
@@ -195,6 +220,26 @@ def _relabel(d, m):
     R = tuple((a * r + b * q) % d.p for r, q in zip(d.R, d.Q))
     Q = tuple((c * r + e * q) % d.p for r, q in zip(d.R, d.Q))
     return validate(RotationData(d.p, d.n, R, Q))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_census_classifies_each_plane_once(p):
+    """Each GL2 orbit of free pairs is one plane, classified once."""
+    gl2 = (p * p - 1) * (p * p - p)
+    census._classify_plane.cache_clear()
+    rec = run_census(p, 2)
+    info = census._classify_plane.cache_info()
+    assert info.misses == rec.free_count // gl2 == {3: 28, 5: 336}[p]
+    assert info.hits + info.misses == rec.free_count
+
+
+def test_relabelled_spaces_share_one_plane():
+    (d,) = enumerate_free(5, 2, sample=1, seed=4)
+    census._classify_plane.cache_clear()
+    keys = {_classify_item(_relabel(d, m)) for m in gl2_tuples(5)}
+    info = census._classify_plane.cache_info()
+    assert len(keys) == 1
+    assert (info.misses, info.hits) == (1, len(gl2_tuples(5)) - 1)
 
 
 def test_census_counts_invariant_under_group_relabeling():
@@ -347,6 +392,7 @@ def test_census_kernel_builds_almost_no_forms(monkeypatch):
         post_init(self)
 
     ring_model.cache_clear()
+    census._classify_plane.cache_clear()
     monkeypatch.setattr(forms.HomogeneousForm, "__post_init__", counting)
     rec = run_census(3, 2)
     assert rec.free_count == 1344

@@ -39,7 +39,7 @@ from lenspp.forms import (
     substitution_matrix,
 )
 from lenspp.census import enumerate_free
-from lenspp.gfp import Mat2, gl2_tuples, inv, is_quadratic_residue, primitive_root, span_key
+from lenspp.gfp import Mat2, gl2_tuples, inv, is_quadratic_residue, span_key
 from lenspp.pontrjagin import total_pontrjagin, total_pontrjagin_raw
 from lenspp.quotient_ring import build_model
 
@@ -463,11 +463,16 @@ def test_negative_scan_transports_once_per_scalar_class():
 # oracle: the whole-orbit BFS over generators of GL2 and of the det +-1 group
 # that _canonicalize ran before the orbit became one pass over GL2.
 
+def _primitive_root(p):
+    """Smallest generator of GF(p)^x, by a direct scan."""
+    return next(g for g in range(2, p) if len({pow(g, e, p) for e in range(1, p)}) == p - 1)
+
+
 def _oracle_canonicalize(orbits, p, n, key):
     got = orbits.get(key)
     if got is not None:
         return got
-    g = primitive_root(p)
+    g = _primitive_root(p)
     a_gens = ((1, 1, 0, 1), (1, 0, 1, 1), (g, 0, 0, 1))  # generate GL2
     b_gens = ((1, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 0))  # generate det +-1
     seen = {key: _IDENT}

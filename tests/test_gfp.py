@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -190,3 +192,11 @@ def test_pair_span_key_equals_span_key(p, data):
     row = st.tuples(*(st.integers(0, p - 1) for _ in range(m)))
     u, v = data.draw(row), data.draw(row)
     assert pair_span_key(u, v, p) == span_key([u, v], p)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_pair_span_key_equals_span_key_exhaustive_p3(m):
+    rows = list(itertools.product(range(3), repeat=m))
+    for u in rows:
+        for v in rows:
+            assert pair_span_key(u, v, 3) == span_key([u, v], 3), (u, v)
