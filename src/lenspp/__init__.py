@@ -47,14 +47,14 @@ from .forms import (
     product_of_linear_forms,
     substitute,
 )
-from .gfp import Mat2, is_quadratic_residue, quadratic_residues
+from .gfp import Mat2, is_quadratic_residue
 from .pontrjagin import (
     TotalClass,
     lens_total_pontrjagin,
     total_pontrjagin,
     total_pontrjagin_raw,
 )
-from .quotient_ring import CohomRingModel, build_model
+from .quotient_ring import CohomRingModel
 
 __version__ = "0.1.0"
 
@@ -78,7 +78,6 @@ __all__ = [
     "RotationData",
     "TotalClass",
     "Verdict",
-    "build_model",
     "canonical_form",
     "enumerate_free",
     "from_json",
@@ -94,7 +93,6 @@ __all__ = [
     "matching_substitutions",
     "product_of_lens_spaces",
     "product_of_linear_forms",
-    "quadratic_residues",
     "run_census",
     "simple_homotopy_equivalent",
     "substitute",

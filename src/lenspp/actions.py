@@ -13,7 +13,7 @@ g1*R[j] + g2*Q[j] = 0 for some j >= n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InvalidDimension, InvalidRotation, InvalidSpan
 from .gfp import inv, rank, require_odd_prime
@@ -31,12 +31,6 @@ class RotationData:
     def rotation_pairs(self) -> tuple[tuple[int, int], ...]:
         """Columns (R[i], Q[i]) for i = 0..2n-1."""
         return tuple(zip(self.R, self.Q))
-
-    def first_block(self) -> tuple[tuple[int, int], ...]:
-        return self.rotation_pairs()[: self.n]
-
-    def second_block(self) -> tuple[tuple[int, int], ...]:
-        return self.rotation_pairs()[self.n :]
 
 
 @dataclass(frozen=True)
@@ -130,10 +124,15 @@ def is_free_plane_form(data: RotationData) -> bool:
     [[R[i], Q[i]], [R[j], Q[j]]] is singular, so freeness is n^2 determinant
     checks.  is_free decides by the same blocks and adds the scan-order witness.
     """
-    p, n, R, Q = data.p, data.n, data.R, data.Q
+    return _free_by_planes(data.R, data.Q, data.p, data.n)
+
+
+def _free_by_planes(R, Q, p, n) -> bool:
+    """is_free_plane_form on bare rotation vectors; unchecked."""
     for i in range(n):
+        ri, qi = R[i], Q[i]
         for j in range(n, 2 * n):
-            if (R[i] * Q[j] - Q[i] * R[j]) % p == 0:
+            if (ri * Q[j] - qi * R[j]) % p == 0:
                 return False
     return True
 

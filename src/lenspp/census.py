@@ -32,13 +32,13 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterator
 
-from .actions import RotationData, product_of_lens_spaces
+from .actions import RotationData, _free_by_planes, product_of_lens_spaces
 from .classify import (
     _canonicalize,
     _matching_substitutions,
     homeomorphic,
 )
-from .errors import CapacityError
+from .errors import CapacityError, InvalidDimension
 # product_of_linear_forms and total_pontrjagin_raw are the form-valued
 # counterparts of k_pair and pontrjagin_coeffs; the per-space kernel below
 # does not call them, but perfbench/tracing.py wraps them under these names.
@@ -112,15 +112,6 @@ def _rank2(R, Q, p) -> bool:
     return any((a * y - b * x) % p for x, y in zip(R, Q))
 
 
-def _free_by_planes(R, Q, p, n) -> bool:
-    for i in range(n):
-        ri, qi = R[i], Q[i]
-        for j in range(n, 2 * n):
-            if (ri * Q[j] - qi * R[j]) % p == 0:
-                return False
-    return True
-
-
 def _scan(p: int, n: int, start: int, stop: int) -> Iterator[tuple[tuple, tuple, bool]]:
     """(R, Q, free) for every rank-2 pair whose R has lex index in
     [start, stop) among the p^(2n) vectors, in lex order of (R, Q)."""
@@ -156,40 +147,49 @@ def free_count(p: int, n: int) -> int:
     )
 
 
+def _require_census(p: int, n: int, sample: int | None) -> None:
+    """Refuse an invalid or oversized census request before any scan or draw."""
+    require_odd_prime(p)
+    if n < 2:
+        raise InvalidDimension(f"census needs n >= 2, got {n}")
+    if sample is None:
+        if p > CENSUS_PRIME_CAP or n != 2:
+            raise CapacityError(
+                f"exhaustive census covers p <= {CENSUS_PRIME_CAP}, n = 2 "
+                f"({p ** (2 * n)}^2 raw pairs here); pass a sample size instead"
+            )
+        return
+    if sample < 1:
+        raise ValueError(f"sample size must be at least 1, got {sample}")
+    population = free_count(p, n)
+    if sample > population:
+        raise CapacityError(
+            f"sample of {sample} exceeds the {population} free spaces at p = {p}, n = {n}"
+        )
+
+
 def enumerate_free(
     p: int, n: int, sample: int | None = None, seed: int = 0
 ) -> Iterator[RotationData]:
     """Yield each validated free (R, Q) exactly once, in a fixed order.
 
     Exhaustive mode scans all p^(4n) raw pairs and is guarded at p <= 7,
-    n = 2; pass sample=k to draw k distinct free spaces from a seeded RNG
-    instead (any p, subject to p > n for the downstream k-invariant).
+    n = 2; pass sample=k, 1 <= k <= free_count(p, n), to draw k distinct
+    free spaces from a seeded RNG instead (any p, subject to p > n for the
+    downstream k-invariant).  n < 2 is refused as invalid.
     """
-    require_odd_prime(p)
-    if n < 2:
-        raise CapacityError(f"census needs n >= 2, got {n}")
-    size = p ** (2 * n)
+    _require_census(p, n, sample)
     if sample is None:
-        if p > CENSUS_PRIME_CAP or n != 2:
-            raise CapacityError(
-                f"exhaustive census covers p <= {CENSUS_PRIME_CAP}, n = 2 "
-                f"({size}^2 raw pairs here); pass a sample size instead"
-            )
-        for R, Q, free in _scan(p, n, 0, size):
+        for R, Q, free in _scan(p, n, 0, p ** (2 * n)):
             if free:
                 yield RotationData(p, n, R, Q)
         return
-    population = free_count(p, n)
-    if sample > population:
-        raise CapacityError(
-            f"sample of {sample} exceeds the {population} free spaces at p = {p}, n = {n}"
-        )
     rng = random.Random(seed)
     seen: set[tuple] = set()
     attempts = 0
     while len(seen) < sample:
         attempts += 1
-        if attempts > 10_000 * max(sample, 1):
+        if attempts > 10_000 * sample:
             raise CapacityError("sampling failed to find enough free spaces")
         R = tuple(rng.randrange(p) for _ in range(2 * n))
         Q = tuple(rng.randrange(p) for _ in range(2 * n))
@@ -279,7 +279,7 @@ def run_census(
     p: int, n: int, workers: int = 1, sample: int | None = None, seed: int = 0
 ) -> CensusRecord:
     """Full (or sampled) census; identical results for any worker count."""
-    require_odd_prime(p)
+    _require_census(p, n, sample)
     outside = not (p > 3 and p > n + 1)
     total = 0
     free = 0
@@ -290,11 +290,6 @@ def run_census(
             total += 1
             _add(groups, _classify_item(data), 1, data.R, data.Q)
     else:
-        if p > CENSUS_PRIME_CAP or n != 2:
-            raise CapacityError(
-                f"exhaustive census covers p <= {CENSUS_PRIME_CAP}, n = 2; "
-                "pass a sample size instead"
-            )
         size = p ** (2 * n)
         workers = max(1, min(int(workers), size, os.cpu_count() or 1))
         if workers == 1:

@@ -27,11 +27,13 @@ cross-checks.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .actions import RotationData, is_free
-from .errors import CapacityError, HypothesisViolation, InvalidRotation
+from .errors import HypothesisViolation, InvalidDimension, InvalidRotation
 from .forms import (
     HomogeneousForm,
     KInvariant,
@@ -41,7 +43,16 @@ from .forms import (
     substitute,
     substitution_matrix,
 )
-from .gfp import Mat2, gl2_pm_tuples, gl2_tuples, inv, pair_span_key, require_odd_prime
+from .gfp import (
+    Mat2,
+    gl2_pm_tuples,
+    gl2_tuples,
+    inv,
+    mat2_inv,
+    mat2_mul,
+    pair_span_key,
+    require_odd_prime,
+)
 # total_pontrjagin_raw is the form-valued counterpart of pontrjagin_coeffs;
 # the deciders do not call it, but perfbench/tracing.py wraps it under this name.
 from .pontrjagin import pontrjagin_coeffs, total_pontrjagin_raw
@@ -126,26 +137,13 @@ def _inverses(p):
 
 
 def _mix_solver(u, v, p):
-    """Return solve(y) -> ordered list of (c, d) with c*u + d*v = y."""
+    """Return solve(y) -> ordered list of (c, d) with c*u + d*v = y.
+
+    u and v must be independent, as the k-pair of a free space and all its
+    substitutions are; the public entry points check freeness first."""
     m = len(u)
-    i0 = next((i for i in range(m) if u[i] or v[i]), None)
-    j0 = None
-    if i0 is not None:
-        j0 = next(
-            (j for j in range(m) if (u[i0] * v[j] - v[i0] * u[j]) % p), None
-        )
-    if i0 is None or j0 is None:
-        # rank <= 1 (never for free inputs); brute scan keeps it correct anyway
-        def solve_small(y):
-            return [
-                (c, d)
-                for c in range(p)
-                for d in range(p)
-                if all((c * u[k] + d * v[k] - y[k]) % p == 0 for k in range(m))
-            ]
-
-        return solve_small
-
+    i0 = next(i for i in range(m) if u[i] or v[i])
+    j0 = next(j for j in range(m) if (u[i0] * v[j] - v[i0] * u[j]) % p)
     det_inv = inv(u[i0] * v[j0] - v[i0] * u[j0], p)
 
     def solve(y):
@@ -276,9 +274,11 @@ def homeomorphic(X: RotationData, Y: RotationData, marked: bool = False) -> Verd
 def matching_substitutions(X: RotationData, Y: RotationData) -> tuple[tuple, ...]:
     """All substitution parts A (row-major order, as entry 4-tuples) admitting
     some det +-1 mix B that carries k(X) onto k(Y).  Used to transport
-    characteristic classes along every witness."""
+    characteristic classes along every witness.  Both spaces must be free."""
     if (X.p, X.n) != (Y.p, Y.n):
         return ()
+    _require_free(X)
+    _require_free(Y)
     kx = k_invariant(X)
     ky = k_invariant(Y)
     return _matching_substitutions(X.p, X.n, kx.coeff_pair(), ky.coeff_pair())
@@ -296,20 +296,6 @@ def _matching_substitutions(p, n, kx_pair, ky_pair) -> tuple[tuple, ...]:
 # canonical forms: orbit of the k-invariant pair under (A, B)
 
 _ORBITS: dict[tuple, dict] = {}
-
-
-def _mat_mul(a, b, p):
-    return (
-        (a[0] * b[0] + a[1] * b[2]) % p,
-        (a[0] * b[1] + a[1] * b[3]) % p,
-        (a[2] * b[0] + a[3] * b[2]) % p,
-        (a[2] * b[1] + a[3] * b[3]) % p,
-    )
-
-
-def _mat_inv(a, p):
-    s = inv((a[0] * a[3] - a[1] * a[2]) % p, p)
-    return (a[3] * s % p, -a[1] * s % p, -a[2] * s % p, a[0] * s % p)
 
 
 def _canonicalize(p: int, n: int, key: tuple) -> tuple[tuple, tuple]:
@@ -349,7 +335,7 @@ def _canonicalize(p: int, n: int, key: tuple) -> tuple[tuple, tuple]:
     canon = min(seen)
     a_canon = next(A for A, members in b_orbits if canon in members)
     for A, members in b_orbits:
-        entry = (canon, _mat_mul(_mat_inv(A, p), a_canon, p))
+        entry = (canon, mat2_mul(mat2_inv(A, p), a_canon, p))
         for pair in members:
             cache[pair] = entry
     return cache[key]
@@ -370,6 +356,8 @@ def canonical_form(X: RotationData) -> tuple[HomogeneousForm, HomogeneousForm]:
 
 def _validate_lens(p, n, r, rprime):
     require_odd_prime(p)
+    if n < 1:
+        raise InvalidDimension(f"lens spaces need n >= 1 rotation numbers, got {n}")
     if len(r) != n or len(rprime) != n:
         raise InvalidRotation(f"rotation tuples must have length n = {n}")
     r = tuple(int(x) % p for x in r)
@@ -380,24 +368,21 @@ def _validate_lens(p, n, r, rprime):
 
 
 def lens_homotopy_equivalent(p: int, n: int, r, rprime) -> bool:
-    """L(p; r) ~ L(p; r') iff t^n * prod(r) = +- prod(r') for some unit t."""
+    """L(p; r) ~ L(p; r') iff t^n * prod(r) = +- prod(r') for some unit t,
+    i.e. iff x = prod(r') / prod(r) or -x is an n-th power.  The units form a
+    cyclic group of order p - 1, where y is an n-th power iff
+    y^((p - 1) / gcd(n, p - 1)) = 1."""
     r, rp = _validate_lens(p, n, r, rprime)
-    pr = 1
-    for x in r:
-        pr = pr * x % p
-    pq = 1
-    for x in rp:
-        pq = pq * x % p
-    return any(pow(t, n, p) * pr % p in (pq, (p - pq) % p) for t in range(1, p))
+    x = math.prod(rp) * inv(math.prod(r), p) % p
+    e = (p - 1) // math.gcd(n, p - 1)
+    return pow(x, e, p) == 1 or pow(p - x, e, p) == 1
 
 
 def lens_simple_homotopy_equivalent(p: int, n: int, r, rprime) -> bool:
     """L(p; r) and L(p; r') are simple-homotopy equivalent iff the rotation
-    multisets agree up to one common unit factor (equivalently: some
-    permutation aligns them).  Guarded at n <= 8 to honor the stated
-    permutation-search capacity, although the multiset comparison is cheap."""
-    if n > 8:
-        raise CapacityError(f"simple-homotopy baseline capped at n <= 8, got {n}")
+    multisets agree up to one common unit factor k.  Such a k carries r'[0]
+    into r, so only the n units k = r[i] / r'[0] are tried."""
     r, rp = _validate_lens(p, n, r, rprime)
-    base = sorted(r)
-    return any(sorted(k * x % p for x in rp) == base for k in range(1, p))
+    base = Counter(r)
+    s = inv(rp[0], p)
+    return any(Counter(k * x % p for x in rp) == base for k in {x * s % p for x in base})

@@ -32,7 +32,7 @@ from .classify import (
 from .errors import CapacityError
 from .forms import k_invariant
 from .pontrjagin import total_pontrjagin
-from .quotient_ring import build_model
+from .quotient_ring import ring_model
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -109,7 +109,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     if not report.free:
         raise ValueError("invariants are defined for free actions only; this one is not free")
     k = k_invariant(data)
-    model = build_model(k, data.p, data.n)
+    model = ring_model(data.p, data.n, k.coeff_pair())
     cls = total_pontrjagin(data, model)
     _emit(
         {

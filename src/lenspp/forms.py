@@ -98,17 +98,6 @@ def _conv(f: Sequence[int], g: Sequence[int], p: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def form_from_json(p: int, obj: dict) -> HomogeneousForm:
-    f = HomogeneousForm(p, tuple(obj["coeffs"]))
-    if f.deg != obj.get("deg", f.deg):
-        raise ValueError("deg field inconsistent with coefficient count")
-    return f
-
-
-def one(p: int) -> HomogeneousForm:
-    return HomogeneousForm(p, (1,))
-
-
 def linear_product(p: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     """Coefficients of prod_i (r_i * a + q_i * b) over plain ints; unchecked."""
     out = (1,)

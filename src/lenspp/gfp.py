@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import CapacityError, InvalidPrime
 
@@ -76,10 +76,20 @@ def is_quadratic_residue(x: int, p: int) -> bool:
     return pow(x, (p - 1) // 2, p) == 1
 
 
-def quadratic_residues(p: int) -> frozenset[int]:
-    """The nonzero squares mod p by exhaustive scan (independent of the Euler route)."""
-    require_odd_prime(p)
-    return frozenset(t * t % p for t in range(1, p))
+def mat2_mul(a: tuple, b: tuple, p: int) -> tuple[int, int, int, int]:
+    """Product of two row-major 2x2 entry tuples over GF(p); unchecked."""
+    return (
+        (a[0] * b[0] + a[1] * b[2]) % p,
+        (a[0] * b[1] + a[1] * b[3]) % p,
+        (a[2] * b[0] + a[3] * b[2]) % p,
+        (a[2] * b[1] + a[3] * b[3]) % p,
+    )
+
+
+def mat2_inv(a: tuple, p: int) -> tuple[int, int, int, int]:
+    """Inverse of a row-major 2x2 entry tuple over GF(p); a singular one has none."""
+    s = inv(a[0] * a[3] - a[1] * a[2], p)
+    return (a[3] * s % p, -a[1] * s % p, -a[2] * s % p, a[0] * s % p)
 
 
 @dataclass(frozen=True)
@@ -107,16 +117,12 @@ class Mat2:
         return self.det() != 0
 
     def inverse(self) -> "Mat2":
-        a, b, c, d = self.entries
-        s = inv(self.det(), self.p)
-        return Mat2(self.p, (d * s, -b * s, -c * s, a * s))
+        return Mat2(self.p, mat2_inv(self.entries, self.p))
 
     def __mul__(self, other: "Mat2") -> "Mat2":
         if self.p != other.p:
             raise ValueError("matrix product across different moduli")
-        a, b, c, d = self.entries
-        e, f, g, h = other.entries
-        return Mat2(self.p, (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
+        return Mat2(self.p, mat2_mul(self.entries, other.entries, self.p))
 
     def rows(self) -> list[list[int]]:
         a, b, c, d = self.entries
@@ -149,18 +155,6 @@ def gl2_tuples(p: int) -> tuple[tuple[int, int, int, int], ...]:
 def gl2_pm_tuples(p: int) -> tuple[tuple[int, int, int, int], ...]:
     """The det = +-1 elements, same enumeration order as gl2_tuples."""
     return tuple(e for e in gl2_tuples(p) if (e[0] * e[3] - e[1] * e[2]) % p in (1, p - 1))
-
-
-def gl2_elements(p: int) -> Iterator[Mat2]:
-    """Yield each element of GL2(GF(p)) exactly once, row-major entry order."""
-    for e in gl2_tuples(p):
-        yield Mat2(p, e)
-
-
-def gl2_pm_elements(p: int) -> Iterator[Mat2]:
-    """Yield the det = +-1 subgroup in the same order."""
-    for e in gl2_pm_tuples(p):
-        yield Mat2(p, e)
 
 
 def rref_with_pivots(
@@ -196,10 +190,6 @@ def rref_with_pivots(
         pivots.append(c)
         r += 1
     return tuple(tuple(row) for row in m), tuple(pivots)
-
-
-def rref(rows: Iterable[Iterable[int]], p: int) -> tuple[tuple[int, ...], ...]:
-    return rref_with_pivots(rows, p)[0]
 
 
 def rank(rows: Iterable[Iterable[int]], p: int) -> int:

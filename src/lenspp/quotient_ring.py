@@ -24,7 +24,7 @@ class CohomRingModel:
     """Immutable-by-convention model of the even truncated cohomology ring.
 
     Degree slices of the ideal are precomputed through polynomial degree
-    2n - 1 and extended lazily (and idempotently) if a membership query at
+    2n - 1 and extended lazily (and idempotently) if a reduction at
     a higher degree comes in.
     """
 
@@ -91,29 +91,6 @@ class CohomRingModel:
                         out[k] -= c * y
         return tuple(x % p for x in out)
 
-    def in_ideal(self, form: HomogeneousForm) -> bool:
-        return self.reduce(form).is_zero()
-
-    def equal_in_quotient(self, u, v) -> bool:
-        """Equality mod the ideal, for forms or whole TotalClass objects."""
-        if isinstance(u, TotalClass) or isinstance(v, TotalClass):
-            if not (isinstance(u, TotalClass) and isinstance(v, TotalClass)):
-                raise ValueError("cannot compare a total class with a bare form")
-            if u.p != v.p or u.truncation != v.truncation:
-                raise ValueError("total classes with mismatched truncation parameters")
-            if u.p != self.p:
-                raise ValueError("total class modulus differs from the model's")
-            degrees = {deg for deg, _ in u.components} | {deg for deg, _ in v.components}
-            return all(
-                self.reduce(u.component(d) - v.component(d)).is_zero() for d in degrees
-            )
-        return self.reduce(u - v).is_zero()
-
-
-def build_model(k, p: int, n: int) -> CohomRingModel:
-    """Model of the truncated even cohomology ring from a k-invariant."""
-    return CohomRingModel(p, n, k.first, k.second)
-
 
 # one model per k-coefficient pair: the census shares one per canonical form
 # (its workloads reach 4 and 10), and verify_application(11) compares against
@@ -158,10 +135,6 @@ class TotalClass:
 
     def is_trivial(self) -> bool:
         return all(form.is_zero() for _, form in self.components)
-
-    def key(self) -> tuple:
-        """Hashable canonical key (zero components dropped)."""
-        return tuple((d, form.coeffs) for d, form in self.components if not form.is_zero())
 
     def to_json(self) -> dict:
         return {

@@ -28,7 +28,7 @@ from lenspp.errors import InvalidSpan
 from lenspp.forms import HomogeneousForm, k_invariant, substitute
 from lenspp.gfp import Mat2, inv, is_quadratic_residue
 from lenspp.pontrjagin import total_pontrjagin
-from lenspp.quotient_ring import CohomRingModel, build_model
+from lenspp.quotient_ring import CohomRingModel, ring_model
 
 
 @pytest.fixture
@@ -58,7 +58,7 @@ def test_acceptance_2_pontrjagin_vanishing_for_lens_products(report):
     for p in (5, 7):
         for r1, r2, q1, q2 in itertools.product(range(1, p), repeat=4):
             d = product_of_lens_spaces(p, (r1, r2), (q1, q2))
-            cls = total_pontrjagin(d, build_model(k_invariant(d), p, 2))
+            cls = total_pontrjagin(d, ring_model(p, 2, k_invariant(d).coeff_pair()))
             if not cls.is_trivial():
                 ok = False
     report(2, "Pontrjagin class of 6-dim lens products vanishes", ok)
@@ -164,7 +164,7 @@ def test_acceptance_8_property_suites(tmp_path, report):
     # reduce linearity and idempotence; basis independence of the ideal
     base = validate(RotationData(p, 2, (1, 2, 0, 0), (0, 0, 1, 3)))
     k = k_invariant(base)
-    model = build_model(k, p, 2)
+    model = ring_model(p, 2, k.coeff_pair())
     for _ in range(300):
         deg = rng.randrange(2, 4)
         u = HomogeneousForm(p, tuple(rng.randrange(p) for _ in range(deg + 1)))

@@ -20,7 +20,7 @@ from lenspp.errors import (
     InvalidRotation,
     InvalidSpan,
 )
-from lenspp.gfp import gl2_elements
+from lenspp.gfp import gl2_tuples
 
 from conftest import free_space_strategy
 
@@ -154,8 +154,7 @@ def test_freeness_scan_matches_plane_form_exhaustive_p3():
 def test_freeness_invariant_under_group_basis_change(d):
     """Replacing (R, Q) by another basis of the same plane preserves freeness."""
     p, n = d.p, d.n
-    for m in itertools.islice(gl2_elements(p), 12):
-        a, b, c, e = m.entries
+    for a, b, c, e in gl2_tuples(p)[:12]:
         R2 = tuple((a * r + b * q) % p for r, q in zip(d.R, d.Q))
         Q2 = tuple((c * r + e * q) % p for r, q in zip(d.R, d.Q))
         d2 = validate(RotationData(p, n, R2, Q2))

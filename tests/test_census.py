@@ -21,7 +21,7 @@ from lenspp.census import (
 )
 from lenspp import census, classify, forms
 from lenspp.classify import canonical_form, homeomorphic, homotopy_equivalent
-from lenspp.errors import CapacityError, InvalidSpan
+from lenspp.errors import CapacityError, InvalidDimension, InvalidSpan
 from lenspp.forms import HomogeneousForm, k_invariant, substitute
 from lenspp.gfp import Mat2, gl2_tuples
 from lenspp.pontrjagin import total_pontrjagin_raw
@@ -64,6 +64,35 @@ def test_enumerate_free_capacity_guard():
         next(enumerate_free(11, 2))
     with pytest.raises(CapacityError):
         next(enumerate_free(5, 3))
+
+
+@pytest.mark.parametrize(
+    "p, n, sample, error",
+    [
+        (5, 1, 3, InvalidDimension),
+        (5, 1, None, InvalidDimension),
+        (5, 0, None, InvalidDimension),
+        (5, 2, -5, ValueError),
+        (5, 2, 0, ValueError),
+        (11, 2, None, CapacityError),
+        (5, 3, None, CapacityError),
+        (3, 2, 1345, CapacityError),
+    ],
+)
+def test_census_refusals_are_shared_and_come_before_any_draw(monkeypatch, p, n, sample, error):
+    """enumerate_free and run_census refuse the same inputs in the same
+    category, with no raw pair scanned and no random draw made."""
+
+    def forbidden(*args):
+        raise AssertionError("work started before the refusal")
+
+    monkeypatch.setattr(census.random, "Random", forbidden)
+    monkeypatch.setattr(census, "_scan", forbidden)
+    for start in (lambda: next(enumerate_free(p, n, sample=sample)),
+                  lambda: run_census(p, n, sample=sample)):
+        with pytest.raises(error) as info:
+            start()
+        assert type(info.value) is error
 
 
 def _free_pairs_by_blocks(p, n):

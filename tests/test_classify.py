@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from functools import lru_cache
 
@@ -26,8 +27,8 @@ from lenspp.classify import (
     simple_homotopy_equivalent,
 )
 from lenspp.errors import (
-    CapacityError,
     HypothesisViolation,
+    InvalidDimension,
     InvalidRotation,
 )
 from lenspp.forms import (
@@ -39,9 +40,17 @@ from lenspp.forms import (
     substitution_matrix,
 )
 from lenspp.census import enumerate_free
-from lenspp.gfp import Mat2, gl2_tuples, inv, is_quadratic_residue, span_key
+from lenspp.gfp import (
+    Mat2,
+    gl2_tuples,
+    inv,
+    is_quadratic_residue,
+    mat2_inv,
+    mat2_mul,
+    span_key,
+)
 from lenspp.pontrjagin import total_pontrjagin, total_pontrjagin_raw
-from lenspp.quotient_ring import build_model
+from lenspp.quotient_ring import ring_model
 
 
 def lens(p, r1, r2):
@@ -128,6 +137,19 @@ def test_freeness_guard():
     X = validate(RotationData(5, 2, (1, 0, 1, 0), (0, 1, 0, 1)))
     with pytest.raises(InvalidRotation):
         homotopy_equivalent(X, X)
+
+
+def test_matching_substitutions_requires_free_spaces():
+    """The non-free pair is refused at the boundary, as by the deciders; its
+    k-pair has rank 1, which the mix solver does not handle."""
+    X = validate(RotationData(5, 2, (1, 0, 1, 0), (0, 1, 0, 1)))
+    Y = lens(5, 1, 1)
+    assert k_invariant(X).coeff_pair() == ((0, 1, 0), (0, 1, 0))
+    for pair in ((X, X), (X, Y), (Y, X)):
+        with pytest.raises(InvalidRotation):
+            matching_substitutions(*pair)
+    kx, ky = k_invariant(Y).coeff_pair(), k_invariant(lens(5, 1, 4)).coeff_pair()
+    assert matching_substitutions(Y, lens(5, 1, 4)) == _matching_substitutions(5, 2, kx, ky)
     with pytest.raises(InvalidRotation):
         homeomorphic(X, X)
 
@@ -245,8 +267,68 @@ def test_lens_simple_examples():
 def test_lens_guards():
     with pytest.raises(InvalidRotation):
         lens_homotopy_equivalent(5, 2, (1, 0), (1, 1))
-    with pytest.raises(CapacityError):
-        lens_simple_homotopy_equivalent(5, 9, (1,) * 9, (1,) * 9)
+    with pytest.raises(InvalidDimension):
+        lens_simple_homotopy_equivalent(5, 0, (), ())
+    # n has no cap: the candidate units are the n ratios r[i] / r'[0]
+    assert lens_simple_homotopy_equivalent(5, 9, (1,) * 9, (1,) * 9)
+    assert lens_simple_homotopy_equivalent(5, 9, (1,) * 8 + (2,), (3,) * 8 + (1,))
+    assert not lens_simple_homotopy_equivalent(5, 9, (1,) * 8 + (2,), (1,) * 9)
+
+
+# oracles: the scans over every unit t (resp. k) mod p that the lens
+# baselines ran before their closed forms
+
+def _loop_lens_homotopy(p, n, r, rp):
+    pr = math.prod(r) % p
+    pq = math.prod(rp) % p
+    return any(pow(t, n, p) * pr % p in (pq, (p - pq) % p) for t in range(1, p))
+
+
+def _loop_lens_simple(p, n, r, rp):
+    base = sorted(x % p for x in r)
+    return any(sorted(k * x % p for x in rp) == base for k in range(1, p))
+
+
+def _check_lens_closed_forms(p, n, pairs):
+    kinds = set()
+    for r, rp in pairs:
+        got = (lens_homotopy_equivalent(p, n, r, rp), lens_simple_homotopy_equivalent(p, n, r, rp))
+        assert got == (_loop_lens_homotopy(p, n, r, rp), _loop_lens_simple(p, n, r, rp)), (p, r, rp)
+        kinds.add(got)
+    # simple-homotopy equivalence implies homotopy equivalence
+    assert (False, True) not in kinds
+    return kinds
+
+
+@pytest.mark.parametrize("p,n", [(5, 2), (5, 3), (5, 4), (7, 2), (7, 3), (11, 2), (13, 2)])
+def test_lens_closed_forms_match_the_unit_scans(p, n):
+    """Every multiset r against every ordered r' (the closed forms read r'[0])."""
+    units = range(1, p)
+    pairs = [
+        (r, rp)
+        for r in itertools.combinations_with_replacement(units, n)
+        for rp in itertools.product(units, repeat=n)
+    ]
+    assert {(True, True), (True, False)} <= _check_lens_closed_forms(p, n, pairs)
+
+
+@pytest.mark.parametrize("p,n", [(11, 3), (13, 3), (13, 4), (31, 5)])
+def test_lens_closed_forms_match_the_unit_scans_seeded(p, n):
+    """Random pairs, half of them r' = k * (a permutation of r) for a random
+    unit k, with one entry rescaled in half of those."""
+    rng = random.Random(p * n)
+    pairs = []
+    for i in range(1500):
+        r = [rng.randrange(1, p) for _ in range(n)]
+        if i % 2:
+            rp = [rng.randrange(1, p) for _ in range(n)]
+        else:
+            k = rng.randrange(1, p)
+            rp = [k * x % p for x in rng.sample(r, n)]
+            if i % 4 == 0:
+                rp[rng.randrange(n)] = rp[0] * rng.randrange(2, p) % p
+        pairs.append((tuple(r), tuple(rp)))
+    assert {(True, True), (True, False)} <= _check_lens_closed_forms(p, n, pairs)
 
 
 def test_lens_square_criterion_cross_oracle():
@@ -327,7 +409,7 @@ def _oracle_decide(X, Y, level, marked=False, class_check=None):
 
 def _oracle_homeomorphic(X, Y, marked=False):
     p = X.p
-    model_y = build_model(k_invariant(Y), p, X.n)
+    model_y = ring_model(p, X.n, k_invariant(Y).coeff_pair())
     cls_x = total_pontrjagin_raw(X)
     cls_y = total_pontrjagin(Y, model_y)
     degrees = sorted(set(cls_x) | {deg for deg, _ in cls_y.components})
@@ -486,7 +568,7 @@ def _oracle_canonicalize(orbits, p, n, key):
                 M = substitution_matrix(p, n, a)
                 moved = (apply_matrix(M, c1, p), apply_matrix(M, c2, p))
                 if moved not in seen:
-                    seen[moved] = classify._mat_mul(a_part, a, p)
+                    seen[moved] = mat2_mul(a_part, a, p)
                     nxt.append(moved)
             for b in b_gens:
                 mixed = (
@@ -500,7 +582,7 @@ def _oracle_canonicalize(orbits, p, n, key):
     canon = min(seen)
     a_canon = seen[canon]
     for pair, a_part in seen.items():
-        orbits[pair] = (canon, classify._mat_mul(classify._mat_inv(a_part, p), a_canon, p))
+        orbits[pair] = (canon, mat2_mul(mat2_inv(a_part, p), a_canon, p))
     return orbits[key]
 
 

@@ -140,6 +140,15 @@ def test_census_capacity_exit(tmp_path, capsys):
     assert doc["error"] == "capacity"
 
 
+@pytest.mark.parametrize("argv", [["5", "1", "--sample", "3"], ["5", "2", "--sample", "-5"]])
+def test_census_invalid_request_exit(tmp_path, capsys, argv):
+    out = tmp_path / "census"
+    code, doc, _ = run_cli(capsys, "census", *argv, "--out", str(out))
+    assert code == 2
+    assert doc["error"] == "invalid"
+    assert not out.exists()
+
+
 def test_census_sampled(tmp_path, capsys):
     code, doc, _ = run_cli(
         capsys, "census", "7", "2", "--out", str(tmp_path), "--sample", "6",
@@ -234,6 +243,14 @@ def test_check_free_mersenne_prime_answers_within_budget():
     proc = run_cli_process("check-free", "lens p=2305843009213693951 r=1,1 rp=1,2")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["free"] is True
+
+
+def test_lens_compare_mersenne_prime_answers_within_budget():
+    proc = run_cli_process("lens-compare", "2305843009213693951", "--r", "1,1", "--rp", "1,2")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    # 2 is a square mod 2^61 - 1 (which is 7 mod 8); no unit k carries {1, 2} onto {1, 1}
+    assert (doc["homotopy_equivalent"], doc["simple_homotopy_equivalent"]) == (True, False)
 
 
 def test_oversized_sample_refuses_within_budget(tmp_path):

@@ -7,9 +7,7 @@ from lenspp.actions import RotationData, product_of_lens_spaces, validate
 from lenspp.errors import HypothesisViolation
 from lenspp.forms import (
     HomogeneousForm,
-    form_from_json,
     k_invariant,
-    one,
     product_of_linear_forms,
     substitute,
 )
@@ -28,8 +26,8 @@ def test_form_reduces_coefficients():
 
 
 def test_empty_product_is_one():
-    assert product_of_linear_forms(5, []) == one(5)
-    assert one(5).deg == 0
+    assert product_of_linear_forms(5, []) == HomogeneousForm(5, (1,))
+    assert product_of_linear_forms(5, []).deg == 0
 
 
 def test_product_of_linear_forms_examples():
@@ -136,4 +134,6 @@ def test_free_k_components_are_nonzero():
 
 def test_form_json_roundtrip():
     f = HomogeneousForm(5, (2, 3, 1))
-    assert form_from_json(5, f.to_json()) == f
+    doc = f.to_json()
+    assert doc == {"deg": 2, "coeffs": [2, 3, 1]}
+    assert HomogeneousForm(5, tuple(doc["coeffs"])) == f

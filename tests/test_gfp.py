@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from lenspp.errors import CapacityError, InvalidPrime
 from lenspp.gfp import (
     Mat2,
-    gl2_elements,
-    gl2_pm_elements,
     gl2_pm_tuples,
     gl2_tuples,
     inv,
@@ -16,10 +14,10 @@ from lenspp.gfp import (
     pair_span_key,
     MR_EXACT_BOUND,
     is_quadratic_residue,
-    quadratic_residues,
+    mat2_inv,
+    mat2_mul,
     rank,
     require_odd_prime,
-    rref,
     rref_with_pivots,
     span_key,
 )
@@ -88,8 +86,8 @@ def test_inverse_of_zero_rejected():
 
 
 def test_quadratic_residue_sets():
-    assert quadratic_residues(5) == frozenset({1, 4})
-    assert quadratic_residues(7) == frozenset({1, 2, 4})
+    assert {x for x in range(1, 5) if is_quadratic_residue(x, 5)} == {1, 4}
+    assert {x for x in range(1, 7) if is_quadratic_residue(x, 7)} == {1, 2, 4}
 
 
 def test_quadratic_residue_examples():
@@ -99,7 +97,7 @@ def test_quadratic_residue_examples():
 
 def test_euler_criterion_agrees_with_scan():
     for p in (3, 5, 7, 11, 13, 17):
-        scanned = quadratic_residues(p)
+        scanned = {t * t % p for t in range(1, p)}
         for x in range(1, p):
             assert is_quadratic_residue(x, p) == (x in scanned)
         assert len(scanned) == (p - 1) // 2
@@ -136,14 +134,40 @@ def test_gl2_pm_subset():
 
 def test_gl2_capacity_guard():
     with pytest.raises(CapacityError):
-        list(gl2_elements(37))
+        gl2_tuples(37)
 
 
 def test_mat2_inverse_roundtrip_exhaustive_p3():
     ident = Mat2.identity(3)
-    for m in gl2_elements(3):
+    for m in (Mat2(3, e) for e in gl2_tuples(3)):
         assert m * m.inverse() == ident
         assert m.inverse() * m == ident
+
+
+def test_mat2_wraps_the_tuple_kernel_exhaustive_p3():
+    """Mat2's product and inverse are the tuple kernel's, entry for entry,
+    checked against the textbook formulas."""
+    p = 3
+    for a in gl2_tuples(p):
+        det = (a[0] * a[3] - a[1] * a[2]) % p
+        s = inv(det, p)
+        assert mat2_inv(a, p) == Mat2(p, (a[3] * s, -a[1] * s, -a[2] * s, a[0] * s)).entries
+        assert Mat2(p, a).inverse().entries == mat2_inv(a, p)
+        for b in gl2_tuples(p):
+            prod = mat2_mul(a, b, p)
+            assert prod == tuple(
+                sum(a[2 * i + k] * b[2 * k + j] for k in range(2)) % p
+                for i in range(2)
+                for j in range(2)
+            )
+            assert (Mat2(p, a) * Mat2(p, b)).entries == prod
+
+
+def test_mat2_inverse_of_singular_rejected():
+    with pytest.raises(ZeroDivisionError):
+        mat2_inv((1, 2, 2, 4), 5)
+    with pytest.raises(ZeroDivisionError):
+        Mat2(5, (1, 2, 2, 4)).inverse()
 
 
 def test_mat2_normalizes_entries():
@@ -152,9 +176,9 @@ def test_mat2_normalizes_entries():
 
 
 def test_rref_examples():
-    assert rref([[0, 0], [0, 0]], 5) == ((0, 0), (0, 0))
-    assert rref([[1, 0], [0, 1]], 5) == ((1, 0), (0, 1))
-    assert rref([[2, 4], [1, 2]], 5) == ((1, 2), (0, 0))
+    assert rref_with_pivots([[0, 0], [0, 0]], 5)[0] == ((0, 0), (0, 0))
+    assert rref_with_pivots([[1, 0], [0, 1]], 5)[0] == ((1, 0), (0, 1))
+    assert rref_with_pivots([[2, 4], [1, 2]], 5)[0] == ((1, 2), (0, 0))
 
 
 def test_rref_pivots_and_rank():
@@ -179,7 +203,7 @@ def test_rref_preserves_row_space(p, data):
             max_size=rows,
         )
     )
-    reduced = rref(m, p)
+    reduced, _ = rref_with_pivots(m, p)
     # mutual membership: every row of each matrix reduces to 0 against the other
     assert span_key(list(m) + list(reduced), p) == span_key(m, p)
     assert rank(m, p) == rank(reduced, p)

@@ -15,12 +15,12 @@ from lenspp.pontrjagin import (
     total_pontrjagin,
     total_pontrjagin_raw,
 )
-from lenspp.quotient_ring import build_model
+from lenspp.quotient_ring import ring_model
 
 
 def test_standard_product_class_vanishes():
     d = validate(RotationData(5, 2, (1, 1, 0, 0), (0, 0, 1, 1)))
-    m = build_model(k_invariant(d), 5, 2)
+    m = ring_model(5, 2, k_invariant(d).coeff_pair())
     assert total_pontrjagin(d, m).is_trivial()
 
 
@@ -29,7 +29,7 @@ def test_raw_h4_component_example():
     d = validate(RotationData(7, 2, (1, 2, 0, 0), (0, 0, 1, 3)))
     raw = total_pontrjagin_raw(d)
     assert raw[4].coeffs == (5, 0, 3)
-    m = build_model(k_invariant(d), 7, 2)
+    m = ring_model(7, 2, k_invariant(d).coeff_pair())
     assert total_pontrjagin(d, m).is_trivial()
 
 
@@ -44,7 +44,7 @@ def test_raw_keeps_only_degrees_up_to_truncation():
 
 def test_reduced_class_nontrivial_example():
     d = validate(RotationData(7, 2, (1, 2, 3, 4), (1, 1, 1, 1)))
-    m = build_model(k_invariant(d), 7, 2)
+    m = ring_model(7, 2, k_invariant(d).coeff_pair())
     cls = total_pontrjagin(d, m)
     assert cls.component(4).coeffs == (0, 0, 1)
     assert not cls.is_trivial()
@@ -53,11 +53,11 @@ def test_reduced_class_nontrivial_example():
 def test_model_mismatch_rejected():
     d = validate(RotationData(5, 2, (1, 1, 0, 0), (0, 0, 1, 1)))
     other = validate(RotationData(5, 2, (1, 2, 3, 4), (1, 1, 1, 1)))
-    m_other = build_model(k_invariant(other), 5, 2)
+    m_other = ring_model(5, 2, k_invariant(other).coeff_pair())
     with pytest.raises(ValueError):
         total_pontrjagin(d, m_other)
     d7 = validate(RotationData(7, 2, (1, 1, 0, 0), (0, 0, 1, 1)))
-    m7 = build_model(k_invariant(d7), 7, 2)
+    m7 = ring_model(7, 2, k_invariant(d7).coeff_pair())
     with pytest.raises(ValueError):
         total_pontrjagin(d, m7)
 
@@ -66,7 +66,7 @@ def test_model_accepts_rescaled_generators():
     # (2a^2, 3b^2) spans the same ideal as (a^2, b^2)
     d = validate(RotationData(5, 2, (1, 1, 0, 0), (0, 0, 1, 1)))
     other = validate(RotationData(5, 2, (1, 2, 0, 0), (0, 0, 1, 3)))
-    m_other = build_model(k_invariant(other), 5, 2)
+    m_other = ring_model(5, 2, k_invariant(other).coeff_pair())
     assert total_pontrjagin(d, m_other).is_trivial()
 
 
@@ -103,7 +103,7 @@ def test_multiplicativity_over_factors():
         # lens truncation kills degree 4 at n=2, so the product model must
         # also reduce the H^4 piece to zero
         assert expect_a == 0 and expect_b == 0
-        m = build_model(k_invariant(d), p, 2)
+        m = ring_model(p, 2, k_invariant(d).coeff_pair())
         assert total_pontrjagin(d, m).is_trivial()
         # raw piece is sum of squares of the diagonal rotation classes
         want = (

@@ -7,7 +7,7 @@ from lenspp.actions import RotationData, validate
 from lenspp.errors import DegenerateIdeal
 from lenspp.forms import HomogeneousForm, k_invariant, substitute
 from lenspp.gfp import Mat2
-from lenspp.quotient_ring import CohomRingModel, TotalClass, build_model
+from lenspp.quotient_ring import CohomRingModel, TotalClass, ring_model
 
 
 def _model_ab(p=5):
@@ -40,10 +40,10 @@ def test_reduce_examples():
 
 def test_in_ideal_examples():
     m = _model_ab()
-    assert m.in_ideal(HomogeneousForm(5, (1, 0, 0)))
-    assert not m.in_ideal(HomogeneousForm(5, (0, 1, 0)))
+    assert m.reduce(HomogeneousForm(5, (1, 0, 0))).is_zero()
+    assert not m.reduce(HomogeneousForm(5, (0, 1, 0))).is_zero()
     # a^2 b^2 sits above the precomputed range and is still decided
-    assert m.in_ideal(HomogeneousForm(5, (0, 0, 1, 0, 0)))
+    assert m.reduce(HomogeneousForm(5, (0, 0, 1, 0, 0))).is_zero()
 
 
 def test_zero_generator_rejected():
@@ -51,36 +51,28 @@ def test_zero_generator_rejected():
         CohomRingModel(5, 2, HomogeneousForm(5, (0, 0, 0)), HomogeneousForm(5, (0, 0, 1)))
 
 
-def test_build_model_from_k_invariant():
+def test_ring_model_from_k_invariant():
     d = validate(RotationData(5, 2, (1, 1, 0, 0), (0, 0, 1, 1)))
-    m = build_model(k_invariant(d), 5, 2)
+    m = ring_model(5, 2, k_invariant(d).coeff_pair())
     assert m.truncation == 3
-    assert m.in_ideal(HomogeneousForm(5, (1, 0, 0)))
+    assert m.reduce(HomogeneousForm(5, (1, 0, 0))).is_zero()
 
 
 def test_equal_in_quotient_forms():
     m = _model_ab()
     u = HomogeneousForm(5, (1, 1, 0))
     v = HomogeneousForm(5, (0, 1, 4))
-    assert m.equal_in_quotient(u, v)  # differ by a^2 + b^2
-    assert not m.equal_in_quotient(u, HomogeneousForm(5, (0, 0, 0)))
+    assert m.reduce(u - v).is_zero()  # differ by a^2 + b^2
+    assert not m.reduce(u - HomogeneousForm(5, (0, 0, 0))).is_zero()
 
 
 def test_equal_in_quotient_total_classes():
     m = _model_ab()
     u = TotalClass(5, 3, ((4, HomogeneousForm(5, (1, 0, 1))),))
     v = TotalClass(5, 3, ())
-    assert m.equal_in_quotient(u, v)
+    assert m.reduce(u.component(4) - v.component(4)).is_zero()
     w = TotalClass(5, 3, ((4, HomogeneousForm(5, (0, 1, 0))),))
-    assert not m.equal_in_quotient(w, v)
-
-
-def test_equal_in_quotient_mismatched_truncation():
-    m = _model_ab()
-    u = TotalClass(5, 3, ())
-    v = TotalClass(5, 5, ())
-    with pytest.raises(ValueError):
-        m.equal_in_quotient(u, v)
+    assert not m.reduce(w.component(4) - v.component(4)).is_zero()
 
 
 def test_reduce_rejects_wrong_modulus():
@@ -106,7 +98,7 @@ def test_total_class_component_fill():
 @given(st.sampled_from([5, 7]), st.data())
 def test_reduce_is_linear_and_idempotent(p, data):
     d = validate(RotationData(p, 2, (1, 1, 0, 0), (0, 0, 1, 2)))
-    m = build_model(k_invariant(d), p, 2)
+    m = ring_model(p, 2, k_invariant(d).coeff_pair())
     deg = data.draw(st.integers(2, 3))
     u = data.draw(form_strategy(p, deg))
     v = data.draw(form_strategy(p, deg))
@@ -139,10 +131,10 @@ def test_ideal_substitution_equivariance(data):
     d = validate(RotationData(p, 2, (1, 2, 0, 0), (0, 0, 1, 3)))
     k = k_invariant(d)
     A = data.draw(invertible_mat_strategy(p))
-    m = build_model(k, p, 2)
+    m = ring_model(p, 2, k.coeff_pair())
     m_sub = CohomRingModel(p, 2, substitute(k.first, A), substitute(k.second, A))
     h = data.draw(form_strategy(p, data.draw(st.integers(2, 3))))
-    assert m.in_ideal(h) == m_sub.in_ideal(substitute(h, A))
+    assert m.reduce(h).is_zero() == m_sub.reduce(substitute(h, A)).is_zero()
 
 
 @settings(max_examples=150, deadline=None)
