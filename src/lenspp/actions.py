@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidDimension, InvalidRotation, InvalidSpan
-from .gfp import inv, rank, require_odd_prime
+from .gfp import inv, pair_span_key, require_odd_prime
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def validate(data: RotationData) -> RotationData:
         raise InvalidDimension(
             f"rotation vectors must have length 2n = {2 * data.n}, got {len(R)} and {len(Q)}"
         )
-    if rank([R, Q], data.p) != 2:
+    if len(pair_span_key(R, Q, data.p)) != 2:
         raise InvalidSpan("R and Q must span a 2-dimensional subspace of (Z/p)^(2n)")
     return RotationData(data.p, data.n, R, Q)
 

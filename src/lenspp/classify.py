@@ -11,17 +11,19 @@ other's modulo the cohomology ideal.
 
 Witness searches enumerate A (then B) in row-major order over matrix
 entries and report the first witness, so runs are reproducible; identical
-k-invariants short-circuit to the identity witness first.  The span test
-is shared across scalar classes: lam*A carries span k(X) to the same plane
-as A, so it is decided once per element of PGL2 (p(p^2 - 1) of them, a
-(p - 1)-th of GL2), on integer tuples, and the mix B is solved only for the
-A whose class matched.
+k-invariants short-circuit to the identity witness first.  The search
+lives on PGL2: lam*A moves the degree-n k-pair to lam^n times its image
+under A, so it carries span k(X) to the same plane, and its mix is lam^-n
+times A's.  The span test and the mix are computed once per scalar class
+(p(p^2 - 1) of them, a (p - 1)-th of GL2), on integer tuples, and the other
+members of a matched class are scaled copies.
 
 The canonical form, the census grouping key, is the least pair in the
 k-invariant pair's (A, B) orbit.  Substitution and mix commute, so the orbit
-is built in one pass over GL2 as a union of B-orbits: each A transports the
-pair once, and only a transported pair not yet seen is mixed by the det +-1
-group.  The classical one-lens-space criteria are provided as baselines for
+is built in one pass over GL2 (the scalar multiples of the PGL2
+representatives) as a union of B-orbits: each A transports the pair once,
+and only a transported pair not yet seen is mixed by the det +-1 group.
+The classical one-lens-space criteria are provided as baselines for
 cross-checks.
 """
 
@@ -45,12 +47,11 @@ from .forms import (
 )
 from .gfp import (
     Mat2,
-    gl2_pm_tuples,
-    gl2_tuples,
     inv,
     mat2_inv,
     mat2_mul,
     pair_span_key,
+    pgl2_rows,
     require_odd_prime,
 )
 # total_pontrjagin_raw is the form-valued counterpart of pontrjagin_coeffs;
@@ -130,69 +131,62 @@ def _transported(p, deg, A, x1, x2):
     return u, v, pair_span_key(u, v, p)
 
 
-@lru_cache(maxsize=64)
-def _inverses(p):
-    """Table of inverses mod p; entry 0 is unused."""
-    return (0,) + tuple(pow(x, p - 2, p) for x in range(1, p))
+def _mix_solver(u, v, y1, y2, p):
+    """The mix (c, d, e, f) with c*u + d*v = y1 and e*u + f*v = y2.
 
-
-def _mix_solver(u, v, p):
-    """Return solve(y) -> ordered list of (c, d) with c*u + d*v = y.
-
-    u and v must be independent, as the k-pair of a free space and all its
-    substitutions are; the public entry points check freeness first."""
+    u and v must be independent and span y1 and y2: the k-pair of a free
+    space and all its substitutions are independent (the public entry points
+    check freeness first), and equal span keys put y1, y2 in span(u, v)."""
     m = len(u)
     i0 = next(i for i in range(m) if u[i] or v[i])
     j0 = next(j for j in range(m) if (u[i0] * v[j] - v[i0] * u[j]) % p)
-    det_inv = inv(u[i0] * v[j0] - v[i0] * u[j0], p)
-
-    def solve(y):
-        c = (y[i0] * v[j0] - v[i0] * y[j0]) * det_inv % p
-        d = (u[i0] * y[j0] - y[i0] * u[j0]) * det_inv % p
-        for k in range(m):
-            if (c * u[k] + d * v[k] - y[k]) % p:
-                return []
-        return [(c, d)]
-
-    return solve
+    s = inv(u[i0] * v[j0] - v[i0] * u[j0], p)
+    return tuple(
+        x * s % p
+        for y in (y1, y2)
+        for x in (y[i0] * v[j0] - v[i0] * y[j0], u[i0] * y[j0] - y[i0] * u[j0])
+    )
 
 
 def _span_matches(p, n, kx_pair, ky_pair, marked=False):
-    """Yield (A, rows1, rows2), A in row-major order over GL2 (only the
-    identity when marked), for every substitution A carrying span k(X) onto
-    span k(Y); rows1 and rows2 list the mixes (c, d) with c*u + d*v = y1,
-    resp. y2, where (u, v) is k(X) transported by A.
+    """Yield (A, B), A in row-major order over GL2 (only the identity when
+    marked), for every substitution A carrying span k(X) onto span k(Y); B is
+    the mix carrying k(X) transported by A onto k(Y).
 
-    lam*A transports each degree-n form to lam^n times its image under A, so
-    the span test depends only on A's scalar class.  It runs once per class,
-    on the member whose first nonzero entry is 1; that member comes first in
-    row-major order, and the later members reuse its verdict and scale its
-    (u, v)."""
+    Row-major order walks the first rows (a, b) in lex order.  A row whose
+    first nonzero entry lam is 1 holds PGL2 representatives: each is
+    transported and, if its span matches, its mix solved.  Every other row
+    is lam times the earlier row (a, b) / lam, so its matches are lam*A with
+    mix lam^-n * B, re-sorted."""
     x1, x2 = kx_pair
     y1, y2 = ky_pair
     target = pair_span_key(y1, y2, p)
-    inverses = _inverses(p)
-    matched: dict[tuple, tuple] = {}  # class representative -> its (u, v)
-    for A in ((_IDENT,) if marked else gl2_tuples(p)):
-        lead = A[0] or A[1]
-        if lead == 1:
-            u, v, key = _transported(p, n, A, x1, x2)
-            if key != target:
-                continue
-            matched[A] = (u, v)
-        else:
-            if not matched:
-                continue
-            s = inverses[lead]
-            got = matched.get((A[0] * s % p, A[1] * s % p, A[2] * s % p, A[3] * s % p))
-            if got is None:
-                continue
-            scale = pow(lead, n, p)
-            u, v = (tuple(scale * c % p for c in w) for w in got)
-        solve = _mix_solver(u, v, p)
-        rows1 = solve(y1)
-        if rows1:
-            yield A, rows1, solve(y2)
+    if marked:
+        u, v, key = _transported(p, n, _IDENT, x1, x2)
+        if key == target:
+            yield _IDENT, _mix_solver(u, v, y1, y2, p)
+        return
+    reps = dict(pgl2_rows(p))
+    matched: dict[tuple, list] = {}  # representative row -> its matches (A, B)
+    for a in range(p):
+        for b in range(p):
+            lam = a or b
+            if lam == 1:
+                got = matched[a, b] = []
+                for A in reps[a, b]:
+                    u, v, key = _transported(p, n, A, x1, x2)
+                    if key == target:
+                        got.append((A, _mix_solver(u, v, y1, y2, p)))
+                        yield got[-1]
+            elif lam:
+                s = inv(lam, p)
+                got = matched[a * s % p, b * s % p]
+                if got:
+                    t = pow(s, n, p)
+                    yield from sorted(
+                        (tuple(lam * x % p for x in A), tuple(t * x % p for x in B))
+                        for A, B in got
+                    )
 
 
 def _decide(X, Y, level, marked=False, class_check=None):
@@ -212,21 +206,14 @@ def _decide(X, Y, level, marked=False, class_check=None):
             w = EquivalenceWitness(Mat2.identity(p), Mat2.identity(p), level)
             return Verdict(True, w, checked, level)
 
-    class_ok: dict[tuple, bool] = {}
-    for A, rows1, rows2 in _span_matches(p, n, kx, ky, marked):
-        for c, d in rows1:
-            for e, f in rows2:
-                checked += 1
-                if (c * f - d * e) % p not in (1, p - 1):
-                    continue
-                if class_check is not None:
-                    ok = class_ok.get(A)
-                    if ok is None:
-                        ok = class_ok[A] = class_check(A)
-                    if not ok:
-                        continue
-                w = EquivalenceWitness(Mat2(p, A), Mat2(p, (c, d, e, f)), level)
-                return Verdict(True, w, checked, level)
+    for A, (c, d, e, f) in _span_matches(p, n, kx, ky, marked):
+        checked += 1
+        if (c * f - d * e) % p not in (1, p - 1):
+            continue
+        if class_check is not None and not class_check(A):
+            continue
+        w = EquivalenceWitness(Mat2(p, A), Mat2(p, (c, d, e, f)), level)
+        return Verdict(True, w, checked, level)
     return Verdict(False, None, checked, level)
 
 
@@ -287,8 +274,8 @@ def matching_substitutions(X: RotationData, Y: RotationData) -> tuple[tuple, ...
 def _matching_substitutions(p, n, kx_pair, ky_pair) -> tuple[tuple, ...]:
     return tuple(
         A
-        for A, rows1, rows2 in _span_matches(p, n, kx_pair, ky_pair)
-        if any((c * f - d * e) % p in (1, p - 1) for c, d in rows1 for e, f in rows2)
+        for A, (c, d, e, f) in _span_matches(p, n, kx_pair, ky_pair)
+        if (c * f - d * e) % p in (1, p - 1)
     )
 
 
@@ -303,7 +290,8 @@ def _canonicalize(p: int, n: int, key: tuple) -> tuple[tuple, tuple]:
     substitution A0 carrying this pair onto the minimum.
 
     Substitution and mix commute, so the orbit is the union over A in GL2 of
-    the B-orbits of the transported pair key.A.  One pass over GL2
+    the B-orbits of the transported pair key.A.  One pass over GL2 (the
+    scalar multiples of the PGL2 representatives, in row-major order)
     transports the key once per A; a transported pair already seen lies in a
     B-orbit already enumerated, otherwise all its det +-1 mixes (read off a
     table of the p^2 combinations c*u + d*v) are added with A as their
@@ -315,10 +303,16 @@ def _canonicalize(p: int, n: int, key: tuple) -> tuple[tuple, tuple]:
     if got is not None:
         return got
     x1, x2 = key
-    mixes = gl2_pm_tuples(p)
+    gl2 = sorted(
+        (lam * a % p, lam * b % p, lam * c % p, lam * d % p)
+        for _, reps in pgl2_rows(p)
+        for a, b, c, d in reps
+        for lam in range(1, p)
+    )
+    mixes = [b for b in gl2 if (b[0] * b[3] - b[1] * b[2]) % p in (1, p - 1)]
     seen: set[tuple] = set()
     b_orbits = []  # (A, the B-orbit of key.A)
-    for A in gl2_tuples(p):
+    for A in gl2:
         M = substitution_matrix(p, n, A)
         u = apply_matrix(M, x1, p)
         v = apply_matrix(M, x2, p)
@@ -344,8 +338,9 @@ def _canonicalize(p: int, n: int, key: tuple) -> tuple[tuple, tuple]:
 def canonical_form(X: RotationData) -> tuple[HomogeneousForm, HomogeneousForm]:
     """Lexicographically least element of the k-invariant pair's orbit under
     the (A, B) action; equal canonical forms characterize homotopy
-    equivalence, so this is the census grouping key."""
+    equivalence, so this is the census grouping key.  X must be free."""
     _require_hypotheses(X.p, X.n)
+    _require_free(X)
     k = k_invariant(X)
     canon, _ = _canonicalize(X.p, X.n, k.coeff_pair())
     return (HomogeneousForm(X.p, canon[0]), HomogeneousForm(X.p, canon[1]))

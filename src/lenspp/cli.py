@@ -20,9 +20,6 @@ from . import actions
 from .actions import RotationData, product_of_lens_spaces, validate
 from .census import run_census, verify_application, write_census
 from .classify import (
-    LEVEL_HOMEO,
-    LEVEL_HOMOTOPY,
-    LEVEL_SIMPLE,
     homeomorphic,
     homotopy_equivalent,
     lens_homotopy_equivalent,
@@ -126,17 +123,16 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 
 
 _LEVELS = {
-    "homotopy": (LEVEL_HOMOTOPY, homotopy_equivalent),
-    "simple": (LEVEL_SIMPLE, simple_homotopy_equivalent),
-    "homeo": (LEVEL_HOMEO, homeomorphic),
+    "homotopy": homotopy_equivalent,
+    "simple": simple_homotopy_equivalent,
+    "homeo": homeomorphic,
 }
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     X = parse_space(args.space_x)
     Y = parse_space(args.space_y)
-    _, decide = _LEVELS[args.level]
-    verdict = decide(X, Y, marked=args.marked)
+    verdict = _LEVELS[args.level](X, Y, marked=args.marked)
     _emit(verdict.to_json())
     state = "equivalent" if verdict.equivalent else "not equivalent"
     _note(f"{verdict.level}: {state} ({verdict.checked_pairs} substitution pairs checked)")

@@ -48,12 +48,6 @@ class HomogeneousForm:
             raise ValueError("sum of forms of different degrees is not homogeneous")
         return HomogeneousForm(self.p, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
 
-    def __sub__(self, other: "HomogeneousForm") -> "HomogeneousForm":
-        self._check_mate(other)
-        if self.deg != other.deg:
-            raise ValueError("difference of forms of different degrees is not homogeneous")
-        return HomogeneousForm(self.p, tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
-
     def __mul__(self, other: "HomogeneousForm") -> "HomogeneousForm":
         self._check_mate(other)
         return HomogeneousForm(self.p, _conv(self.coeffs, other.coeffs, self.p))

@@ -129,32 +129,21 @@ class Mat2:
         return [[a, b], [c, d]]
 
 
-def _require_enumerable(p: int) -> None:
+@lru_cache(maxsize=8)
+def pgl2_rows(p: int) -> tuple[tuple[tuple[int, int], tuple[tuple, ...]], ...]:
+    """One representative per scalar class of GL2(GF(p)), the member whose
+    first nonzero entry is 1: p(p^2 - 1) entry tuples, grouped by first row
+    (a, b) as ((a, b), members), groups and members in row-major order.
+    GL2 is the union of lam * A over these A and the units lam."""
     require_odd_prime(p)
     if p > GL2_PRIME_CAP:
         raise CapacityError(
             f"GL2 enumeration over GF({p}) has {(p*p-1)*(p*p-p)} elements; capped at p <= {GL2_PRIME_CAP}"
         )
-
-
-@lru_cache(maxsize=8)
-def gl2_tuples(p: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Every invertible (a11, a12, a21, a22) over GF(p), row-major entry order."""
-    _require_enumerable(p)
     return tuple(
-        (a, b, c, d)
-        for a in range(p)
-        for b in range(p)
-        for c in range(p)
-        for d in range(p)
-        if (a * d - b * c) % p
+        ((a, b), tuple((a, b, c, d) for c in range(p) for d in range(p) if (a * d - b * c) % p))
+        for a, b in [(0, 1)] + [(1, b) for b in range(p)]
     )
-
-
-@lru_cache(maxsize=8)
-def gl2_pm_tuples(p: int) -> tuple[tuple[int, int, int, int], ...]:
-    """The det = +-1 elements, same enumeration order as gl2_tuples."""
-    return tuple(e for e in gl2_tuples(p) if (e[0] * e[3] - e[1] * e[2]) % p in (1, p - 1))
 
 
 def rref_with_pivots(
@@ -190,10 +179,6 @@ def rref_with_pivots(
         pivots.append(c)
         r += 1
     return tuple(tuple(row) for row in m), tuple(pivots)
-
-
-def rank(rows: Iterable[Iterable[int]], p: int) -> int:
-    return len(rref_with_pivots(rows, p)[1])
 
 
 def span_key(rows: Iterable[Iterable[int]], p: int) -> tuple[tuple[int, ...], ...]:

@@ -65,10 +65,6 @@ class CohomRingModel:
         self._bases[d] = entry
         return entry
 
-    def ideal_basis(self, d: int) -> tuple[tuple[int, ...], ...]:
-        """Rref basis of the ideal's degree-d slice (empty below degree n)."""
-        return self._basis(d)[0]
-
     def reduce(self, form: HomogeneousForm) -> HomogeneousForm:
         """Canonical coset representative: kill every pivot coordinate."""
         if form.p != self.p:

@@ -1,3 +1,6 @@
+import itertools
+from functools import lru_cache
+
 import pytest
 from hypothesis import strategies as st
 
@@ -16,6 +19,15 @@ def invertible_mat_strategy(p: int):
         st.tuples(*(st.integers(min_value=0, max_value=p - 1) for _ in range(4)))
         .filter(lambda e: (e[0] * e[3] - e[1] * e[2]) % p != 0)
         .map(lambda e: Mat2(p, e))
+    )
+
+
+@lru_cache(maxsize=8)
+def gl2_elements(p: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Every invertible (a11, a12, a21, a22) over GF(p), in row-major entry
+    order, by brute force over all p^4 entry tuples."""
+    return tuple(
+        e for e in itertools.product(range(p), repeat=4) if (e[0] * e[3] - e[1] * e[2]) % p
     )
 
 

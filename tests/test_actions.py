@@ -20,9 +20,7 @@ from lenspp.errors import (
     InvalidRotation,
     InvalidSpan,
 )
-from lenspp.gfp import gl2_tuples
-
-from conftest import free_space_strategy
+from conftest import free_space_strategy, gl2_elements
 
 
 def test_validate_accepts_independent_rows():
@@ -154,7 +152,7 @@ def test_freeness_scan_matches_plane_form_exhaustive_p3():
 def test_freeness_invariant_under_group_basis_change(d):
     """Replacing (R, Q) by another basis of the same plane preserves freeness."""
     p, n = d.p, d.n
-    for a, b, c, e in gl2_tuples(p)[:12]:
+    for a, b, c, e in gl2_elements(p)[:12]:
         R2 = tuple((a * r + b * q) % p for r, q in zip(d.R, d.Q))
         Q2 = tuple((c * r + e * q) % p for r, q in zip(d.R, d.Q))
         d2 = validate(RotationData(p, n, R2, Q2))

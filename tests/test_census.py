@@ -19,11 +19,12 @@ from lenspp.census import (
     verify_application,
     write_census,
 )
+from conftest import gl2_elements
 from lenspp import census, classify, forms
 from lenspp.classify import canonical_form, homeomorphic, homotopy_equivalent
 from lenspp.errors import CapacityError, InvalidDimension, InvalidSpan
 from lenspp.forms import HomogeneousForm, k_invariant, substitute
-from lenspp.gfp import Mat2, gl2_tuples
+from lenspp.gfp import Mat2
 from lenspp.pontrjagin import total_pontrjagin_raw
 from lenspp.quotient_ring import CohomRingModel, ring_model
 
@@ -265,10 +266,10 @@ def test_census_classifies_each_plane_once(p):
 def test_relabelled_spaces_share_one_plane():
     (d,) = enumerate_free(5, 2, sample=1, seed=4)
     census._classify_plane.cache_clear()
-    keys = {_classify_item(_relabel(d, m)) for m in gl2_tuples(5)}
+    keys = {_classify_item(_relabel(d, m)) for m in gl2_elements(5)}
     info = census._classify_plane.cache_info()
     assert len(keys) == 1
-    assert (info.misses, info.hits) == (1, len(gl2_tuples(5)) - 1)
+    assert (info.misses, info.hits) == (1, len(gl2_elements(5)) - 1)
 
 
 def test_census_counts_invariant_under_group_relabeling():

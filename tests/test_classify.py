@@ -1,13 +1,17 @@
 import itertools
+import json
 import math
 import random
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import free_space_strategy
+from conftest import free_space_strategy, gl2_elements
 from lenspp.actions import RotationData, product_of_lens_spaces, validate
 from lenspp import classify
 from lenspp.classify import (
@@ -17,7 +21,6 @@ from lenspp.classify import (
     EquivalenceWitness,
     Verdict,
     _matching_substitutions,
-    _mix_solver,
     canonical_form,
     homeomorphic,
     homotopy_equivalent,
@@ -42,7 +45,6 @@ from lenspp.forms import (
 from lenspp.census import enumerate_free
 from lenspp.gfp import (
     Mat2,
-    gl2_tuples,
     inv,
     is_quadratic_residue,
     mat2_inv,
@@ -152,6 +154,15 @@ def test_matching_substitutions_requires_free_spaces():
     assert matching_substitutions(Y, lens(5, 1, 4)) == _matching_substitutions(5, 2, kx, ky)
     with pytest.raises(InvalidRotation):
         homeomorphic(X, X)
+
+
+def test_canonical_form_requires_free_spaces():
+    """A non-free pair has no quotient manifold, so no canonical form."""
+    X = validate(RotationData(5, 2, (1, 0, 1, 0), (0, 1, 0, 1)))
+    with pytest.raises(InvalidRotation):
+        canonical_form(X)
+    with pytest.raises(HypothesisViolation):
+        canonical_form(validate(RotationData(3, 2, (1, 0, 1, 0), (0, 1, 0, 1))))
 
 
 def test_marked_mode_restricts_substitution():
@@ -352,11 +363,30 @@ def test_lens_simple_implies_homotopy():
 
 
 # ---------------------------------------------------------------------------
-# oracle: the per-substitution GL2 scan the deciders ran before the span test
-# was shared across scalar classes.  Every A gets its own transport and its
-# own validated rref.
+# oracle: the per-substitution GL2 scan the deciders ran before the search
+# moved to PGL2.  Every A of GL2 gets its own transport, its own validated
+# rref and its own mix, from a solver that lists every solution.
 
 _IDENT = (1, 0, 0, 1)
+
+
+def _oracle_mix_solver(u, v, p):
+    """Return solve(y) -> ordered list of (c, d) with c*u + d*v = y; u and v
+    must be independent."""
+    m = len(u)
+    i0 = next(i for i in range(m) if u[i] or v[i])
+    j0 = next(j for j in range(m) if (u[i0] * v[j] - v[i0] * u[j]) % p)
+    det_inv = inv(u[i0] * v[j0] - v[i0] * u[j0], p)
+
+    def solve(y):
+        c = (y[i0] * v[j0] - v[i0] * y[j0]) * det_inv % p
+        d = (u[i0] * y[j0] - y[i0] * u[j0]) * det_inv % p
+        for k in range(m):
+            if (c * u[k] + d * v[k] - y[k]) % p:
+                return []
+        return [(c, d)]
+
+    return solve
 
 
 @lru_cache(maxsize=2**17)
@@ -380,13 +410,13 @@ def _oracle_decide(X, Y, level, marked=False, class_check=None):
             w = EquivalenceWitness(Mat2.identity(p), Mat2.identity(p), level)
             return Verdict(True, w, checked, level)
     target_span = span_key([y1, y2], p)
-    substitutions = (_IDENT,) if marked else gl2_tuples(p)
+    substitutions = (_IDENT,) if marked else gl2_elements(p)
     class_ok = {}
     for A in substitutions:
         u, v, sk = _oracle_transported(p, n, A, x1, x2)
         if sk != target_span:
             continue
-        solve = _mix_solver(u, v, p)
+        solve = _oracle_mix_solver(u, v, p)
         rows1 = solve(y1)
         if not rows1:
             continue
@@ -420,8 +450,9 @@ def _oracle_homeomorphic(X, Y, marked=False):
             fx = cls_x.get(degree)
             if fx is None:
                 fx = HomogeneousForm(p, (0,) * (degree // 2 + 1))
-            moved = substitute(fx, A)
-            if not model_y.reduce(moved - cls_y.component(degree)).is_zero():
+            moved = substitute(fx, A).coeffs
+            fy = cls_y.component(degree).coeffs
+            if any(model_y.reduce_coeffs(tuple(x - y for x, y in zip(moved, fy)))):
                 return False
         return True
 
@@ -433,11 +464,11 @@ def _oracle_matching_substitutions(p, n, kx_pair, ky_pair):
     y1, y2 = ky_pair
     target_span = span_key([y1, y2], p)
     found = []
-    for A in gl2_tuples(p):
+    for A in gl2_elements(p):
         u, v, sk = _oracle_transported(p, n, A, x1, x2)
         if sk != target_span:
             continue
-        solve = _mix_solver(u, v, p)
+        solve = _oracle_mix_solver(u, v, p)
         rows1 = solve(y1)
         if not rows1:
             continue
@@ -541,6 +572,42 @@ def test_negative_scan_transports_once_per_scalar_class():
     assert info.misses <= pgl2
 
 
+_PEAK_SCRIPT = """
+import json, resource, sys
+from lenspp.actions import RotationData, validate
+from lenspp.classify import homeomorphic
+X, Y = (validate(RotationData(31, 2, tuple(R), tuple(Q))) for R, Q in json.loads(sys.argv[1]))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+verdict = homeomorphic(X, Y)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps([verdict.equivalent, (after - before) / 1024]))
+"""
+
+
+def test_negative_at_the_gl2_cap_keeps_no_gl2_table():
+    """One certified-negative homeomorphic call at p = 31 walks all 29,760
+    PGL2 classes; in a fresh process it raises peak RSS (ru_maxrss, KiB on
+    Linux) by well under the 887,040-element GL2 table's ~77 MB."""
+    p = 31
+    rng = random.Random(31)
+    while True:
+        X, Y = _random_free(rng, p, 2), _random_free(rng, p, 2)
+        if _pencil_squares(X) != _pencil_squares(Y):
+            break
+    src = Path(classify.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_SCRIPT, json.dumps([[X.R, X.Q], [Y.R, Y.Q]])],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={"PYTHONPATH": str(src), "PATH": ""},
+    )
+    assert proc.returncode == 0, proc.stderr
+    equivalent, added_mb = json.loads(proc.stdout)
+    assert not equivalent
+    assert added_mb < 60
+
+
 # ---------------------------------------------------------------------------
 # oracle: the whole-orbit BFS over generators of GL2 and of the det +-1 group
 # that _canonicalize ran before the orbit became one pass over GL2.
@@ -589,7 +656,7 @@ def _oracle_canonicalize(orbits, p, n, key):
 def _carries(p, n, pair, a0, canon):
     """Some det +-1 mix takes pair, substituted by a0, onto canon."""
     M = substitution_matrix(p, n, a0)
-    solve = _mix_solver(apply_matrix(M, pair[0], p), apply_matrix(M, pair[1], p), p)
+    solve = _oracle_mix_solver(apply_matrix(M, pair[0], p), apply_matrix(M, pair[1], p), p)
     return any(
         (c * f - d * e) % p in (1, p - 1) for c, d in solve(canon[0]) for e, f in solve(canon[1])
     )
@@ -633,6 +700,6 @@ def test_one_new_orbit_transports_once_per_gl2_element(monkeypatch):
     key = k_invariant(_random_free(random.Random(53), p, n)).coeff_pair()
     canon, _ = classify._canonicalize(p, n, key)
     made = len(calls)
-    assert made <= 2 * len(gl2_tuples(p))  # 960; the generator BFS made ~28,800
+    assert made <= 2 * len(gl2_elements(p))  # 960; the generator BFS made ~28,800
     classify._canonicalize(p, n, canon)
     assert len(calls) == made  # a cached orbit member transports nothing

@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import gl2_elements
 from lenspp.errors import CapacityError, InvalidPrime
 from lenspp.gfp import (
     Mat2,
-    gl2_pm_tuples,
-    gl2_tuples,
     inv,
     is_odd_prime,
     pair_span_key,
@@ -16,7 +15,7 @@ from lenspp.gfp import (
     is_quadratic_residue,
     mat2_inv,
     mat2_mul,
-    rank,
+    pgl2_rows,
     require_odd_prime,
     rref_with_pivots,
     span_key,
@@ -108,38 +107,55 @@ def test_quadratic_residue_rejects_zero():
         is_quadratic_residue(0, 5)
 
 
+def _scalar_multiples(p):
+    """lam * A for every PGL2 representative A and unit lam, in table order."""
+    return [
+        tuple(lam * x % p for x in A) for _, reps in pgl2_rows(p) for A in reps for lam in range(1, p)
+    ]
+
+
+def _det_pm1(elements, p):
+    return [e for e in elements if (e[0] * e[3] - e[1] * e[2]) % p in (1, p - 1)]
+
+
 def test_gl2_counts():
-    assert len(gl2_tuples(3)) == 48
-    assert len(gl2_tuples(5)) == 480
-    assert len(gl2_pm_tuples(5)) == 240
-    assert len(gl2_tuples(7)) == 2016
-    assert len(gl2_pm_tuples(7)) == 672
+    assert [len(_scalar_multiples(p)) for p in (3, 5, 7)] == [48, 480, 2016]
+    assert [len(_det_pm1(_scalar_multiples(p), p)) for p in (5, 7)] == [240, 672]
 
 
 def test_gl2_enumeration_is_row_major_and_exact():
-    seen = list(gl2_tuples(3))
-    assert seen == sorted(seen)
-    assert len(set(seen)) == len(seen)
-    for e in seen:
-        assert (e[0] * e[3] - e[1] * e[2]) % 3 != 0
+    """pgl2_rows at p = 3, 5, 7: p(p^2 - 1) members, first nonzero entry 1,
+    grouped by first row; groups and members in row-major order.  Their
+    scalar multiples are exactly GL2, each element once."""
+    for p in (3, 5, 7):
+        groups = pgl2_rows(p)
+        rows = [row for row, _ in groups]
+        assert rows == sorted(rows) == [(0, 1)] + [(1, b) for b in range(p)]
+        members = [A for _, reps in groups for A in reps]
+        assert len(members) == p * (p * p - 1)
+        assert members == sorted(members)
+        for row, reps in groups:
+            assert reps and all(A[:2] == row for A in reps)
+        multiples = _scalar_multiples(p)
+        assert len(set(multiples)) == len(multiples)
+        assert sorted(multiples) == list(gl2_elements(p))
 
 
 def test_gl2_pm_subset():
-    full = set(gl2_tuples(5))
-    pm = set(gl2_pm_tuples(5))
-    assert pm <= full
-    for e in pm:
-        assert (e[0] * e[3] - e[1] * e[2]) % 5 in (1, 4)
+    """The det +-1 scalar multiples are the det +-1 subgroup of GL2."""
+    for p in (5, 7):
+        pm = _det_pm1(_scalar_multiples(p), p)
+        assert sorted(pm) == _det_pm1(gl2_elements(p), p)
 
 
 def test_gl2_capacity_guard():
     with pytest.raises(CapacityError):
-        gl2_tuples(37)
+        pgl2_rows(37)
 
 
 def test_mat2_inverse_roundtrip_exhaustive_p3():
     ident = Mat2.identity(3)
-    for m in (Mat2(3, e) for e in gl2_tuples(3)):
+    for m in (Mat2(3, e) for e in gl2_elements(3)):
         assert m * m.inverse() == ident
         assert m.inverse() * m == ident
 
@@ -148,12 +164,12 @@ def test_mat2_wraps_the_tuple_kernel_exhaustive_p3():
     """Mat2's product and inverse are the tuple kernel's, entry for entry,
     checked against the textbook formulas."""
     p = 3
-    for a in gl2_tuples(p):
+    for a in gl2_elements(p):
         det = (a[0] * a[3] - a[1] * a[2]) % p
         s = inv(det, p)
         assert mat2_inv(a, p) == Mat2(p, (a[3] * s, -a[1] * s, -a[2] * s, a[0] * s)).entries
         assert Mat2(p, a).inverse().entries == mat2_inv(a, p)
-        for b in gl2_tuples(p):
+        for b in gl2_elements(p):
             prod = mat2_mul(a, b, p)
             assert prod == tuple(
                 sum(a[2 * i + k] * b[2 * k + j] for k in range(2)) % p
@@ -185,7 +201,7 @@ def test_rref_pivots_and_rank():
     rows, pivots = rref_with_pivots([[2, 4], [1, 3]], 5)
     assert rows == ((1, 0), (0, 1))
     assert pivots == (0, 1)
-    assert rank([[1, 2, 3], [2, 4, 6]], 7) == 1
+    assert len(span_key([[1, 2, 3], [2, 4, 6]], 7)) == 1
 
 
 @settings(max_examples=200, deadline=None)
@@ -206,7 +222,7 @@ def test_rref_preserves_row_space(p, data):
     reduced, _ = rref_with_pivots(m, p)
     # mutual membership: every row of each matrix reduces to 0 against the other
     assert span_key(list(m) + list(reduced), p) == span_key(m, p)
-    assert rank(m, p) == rank(reduced, p)
+    assert len(span_key(m, p)) == len(span_key(reduced, p))
 
 
 @settings(max_examples=300, deadline=None)

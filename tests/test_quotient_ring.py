@@ -19,15 +19,15 @@ def _model_ab(p=5):
 
 def test_ideal_bases_for_square_generators():
     m = _model_ab()
-    assert m.ideal_basis(2) == ((1, 0, 0), (0, 0, 1))
+    assert m._basis(2)[0] == ((1, 0, 0), (0, 0, 1))
     # degree 3: a^3, a^2 b, a b^2, b^3 all lie in the ideal
-    assert m.ideal_basis(3) == (
+    assert m._basis(3)[0] == (
         (1, 0, 0, 0),
         (0, 1, 0, 0),
         (0, 0, 1, 0),
         (0, 0, 0, 1),
     )
-    assert m.ideal_basis(1) == ()
+    assert m._basis(1)[0] == ()
 
 
 def test_reduce_examples():
@@ -62,17 +62,17 @@ def test_equal_in_quotient_forms():
     m = _model_ab()
     u = HomogeneousForm(5, (1, 1, 0))
     v = HomogeneousForm(5, (0, 1, 4))
-    assert m.reduce(u - v).is_zero()  # differ by a^2 + b^2
-    assert not m.reduce(u - HomogeneousForm(5, (0, 0, 0))).is_zero()
+    assert m.reduce(u + v.scale(-1)).is_zero()  # differ by a^2 + b^2
+    assert not m.reduce(u + HomogeneousForm(5, (0, 0, 0)).scale(-1)).is_zero()
 
 
 def test_equal_in_quotient_total_classes():
     m = _model_ab()
     u = TotalClass(5, 3, ((4, HomogeneousForm(5, (1, 0, 1))),))
     v = TotalClass(5, 3, ())
-    assert m.reduce(u.component(4) - v.component(4)).is_zero()
+    assert m.reduce(u.component(4) + v.component(4).scale(-1)).is_zero()
     w = TotalClass(5, 3, ((4, HomogeneousForm(5, (0, 1, 0))),))
-    assert not m.reduce(w.component(4) - v.component(4)).is_zero()
+    assert not m.reduce(w.component(4) + v.component(4).scale(-1)).is_zero()
 
 
 def test_reduce_rejects_wrong_modulus():
@@ -149,7 +149,7 @@ def test_reduce_coeffs_matches_sequential_elimination(pn, data):
     deg = data.draw(st.integers(0, 2 * n + 1))
     raw = data.draw(st.lists(st.integers(-50, 50), min_size=deg + 1, max_size=deg + 1))
     coeffs = [x % p for x in raw]
-    for row, piv in zip(m.ideal_basis(deg), m._basis(deg)[1]):
+    for row, piv in zip(*m._basis(deg)):
         c = coeffs[piv]
         coeffs = [(x - c * y) % p for x, y in zip(coeffs, row)]
     assert m.reduce_coeffs(tuple(raw)) == tuple(coeffs)
