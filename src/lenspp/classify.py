@@ -16,7 +16,10 @@ lives on PGL2: lam*A moves the degree-n k-pair to lam^n times its image
 under A, so it carries span k(X) to the same plane, and its mix is lam^-n
 times A's.  The span test and the mix are computed once per scalar class
 (p(p^2 - 1) of them, a (p - 1)-th of GL2), on integer tuples, and the other
-members of a matched class are scaled copies.
+members of a matched class are scaled copies.  The walk is skipped when the
+pencil profiles differ (the zero counts on P^1(GF(p)) of the members of
+span k(X) and of span k(Y)): a substitution carrying one span onto the other
+maps members onto members and permutes P^1, so it would find no match.
 
 The canonical form, the census grouping key, is the least pair in the
 k-invariant pair's (A, B) orbit.  Substitution and mix commute, so the orbit
@@ -131,6 +134,26 @@ def _transported(p, deg, A, x1, x2):
     return u, v, pair_span_key(u, v, p)
 
 
+@lru_cache(maxsize=2**12)
+def _pencil_profile(p, n, x1, x2):
+    """Sorted zero counts on P^1(GF(p)) of the p + 1 members s*x1 + t*x2,
+    (s : t) projective, of the pencil of a free space's k-pair (x1, x2).
+
+    At each point the monomials a^(n-k) * b^k evaluate x1 and x2 to
+    (e1, e2), not both zero (freeness: no linear factor of x1 is
+    proportional to one of x2), and the one member vanishing there is
+    (e2 : -e1).  A substitution permutes P^1, an invertible mix permutes
+    the members, and a scalar moves no zeros, so this is an invariant of
+    the pair under (A, B) for every invertible B."""
+    zeros = Counter()
+    for a, b in [(1, t) for t in range(p)] + [(0, 1)]:
+        mono = [pow(a, n - k, p) * pow(b, k, p) for k in range(n + 1)]
+        e1 = sum(c * m for c, m in zip(x1, mono)) % p
+        e2 = sum(c * m for c, m in zip(x2, mono)) % p
+        zeros[-e1 * inv(e2, p) % p if e2 else None] += 1  # None: the member (0 : 1)
+    return tuple(sorted(list(zeros.values()) + [0] * (p + 1 - len(zeros))))
+
+
 def _mix_solver(u, v, y1, y2, p):
     """The mix (c, d, e, f) with c*u + d*v = y1 and e*u + f*v = y2.
 
@@ -157,7 +180,14 @@ def _span_matches(p, n, kx_pair, ky_pair, marked=False):
     first nonzero entry lam is 1 holds PGL2 representatives: each is
     transported and, if its span matches, its mix solved.  Every other row
     is lam times the earlier row (a, b) / lam, so its matches are lam*A with
-    mix lam^-n * B, re-sorted."""
+    mix lam^-n * B, re-sorted.
+
+    Unmarked, the walk runs only if the pencil profiles agree, checked after
+    pgl2_rows so its capacity refusal comes first.  Differing profiles rule
+    out every span match: a matching A and its invertible mix carry each
+    member of span k(X) onto a member of span k(Y), and A permutes the points
+    of P^1, so the members' zero counts agree.  The walk would yield nothing,
+    which is what the early return yields."""
     x1, x2 = kx_pair
     y1, y2 = ky_pair
     target = pair_span_key(y1, y2, p)
@@ -167,6 +197,8 @@ def _span_matches(p, n, kx_pair, ky_pair, marked=False):
             yield _IDENT, _mix_solver(u, v, y1, y2, p)
         return
     reps = dict(pgl2_rows(p))
+    if _pencil_profile(p, n, x1, x2) != _pencil_profile(p, n, y1, y2):
+        return
     matched: dict[tuple, list] = {}  # representative row -> its matches (A, B)
     for a in range(p):
         for b in range(p):

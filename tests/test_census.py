@@ -24,7 +24,7 @@ from lenspp import census, classify, forms
 from lenspp.classify import canonical_form, homeomorphic, homotopy_equivalent
 from lenspp.errors import CapacityError, InvalidDimension, InvalidSpan
 from lenspp.forms import HomogeneousForm, k_invariant, substitute
-from lenspp.gfp import Mat2
+from lenspp.gfp import Mat2, inv, is_quadratic_residue
 from lenspp.pontrjagin import total_pontrjagin_raw
 from lenspp.quotient_ring import CohomRingModel, ring_model
 
@@ -338,6 +338,23 @@ def test_verify_application_p5():
     assert report.ok
     assert report.sufficiency_discrepancies == ()
     assert report.necessity_discrepancies == ()
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_verify_application_report_matches_the_residue_test(p):
+    half_units = [x for x in range(1, p) if is_quadratic_residue(x, p)]
+    want = sum(
+        r1 * r2 * inv(q1 * q2, p) % p in half_units or -r1 * r2 * inv(q1 * q2, p) % p in half_units
+        for r1, r2, q1, q2 in itertools.product(range(1, p), repeat=4)
+    )
+    assert verify_application(p).to_json() == {
+        "p": p,
+        "quadruples": (p - 1) ** 4,
+        "criterion_true": want,
+        "sufficiency_discrepancies": [],
+        "necessity_discrepancies": [],
+        "ok": True,
+    }
 
 
 def test_verify_application_guard():

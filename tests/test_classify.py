@@ -609,6 +609,189 @@ def test_negative_at_the_gl2_cap_keeps_no_gl2_table():
 
 
 # ---------------------------------------------------------------------------
+# the pencil profile: zero counts of the k-invariant pencil's members, which
+# the deciders compare before the transport walk
+
+def _profile(X):
+    return classify._pencil_profile(X.p, X.n, *k_invariant(X).coeff_pair())
+
+
+@pytest.mark.parametrize("p,n", [(5, 2), (7, 2), (7, 3), (11, 2), (13, 2)])
+def test_pencil_profile_is_invariant_under_substitution_and_mix(p, n):
+    assert classify._pencil_profile.cache_parameters()["maxsize"] is not None
+    rng = random.Random(1000 * p + n)
+    gl2 = gl2_elements(p)
+    mixes = [b for b in gl2 if (b[0] * b[3] - b[1] * b[2]) % p in (1, p - 1)]
+    for _ in range(40):
+        X = _random_free(rng, p, n)
+        x1, x2 = k_invariant(X).coeff_pair()
+        want = classify._pencil_profile(p, n, x1, x2)
+        if n == 2:  # a member with one zero is a square: the walk tests' count
+            assert want.count(1) * (p - 1) == _pencil_squares(X)
+        M = substitution_matrix(p, n, rng.choice(gl2))
+        u, v = apply_matrix(M, x1, p), apply_matrix(M, x2, p)
+        c, d, e, f = rng.choice(mixes)
+        y1 = tuple((c * a + d * b) % p for a, b in zip(u, v))
+        y2 = tuple((e * a + f * b) % p for a, b in zip(u, v))
+        assert classify._pencil_profile(p, n, y1, y2) == want, (X, y1, y2)
+        assert _profile(_relabelled(rng, X)) == want, X
+
+
+class _KeysOnly(dict):
+    """An orbit store that keeps only the given pairs: whole orbits at (7, 3)
+    run to ~10^5 pairs each, and only the keys asked about are looked up."""
+
+    def __init__(self, keep):
+        super().__init__()
+        self.keep = keep
+
+    def __setitem__(self, pair, entry):
+        if pair in self.keep:
+            super().__setitem__(pair, entry)
+
+
+def _check_profile_of_canonical_pairs(monkeypatch, p, n, keys):
+    keys = set(keys)
+    monkeypatch.setattr(classify, "_ORBITS", {(p, n): _KeysOnly(keys)})
+    for key in keys:
+        canon, _ = classify._canonicalize(p, n, key)
+        assert classify._pencil_profile(p, n, *canon) == classify._pencil_profile(p, n, *key), key
+
+
+def test_pencil_profile_of_every_free_space_p3_is_its_canonical_pairs(monkeypatch):
+    keys = {k_pair(3, 2, d.R, d.Q) for d in enumerate_free(3, 2)}
+    _check_profile_of_canonical_pairs(monkeypatch, 3, 2, keys)
+
+
+@pytest.mark.parametrize("p,n", [(5, 2), (7, 3)])
+def test_pencil_profile_of_seeded_spaces_is_their_canonical_pairs(monkeypatch, p, n):
+    rng = random.Random(20 * p + n)
+    keys = [k_invariant(_random_free(rng, p, n)).coeff_pair() for _ in range(500)]
+    _check_profile_of_canonical_pairs(monkeypatch, p, n, keys)
+
+
+def test_negative_with_differing_profiles_transports_nothing():
+    p = 13
+    rng = random.Random(5)
+    while True:
+        X, Y = _random_free(rng, p, 2), _random_free(rng, p, 2)
+        if _pencil_squares(X) != _pencil_squares(Y):
+            break
+    assert _profile(X) != _profile(Y)
+    classify._transported.cache_clear()
+    try:
+        verdicts = [decide(X, Y) for decide in (homotopy_equivalent, homeomorphic)]
+        info = classify._transported.cache_info()
+    finally:
+        classify._transported.cache_clear()
+    assert [(v.equivalent, v.checked_pairs) for v in verdicts] == [(False, 0), (False, 0)]
+    assert info.hits + info.misses == 0
+
+
+def test_negative_with_equal_profiles_walks_every_scalar_class():
+    """Equal profiles leave the negative to the walk.  At n = 2 equal
+    profiles put the spans in one PGL2 orbit, so such a negative has span
+    matches but no det +-1 mix; the per-substitution oracle proves it."""
+    p = 13
+    rng = random.Random(5)
+    while True:
+        X, Y = _random_free(rng, p, 2), _random_free(rng, p, 2)
+        if _profile(X) == _profile(Y) and not homotopy_equivalent(X, Y).equivalent:
+            break
+    want = _oracle_decide(X, Y, LEVEL_HOMOTOPY)
+    assert not want.equivalent and want.checked_pairs > 0
+    classify._transported.cache_clear()
+    try:
+        got = homotopy_equivalent(X, Y)
+        info = classify._transported.cache_info()
+    finally:
+        classify._transported.cache_clear()
+    assert got.to_json() == want.to_json()
+    assert 0 < info.misses <= p * (p * p - 1)
+
+
+def _cube_free_lens_negative(p):
+    """X = L(p; 1,1,1) x L(p; 1,1,1) and Y = L(p; 1,1,t) x L(p; 1,1,1), with
+    k-pairs (a^3, b^3) and (t*a^3, b^3): one span, so equal profiles.  The
+    only cubes of linear forms in that pencil are a^3 and b^3, so a matching
+    A is monomial and its mixes have det +-t / (xy)^3; with +-t no cube,
+    none has det +-1 and the spaces are not homotopy equivalent."""
+    t = next(t for t in range(2, p) if pow(t, (p - 1) // 3, p) != 1)
+    assert pow(p - t, (p - 1) // 3, p) != 1
+    return (
+        product_of_lens_spaces(p, (1, 1, 1), (1, 1, 1)),
+        product_of_lens_spaces(p, (1, 1, t), (1, 1, 1)),
+    )
+
+
+def test_negative_with_equal_profiles_at_the_gl2_cap_keeps_no_gl2_table():
+    """At p = 31, n = 2, no negative has equal profiles: equal profiles put
+    the spans in one orbit, and lam*A scales a mix's determinant by lam^-4,
+    which runs over the squares; with -1 a non-square, some scaled mix has
+    det +-1.  So the cap's walk is exercised at n = 3, on a pair certified
+    negative in closed form; in a fresh process it raises peak RSS by well
+    under the GL2 table's ~77 MB."""
+    p = 31
+    X, Y = _cube_free_lens_negative(p)
+    assert _profile(X) == _profile(Y)
+    src = Path(classify.__file__).resolve().parents[1]
+    script = _PEAK_SCRIPT.replace("RotationData(31, 2,", "RotationData(31, 3,")
+    assert script != _PEAK_SCRIPT
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps([[X.R, X.Q], [Y.R, Y.Q]])],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={"PYTHONPATH": str(src), "PATH": ""},
+    )
+    assert proc.returncode == 0, proc.stderr
+    equivalent, added_mb = json.loads(proc.stdout)
+    assert not equivalent
+    assert added_mb < 60
+
+
+def _negative_kind(X, Y):
+    """'pruned' (profiles differ), 'no_span' (no A carries span k(X) onto
+    span k(Y)) or 'no_mix' (some A does, with no det +-1 mix), per the
+    oracle; None for a positive."""
+    want = _oracle_decide(X, Y, LEVEL_HOMOTOPY)
+    if want.equivalent:
+        return None
+    if _profile(X) != _profile(Y):
+        return "pruned"
+    return "no_mix" if want.checked_pairs else "no_span"
+
+
+@pytest.mark.parametrize("p,n", [(5, 3), (7, 3)])
+def test_every_kind_of_negative_matches_the_per_substitution_oracle(p, n):
+    deciders = (
+        (homotopy_equivalent, lambda X, Y, m: _oracle_decide(X, Y, LEVEL_HOMOTOPY, m)),
+        (simple_homotopy_equivalent, lambda X, Y, m: _oracle_decide(X, Y, LEVEL_SIMPLE, m)),
+        (homeomorphic, _oracle_homeomorphic),
+    )
+    rng = random.Random(30 * p + n)
+    found = {"pruned": [], "no_span": [], "no_mix": []}
+    try:
+        while min(map(len, found.values())) < 2:
+            X, Y = _random_free(rng, p, n), _random_free(rng, p, n)
+            kind = _negative_kind(X, Y)
+            if kind is not None and len(found[kind]) < 2:
+                found[kind].append((X, Y))
+        for kind, pairs in found.items():
+            for X, Y in pairs:
+                for decide, oracle in deciders:
+                    for marked in (False, True):
+                        got, want = decide(X, Y, marked), oracle(X, Y, marked)
+                        assert got.to_json() == want.to_json(), (kind, X, Y, got.level, marked)
+                kx, ky = k_invariant(X).coeff_pair(), k_invariant(Y).coeff_pair()
+                assert _matching_substitutions(p, n, kx, ky) == _oracle_matching_substitutions(
+                    p, n, kx, ky
+                ), (kind, X, Y)
+    finally:
+        _oracle_transported.cache_clear()
+
+
+# ---------------------------------------------------------------------------
 # oracle: the whole-orbit BFS over generators of GL2 and of the det +-1 group
 # that _canonicalize ran before the orbit became one pass over GL2.
 

@@ -8,7 +8,9 @@ import pytest
 
 import lenspp
 from lenspp.actions import product_of_lens_spaces
+from lenspp.classify import _pencil_profile
 from lenspp.cli import main, parse_space
+from lenspp.forms import k_pair
 
 
 def run_cli(capsys, *argv):
@@ -257,3 +259,25 @@ def test_oversized_sample_refuses_within_budget(tmp_path):
     proc = run_cli_process("census", "3", "2", "--sample", "1000000", "--out", str(tmp_path))
     assert proc.returncode == 3, proc.stderr
     assert json.loads(proc.stdout)["error"] == "capacity"
+
+
+def _profile(text):
+    d = parse_space(text)
+    return _pencil_profile(d.p, d.n, *k_pair(d.p, d.n, d.R, d.Q))
+
+
+def test_compare_beyond_gl2_cap_refuses_before_the_profile_prune():
+    X, Y = "p=37 n=2 R=5,32,2,23 Q=28,33,6,29", "p=37 n=2 R=32,23,4,14 Q=1,20,22,33"
+    assert _profile(X) != _profile(Y)
+    proc = run_cli_process("compare", "--level", "homeo", X, Y)
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stdout)["error"] == "capacity"
+
+
+def test_compare_at_the_gl2_cap_answers_a_profile_differing_pair_within_budget():
+    X, Y = "p=31 n=2 R=0,15,3,24 Q=12,4,21,1", "p=31 n=2 R=4,30,3,17 Q=7,22,24,4"
+    assert _profile(X) != _profile(Y)
+    proc = run_cli_process("compare", "--level", "homeo", X, Y)
+    assert proc.returncode == 1, proc.stderr  # an answer: the negative verdict
+    doc = json.loads(proc.stdout)
+    assert (doc["equivalent"], doc["checked_pairs"]) == (False, 0)
