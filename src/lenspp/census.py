@@ -48,7 +48,7 @@ from .forms import (
     product_of_linear_forms,
     substitution_matrix,
 )
-from .gfp import inv, pair_span_key, require_odd_prime
+from .gfp import inv, is_quadratic_residue, pair_span_key, require_odd_prime
 from .pontrjagin import pontrjagin_coeffs, total_pontrjagin_raw
 from .quotient_ring import CohomRingModel, ring_model
 
@@ -391,7 +391,6 @@ def verify_application(p: int) -> ApplicationReport:
     sufficiency = []
     necessity = []
     units = range(1, p)
-    half = (p - 1) // 2
     spaces = {(a, b): product_of_lens_spaces(p, (1, a), (1, b)) for a in units for b in units}
     for r1 in units:
         for r2 in units:
@@ -399,9 +398,8 @@ def verify_application(p: int) -> ApplicationReport:
             for q1 in units:
                 for q2 in units:
                     quadruples += 1
-                    ratio = r1 * r2 * inv(q1 * q2, p) % p
-                    # Euler criterion, inline: p is checked once above
-                    criterion = pow(ratio, half, p) == 1 or pow(p - ratio, half, p) == 1
+                    ratio = r1 * r2 * inv(q1 * q2, p)
+                    criterion = is_quadratic_residue(ratio, p) or is_quadratic_residue(-ratio, p)
                     Y = spaces[q1, q2]
                     verdict = homeomorphic(X, Y).equivalent
                     if criterion:

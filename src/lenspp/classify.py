@@ -275,13 +275,22 @@ def homeomorphic(X: RotationData, Y: RotationData, marked: bool = False) -> Verd
     _require_hypotheses(p, n)
     _require_free(X)
     _require_free(Y)
-    model_y = ring_model(p, n, k_pair(p, n, Y.R, Y.Q))
-    cls_x = pontrjagin_coeffs(p, X.rotation_pairs(), n - 1)
-    # reduction is linear and idempotent, so reduce(moved - cls_y) vanishes
-    # iff reduce(moved) equals the reduced class of Y
-    cls_y = [model_y.reduce_coeffs(c) for c in pontrjagin_coeffs(p, Y.rotation_pairs(), n - 1)]
+    classes = []  # Y's model, X's class, Y's reduced class: built on the first check
 
     def class_check(A: tuple) -> bool:
+        # lazily, so _span_matches refuses above the GL2 cap and prunes by
+        # pencil profile before any ring model is built
+        if not classes:
+            model = ring_model(p, n, k_pair(p, n, Y.R, Y.Q))
+            cls_y = pontrjagin_coeffs(p, Y.rotation_pairs(), n - 1)
+            # reduction is linear and idempotent, so reduce(moved - cls_y)
+            # vanishes iff reduce(moved) equals the reduced class of Y
+            classes[:] = (
+                model,
+                pontrjagin_coeffs(p, X.rotation_pairs(), n - 1),
+                [model.reduce_coeffs(c) for c in cls_y],
+            )
+        model_y, cls_x, cls_y = classes
         return all(
             model_y.reduce_coeffs(apply_matrix(substitution_matrix(p, 2 * k, A), fx, p)) == fy
             for k, (fx, fy) in enumerate(zip(cls_x, cls_y), 1)

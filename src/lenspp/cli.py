@@ -15,10 +15,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from . import actions
 from .actions import RotationData, product_of_lens_spaces, validate
-from .census import run_census, verify_application, write_census
+from .census import _require_census, run_census, verify_application, write_census
 from .classify import (
     homeomorphic,
     homotopy_equivalent,
@@ -29,7 +30,6 @@ from .classify import (
 from .errors import CapacityError
 from .forms import k_invariant
 from .pontrjagin import total_pontrjagin
-from .quotient_ring import ring_model
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -106,8 +106,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     if not report.free:
         raise ValueError("invariants are defined for free actions only; this one is not free")
     k = k_invariant(data)
-    model = ring_model(data.p, data.n, k.coeff_pair())
-    cls = total_pontrjagin(data, model)
+    cls = total_pontrjagin(data)
     _emit(
         {
             "space": actions.to_json(data),
@@ -142,6 +141,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
+    # refuse the request, then an unusable --out, before the census runs
+    _require_census(args.p, args.n, args.sample)
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"--out {args.out!r} is not a usable directory: {exc}") from exc
     record = run_census(
         args.p, args.n, workers=args.workers, sample=args.sample, seed=args.seed
     )

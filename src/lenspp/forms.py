@@ -111,25 +111,17 @@ def product_of_linear_forms(p: int, pairs: Iterable[tuple[int, int]]) -> Homogen
     return HomogeneousForm(p, linear_product(p, ((int(r) % p, int(q) % p) for r, q in pairs)))
 
 
-# keys (p, pair, k): all p^2 pairs times the degrees substituted, e.g. 504
-# at p = 13, n = 2; 2^14 holds every pair at p = 31 through degree 14
-@lru_cache(maxsize=2**14)
-def _pair_power(p: int, pair: tuple[int, int], k: int) -> tuple[int, ...]:
-    out = (1,)
-    for _ in range(k):
-        out = _conv(out, pair, p)
-    return out
-
-
 @lru_cache(maxsize=2**18)
 def substitution_matrix(p: int, deg: int, entries: tuple[int, int, int, int]) -> tuple[tuple[int, ...], ...]:
     """Matrix of the substitution a -> e11*a + e12*b, b -> e21*a + e22*b on
-    degree-`deg` coefficient vectors; column k is the image of a^(deg-k)b^k."""
+    degree-`deg` coefficient vectors; column k is the image of a^(deg-k)b^k,
+    a product of powers of the images of a and b, built up on each miss."""
     e11, e12, e21, e22 = (e % p for e in entries)
-    cols = [
-        _conv(_pair_power(p, (e11, e12), deg - k), _pair_power(p, (e21, e22), k), p)
-        for k in range(deg + 1)
-    ]
+    pow_a, pow_b = [(1,)], [(1,)]
+    for _ in range(deg):
+        pow_a.append(_conv(pow_a[-1], (e11, e12), p))
+        pow_b.append(_conv(pow_b[-1], (e21, e22), p))
+    cols = [_conv(pow_a[deg - k], pow_b[k], p) for k in range(deg + 1)]
     return tuple(tuple(cols[k][r] for k in range(deg + 1)) for r in range(deg + 1))
 
 
@@ -158,10 +150,6 @@ class KInvariant:
 
     first: HomogeneousForm
     second: HomogeneousForm
-
-    @property
-    def p(self) -> int:
-        return self.first.p
 
     def coeff_pair(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return (self.first.coeffs, self.second.coeffs)

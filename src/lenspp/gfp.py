@@ -181,14 +181,9 @@ def rref_with_pivots(
     return tuple(tuple(row) for row in m), tuple(pivots)
 
 
-def span_key(rows: Iterable[Iterable[int]], p: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical key for the row space: the nonzero rows of the rref."""
-    reduced, pivots = rref_with_pivots(rows, p)
-    return reduced[: len(pivots)]
-
-
 def pair_span_key(u: tuple[int, ...], v: tuple[int, ...], p: int) -> tuple[tuple[int, ...], ...]:
-    """span_key([u, v], p) for two rows of ints in [0, p); unchecked."""
+    """Canonical key for the row space of two rows of ints in [0, p): the
+    nonzero rows of its rref.  Unchecked."""
     m = len(u)
     for i in range(m):
         if u[i] or v[i]:

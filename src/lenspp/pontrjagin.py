@@ -15,8 +15,8 @@ from typing import Iterable, Sequence
 from .actions import RotationData
 from .errors import InvalidRotation
 from .forms import HomogeneousForm, k_invariant
-from .gfp import require_odd_prime, span_key
-from .quotient_ring import CohomRingModel, TotalClass
+from .gfp import require_odd_prime
+from .quotient_ring import TotalClass, ring_model
 
 
 def pontrjagin_coeffs(p: int, pairs: Iterable[tuple[int, int]], top: int) -> list[tuple[int, ...]]:
@@ -43,23 +43,17 @@ def total_pontrjagin_raw(data: RotationData) -> dict[int, HomogeneousForm]:
     return {4 * k: HomogeneousForm(p, coeffs) for k, coeffs in enumerate(comps, 1)}
 
 
-def total_pontrjagin(data: RotationData, model: CohomRingModel) -> TotalClass:
-    """Total Pontrjagin class reduced in the quotient's cohomology model.
-
-    The model must belong to the same space: same (p, n) and the same ideal
-    as the one generated by data's k-invariant.
-    """
-    if (model.p, model.n) != (data.p, data.n):
-        raise ValueError("model (p, n) differs from the data's")
-    k = k_invariant(data)
-    if span_key([k.first.coeffs, k.second.coeffs], data.p) != span_key(
-        [model.f.coeffs, model.g.coeffs], data.p
-    ):
-        raise ValueError("model ideal differs from the ideal of data's k-invariant")
-    comps = tuple(
-        (deg, model.reduce(form)) for deg, form in sorted(total_pontrjagin_raw(data).items())
+def total_pontrjagin(data: RotationData) -> TotalClass:
+    """Total Pontrjagin class of validated free rotation data, reduced in the
+    cohomology ring its k-invariant cuts out.  Requires p > n."""
+    p, n = data.p, data.n
+    model = ring_model(p, n, k_invariant(data).coeff_pair())
+    comps = pontrjagin_coeffs(p, data.rotation_pairs(), n - 1)
+    return TotalClass(
+        p,
+        2 * n - 1,
+        tuple((4 * k, HomogeneousForm(p, model.reduce_coeffs(c))) for k, c in enumerate(comps, 1)),
     )
-    return TotalClass(data.p, 2 * data.n - 1, comps)
 
 
 def lens_total_pontrjagin(p: int, rotations: Sequence[int]) -> TotalClass:

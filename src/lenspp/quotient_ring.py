@@ -5,9 +5,10 @@ Generators a, b sit in cohomological degree 2, so polynomial degree d means
 cohomological degree 2d and the ring is truncated at polynomial degree
 2n - 1 (the space has dimension 4n - 2).  For each polynomial degree the
 ideal's degree slice is the row space of {m * f, m * g : m a monomial},
-stored in reduced row echelon form; killing the pivot coordinates of a
-coefficient vector is then a canonical, linear, idempotent reduction, and
-it depends only on the span of {f, g}, not on the basis chosen.
+computed on first use and stored in reduced row echelon form; killing the
+pivot coordinates of a coefficient vector is then a canonical, linear,
+idempotent reduction, and it depends only on the span of {f, g}, not on
+the basis chosen.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from .gfp import rref_with_pivots
 class CohomRingModel:
     """Immutable-by-convention model of the even truncated cohomology ring.
 
-    Degree slices of the ideal are precomputed through polynomial degree
-    2n - 1 and extended lazily (and idempotently) if a reduction at
-    a higher degree comes in.
+    Each degree slice of the ideal is computed on the first reduction at
+    that degree and kept.
     """
 
     def __init__(self, p: int, n: int, f: HomogeneousForm, g: HomogeneousForm):
@@ -41,8 +41,6 @@ class CohomRingModel:
         self.g = g
         self.truncation = 2 * n - 1  # max polynomial degree kept in the model
         self._bases: dict[int, tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = {}
-        for d in range(self.truncation + 1):
-            self._basis(d)
 
     def _basis(self, d: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         got = self._bases.get(d)
@@ -59,8 +57,7 @@ class CohomRingModel:
                 for k, c in enumerate(gen.coeffs):
                     row[k + t] = c
                 rows.append(row)
-        basis = rref_with_pivots(rows, self.p) if rows else ((), ())
-        reduced, pivots = basis
+        reduced, pivots = rref_with_pivots(rows, self.p) if rows else ((), ())
         entry = (reduced[: len(pivots)], pivots)
         self._bases[d] = entry
         return entry

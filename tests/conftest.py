@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from lenspp import HomogeneousForm, RotationData, validate
-from lenspp.gfp import Mat2
+from lenspp.gfp import Mat2, rref_with_pivots
 
 
 def form_strategy(p: int, deg: int):
@@ -29,6 +29,13 @@ def gl2_elements(p: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(
         e for e in itertools.product(range(p), repeat=4) if (e[0] * e[3] - e[1] * e[2]) % p
     )
+
+
+def span_key(rows, p: int) -> tuple[tuple[int, ...], ...]:
+    """Canonical key for the row space, by general row reduction: the nonzero
+    rows of the rref.  The oracle for gfp.pair_span_key."""
+    reduced, pivots = rref_with_pivots(rows, p)
+    return reduced[: len(pivots)]
 
 
 def _plane_free(R, Q, p, n):

@@ -58,7 +58,7 @@ def test_acceptance_2_pontrjagin_vanishing_for_lens_products(report):
     for p in (5, 7):
         for r1, r2, q1, q2 in itertools.product(range(1, p), repeat=4):
             d = product_of_lens_spaces(p, (r1, r2), (q1, q2))
-            cls = total_pontrjagin(d, ring_model(p, 2, k_invariant(d).coeff_pair()))
+            cls = total_pontrjagin(d)
             if not cls.is_trivial():
                 ok = False
     report(2, "Pontrjagin class of 6-dim lens products vanishes", ok)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import free_space_strategy, gl2_elements
+from conftest import free_space_strategy, gl2_elements, span_key
 from lenspp.actions import RotationData, product_of_lens_spaces, validate
 from lenspp import classify
 from lenspp.classify import (
@@ -30,6 +30,7 @@ from lenspp.classify import (
     simple_homotopy_equivalent,
 )
 from lenspp.errors import (
+    CapacityError,
     HypothesisViolation,
     InvalidDimension,
     InvalidRotation,
@@ -49,7 +50,6 @@ from lenspp.gfp import (
     is_quadratic_residue,
     mat2_inv,
     mat2_mul,
-    span_key,
 )
 from lenspp.pontrjagin import total_pontrjagin, total_pontrjagin_raw
 from lenspp.quotient_ring import ring_model
@@ -441,7 +441,7 @@ def _oracle_homeomorphic(X, Y, marked=False):
     p = X.p
     model_y = ring_model(p, X.n, k_invariant(Y).coeff_pair())
     cls_x = total_pontrjagin_raw(X)
-    cls_y = total_pontrjagin(Y, model_y)
+    cls_y = total_pontrjagin(Y)
     degrees = sorted(set(cls_x) | {deg for deg, _ in cls_y.components})
 
     def class_check(A_entries):
@@ -686,6 +686,48 @@ def test_negative_with_differing_profiles_transports_nothing():
         classify._transported.cache_clear()
     assert [(v.equivalent, v.checked_pairs) for v in verdicts] == [(False, 0), (False, 0)]
     assert info.hits + info.misses == 0
+
+
+def _record_ring_models(monkeypatch):
+    """Wrap classify.ring_model; returns the list of (p, n) it is built for."""
+    builds = []
+    real = classify.ring_model
+
+    def recording(p, n, pair):
+        builds.append((p, n))
+        return real(p, n, pair)
+
+    monkeypatch.setattr(classify, "ring_model", recording)
+    return builds
+
+
+@pytest.mark.parametrize("p,n", [(37, 2), (101, 60)])
+def test_homeomorphic_refuses_above_the_gl2_cap_before_any_ring_model(monkeypatch, p, n):
+    builds = _record_ring_models(monkeypatch)
+    rng = random.Random(p * n)
+
+    def units():
+        return tuple(rng.randrange(1, p) for _ in range(n))
+
+    X, Y = (product_of_lens_spaces(p, units(), units()) for _ in range(2))
+    assert k_invariant(X) != k_invariant(Y)
+    with pytest.raises(CapacityError):
+        homeomorphic(X, Y)
+    assert builds == []
+
+
+def test_homeomorphic_profile_pruned_negative_builds_no_ring_model(monkeypatch):
+    builds = _record_ring_models(monkeypatch)
+    p = 13
+    rng = random.Random(5)
+    while True:
+        X, Y = _random_free(rng, p, 2), _random_free(rng, p, 2)
+        if _profile(X) != _profile(Y):
+            break
+    assert not homeomorphic(X, Y).equivalent
+    assert builds == []
+    assert homeomorphic(X, X).equivalent  # the identity check builds Y's model
+    assert builds == [(p, 2)]
 
 
 def test_negative_with_equal_profiles_walks_every_scalar_class():

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import lenspp
+from lenspp import cli
 from lenspp.actions import product_of_lens_spaces
 from lenspp.classify import _pencil_profile
 from lenspp.cli import main, parse_space
@@ -72,6 +73,35 @@ def test_invariants_output(capsys):
     assert code == 0
     assert doc["k_invariant"]["first"]["coeffs"] == [2, 3, 1]
     assert doc["k_invariant"]["second"]["coeffs"] == [5, 0, 1]
+
+
+# stdout of `lenspp invariants`, byte for byte: the ring model total_pontrjagin
+# derives from the k-invariant reduces exactly as a caller-built one did
+_INVARIANTS_STDOUT = {
+    "lens p=7 r=1,2 rp=1,3": (
+        '{"k_invariant":{"first":{"coeffs":[2,0,0],"deg":2},"second":{"coeffs":[0,0,3],"deg":2}},'
+        '"space":{"Q":[0,0,1,3],"R":[1,2,0,0],"n":2,"p":7},'
+        '"total_pontrjagin":{"components":{"4":{"coeffs":[0,0,0],"deg":2}},"truncation":3}}\n'
+    ),
+    "p=7 n=2 R=1,2,3,4 Q=1,1,1,1": (
+        '{"k_invariant":{"first":{"coeffs":[2,3,1],"deg":2},"second":{"coeffs":[5,0,1],"deg":2}},'
+        '"space":{"Q":[1,1,1,1],"R":[1,2,3,4],"n":2,"p":7},'
+        '"total_pontrjagin":{"components":{"4":{"coeffs":[0,0,1],"deg":2}},"truncation":3}}\n'
+    ),
+    "p=11 n=3 R=1,2,3,4,5,6 Q=1,1,1,1,1,1": (
+        '{"k_invariant":{"first":{"coeffs":[6,0,6,1],"deg":3},'
+        '"second":{"coeffs":[10,8,4,1],"deg":3}},'
+        '"space":{"Q":[1,1,1,1,1,1],"R":[1,2,3,4,5,6],"n":3,"p":11},'
+        '"total_pontrjagin":{"components":{"4":{"coeffs":[3,9,6],"deg":2},'
+        '"8":{"coeffs":[0,0,0,0,9],"deg":4}},"truncation":5}}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("space", sorted(_INVARIANTS_STDOUT))
+def test_invariants_stdout_bytes(capsys, space):
+    assert main(["invariants", space]) == 0
+    assert capsys.readouterr().out == _INVARIANTS_STDOUT[space]
 
 
 def test_invariants_requires_free_space(capsys):
@@ -149,6 +179,21 @@ def test_census_invalid_request_exit(tmp_path, capsys, argv):
     assert code == 2
     assert doc["error"] == "invalid"
     assert not out.exists()
+
+
+def test_census_out_file_is_invalid_before_the_census_runs(tmp_path, capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run_census called")
+
+    monkeypatch.setattr(cli, "run_census", forbidden)
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    code = main(["census", "3", "2", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.count("\n") == 1
+    assert json.loads(captured.out)["error"] == "invalid"
+    assert out.read_text() == "not a directory"
 
 
 def test_census_sampled(tmp_path, capsys):
@@ -264,6 +309,13 @@ def test_oversized_sample_refuses_within_budget(tmp_path):
 def _profile(text):
     d = parse_space(text)
     return _pencil_profile(d.p, d.n, *k_pair(d.p, d.n, d.R, d.Q))
+
+
+def test_compare_homeo_of_equal_spaces_beyond_gl2_cap_answers(capsys):
+    same = "lens p=101 r=1,2 rp=1,3"
+    code, doc, _ = run_cli(capsys, "compare", "--level", "homeo", same, same)
+    assert code == 0
+    assert (doc["equivalent"], doc["checked_pairs"]) == (True, 1)
 
 
 def test_compare_beyond_gl2_cap_refuses_before_the_profile_prune():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gl2_elements
+from conftest import gl2_elements, span_key
 from lenspp.errors import CapacityError, InvalidPrime
 from lenspp.gfp import (
     Mat2,
@@ -18,7 +18,6 @@ from lenspp.gfp import (
     pgl2_rows,
     require_odd_prime,
     rref_with_pivots,
-    span_key,
 )
 
 
