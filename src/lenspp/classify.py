@@ -15,8 +15,13 @@ k-invariants short-circuit to the identity witness first.  The search
 lives on PGL2: lam*A moves the degree-n k-pair to lam^n times its image
 under A, so it carries span k(X) to the same plane, and its mix is lam^-n
 times A's.  The span test and the mix are computed once per scalar class
-(p(p^2 - 1) of them, a (p - 1)-th of GL2), on integer tuples, and the other
-members of a matched class are scaled copies.  The walk is skipped when the
+(p(p^2 - 1) of them, a (p - 1)-th of GL2), and the other members of a
+matched class are scaled copies.  Both run in value coordinates: a degree-n
+form is determined by its values at the n + 1 points (1, i), i = 0..n, and
+the substituted form x.A has values x(a + b*i, c + d*i) there, n + 1 lookups
+into a table of x over GF(p)^2, so no substitution matrix is built.  Span
+equality and the mix read the same on values as on coefficients, because
+evaluation is a linear isomorphism.  The walk is skipped when the
 pencil profiles differ (the zero counts on P^1(GF(p)) of the members of
 span k(X) and of span k(Y)): a substitution carrying one span onto the other
 maps members onto members and permutes P^1, so it would find no match.
@@ -125,13 +130,54 @@ def _require_free(data: RotationData) -> None:
         raise InvalidRotation("comparison requires free actions; input is not free")
 
 
+def _at(x, s, t, p):
+    """The degree-n form x at the point (s, t): sum_k x[k] * s^(n-k) * t^k,
+    by Horner's rule in s."""
+    v, tk = 0, 1
+    for c in x:
+        v = v * s + c * tk
+        tk *= t
+    return v % p
+
+
+@lru_cache(maxsize=2**8)
+def _value_table(p, x):
+    """x at every point of GF(p)^2, x(s, t) at index s*p + t: p^2 values,
+    ~7.7 KB at p = 31, so the 2^8 tables the cache holds stay near 2 MB."""
+    return tuple(_at(x, s, t, p) for s in range(p) for t in range(p))
+
+
+def _values(p, x):
+    """Value coordinates of a degree-n form x: its values at the n + 1
+    points (1, i), i = 0..n.  The points are distinct because p > n, and a
+    nonzero degree-n form has at most n zeros on P^1, so this linear map is
+    injective."""
+    return tuple(_at(x, 1, i, p) for i in range(len(x)))
+
+
 @lru_cache(maxsize=2**18)
 def _transported(p, deg, A, x1, x2):
-    """Substituted k-pair (u, v) for substitution A, plus its span key."""
-    M = substitution_matrix(p, deg, A)
-    u = apply_matrix(M, x1, p)
-    v = apply_matrix(M, x2, p)
-    return u, v, pair_span_key(u, v, p)
+    """Value coordinates of the k-pair substituted by A = (a, b, c, d):
+    u(1, i) = x1(a + b*i, c + d*i), n + 1 lookups into x1's value table,
+    and likewise v from x2."""
+    a, b, c, d = A
+    t1, t2 = _value_table(p, x1), _value_table(p, x2)
+    points = [(a + b * i) % p * p + (c + d * i) % p for i in range(deg + 1)]
+    return tuple(t1[k] for k in points), tuple(t2[k] for k in points)
+
+
+@lru_cache(maxsize=2**12)
+def _target_plane(p, y1, y2):
+    """Value coordinates (w1, w2) of the k-pair (y1, y2), the rref pivots
+    i0 < j0 of their plane, and for every other column k the entries
+    (k, r1[k], r2[k]) of its rref rows: w lies in the plane iff
+    w[k] = w[i0]*r1[k] + w[j0]*r2[k] for each of them."""
+    w1, w2 = _values(p, y1), _values(p, y2)
+    r1, r2 = pair_span_key(w1, w2, p)
+    i0 = next(k for k, x in enumerate(r1) if x)
+    j0 = next(k for k, x in enumerate(r2) if x)
+    rest = tuple((k, r1[k], r2[k]) for k in range(len(r1)) if k not in (i0, j0))
+    return w1, w2, i0, j0, rest
 
 
 @lru_cache(maxsize=2**12)
@@ -139,30 +185,28 @@ def _pencil_profile(p, n, x1, x2):
     """Sorted zero counts on P^1(GF(p)) of the p + 1 members s*x1 + t*x2,
     (s : t) projective, of the pencil of a free space's k-pair (x1, x2).
 
-    At each point the monomials a^(n-k) * b^k evaluate x1 and x2 to
-    (e1, e2), not both zero (freeness: no linear factor of x1 is
-    proportional to one of x2), and the one member vanishing there is
-    (e2 : -e1).  A substitution permutes P^1, an invertible mix permutes
-    the members, and a scalar moves no zeros, so this is an invariant of
-    the pair under (A, B) for every invertible B."""
+    At each point (a, b), x1 and x2 take values (e1, e2), not both zero
+    (freeness: no linear factor of x1 is proportional to one of x2), and
+    the one member vanishing there is (e2 : -e1).  A substitution permutes
+    P^1, an invertible mix permutes the members, and a scalar moves no
+    zeros, so this is an invariant of the pair under (A, B) for every
+    invertible B."""
     zeros = Counter()
     for a, b in [(1, t) for t in range(p)] + [(0, 1)]:
-        mono = [pow(a, n - k, p) * pow(b, k, p) for k in range(n + 1)]
-        e1 = sum(c * m for c, m in zip(x1, mono)) % p
-        e2 = sum(c * m for c, m in zip(x2, mono)) % p
+        e1, e2 = _at(x1, a, b, p), _at(x2, a, b, p)
         zeros[-e1 * inv(e2, p) % p if e2 else None] += 1  # None: the member (0 : 1)
     return tuple(sorted(list(zeros.values()) + [0] * (p + 1 - len(zeros))))
 
 
-def _mix_solver(u, v, y1, y2, p):
-    """The mix (c, d, e, f) with c*u + d*v = y1 and e*u + f*v = y2.
+def _mix_solver(u, v, y1, y2, i0, j0, p):
+    """The mix (c, d, e, f) with c*u + d*v = y1 and e*u + f*v = y2, solved
+    on the columns i0 and j0 of value coordinates.
 
-    u and v must be independent and span y1 and y2: the k-pair of a free
-    space and all its substitutions are independent (the public entry points
-    check freeness first), and equal span keys put y1, y2 in span(u, v)."""
-    m = len(u)
-    i0 = next(i for i in range(m) if u[i] or v[i])
-    j0 = next(j for j in range(m) if (u[i0] * v[j] - v[i0] * u[j]) % p)
+    u and v must be independent and lie in the plane of y1 and y2, whose
+    rref pivots are i0 and j0: that plane projects isomorphically onto
+    those two columns, so the 2x2 minor of (u, v) there is invertible.  The
+    k-pair of a free space and all its substitutions are independent (the
+    public entry points check freeness first)."""
     s = inv(u[i0] * v[j0] - v[i0] * u[j0], p)
     return tuple(
         x * s % p
@@ -176,6 +220,10 @@ def _span_matches(p, n, kx_pair, ky_pair, marked=False):
     marked), for every substitution A carrying span k(X) onto span k(Y); B is
     the mix carrying k(X) transported by A onto k(Y).
 
+    Both tests run in value coordinates (see _values).  The transported
+    pair (u, v) is independent, so its span is k(Y)'s plane iff u and v
+    each lie in it: n - 1 residual checks each (see _target_plane).
+
     Row-major order walks the first rows (a, b) in lex order.  A row whose
     first nonzero entry lam is 1 holds PGL2 representatives: each is
     transported and, if its span matches, its mix solved.  Every other row
@@ -183,21 +231,32 @@ def _span_matches(p, n, kx_pair, ky_pair, marked=False):
     mix lam^-n * B, re-sorted.
 
     Unmarked, the walk runs only if the pencil profiles agree, checked after
-    pgl2_rows so its capacity refusal comes first.  Differing profiles rule
-    out every span match: a matching A and its invertible mix carry each
-    member of span k(X) onto a member of span k(Y), and A permutes the points
-    of P^1, so the members' zero counts agree.  The walk would yield nothing,
-    which is what the early return yields."""
+    pgl2_rows so its capacity refusal comes first, and before any value
+    table or transport.  Differing profiles rule out every span match: a
+    matching A and its invertible mix carry each member of span k(X) onto a
+    member of span k(Y), and A permutes the points of P^1, so the members'
+    zero counts agree.  The walk would yield nothing, which is what the
+    early return yields.  The marked path evaluates k(X) at the n + 1
+    points directly and builds no table, so it answers at any p."""
     x1, x2 = kx_pair
     y1, y2 = ky_pair
-    target = pair_span_key(y1, y2, p)
+    if not marked:
+        reps = dict(pgl2_rows(p))
+        if _pencil_profile(p, n, x1, x2) != _pencil_profile(p, n, y1, y2):
+            return
+    w1, w2, i0, j0, rest = _target_plane(p, y1, y2)
+
+    def in_plane(u, v):
+        su, tu, sv, tv = u[i0], u[j0], v[i0], v[j0]
+        for k, r1, r2 in rest:
+            if (u[k] - su * r1 - tu * r2) % p or (v[k] - sv * r1 - tv * r2) % p:
+                return False
+        return True
+
     if marked:
-        u, v, key = _transported(p, n, _IDENT, x1, x2)
-        if key == target:
-            yield _IDENT, _mix_solver(u, v, y1, y2, p)
-        return
-    reps = dict(pgl2_rows(p))
-    if _pencil_profile(p, n, x1, x2) != _pencil_profile(p, n, y1, y2):
+        u, v = _values(p, x1), _values(p, x2)
+        if in_plane(u, v):
+            yield _IDENT, _mix_solver(u, v, w1, w2, i0, j0, p)
         return
     matched: dict[tuple, list] = {}  # representative row -> its matches (A, B)
     for a in range(p):
@@ -206,9 +265,9 @@ def _span_matches(p, n, kx_pair, ky_pair, marked=False):
             if lam == 1:
                 got = matched[a, b] = []
                 for A in reps[a, b]:
-                    u, v, key = _transported(p, n, A, x1, x2)
-                    if key == target:
-                        got.append((A, _mix_solver(u, v, y1, y2, p)))
+                    u, v = _transported(p, n, A, x1, x2)
+                    if in_plane(u, v):
+                        got.append((A, _mix_solver(u, v, w1, w2, i0, j0, p)))
                         yield got[-1]
             elif lam:
                 s = inv(lam, p)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Sequence
 
 from .actions import RotationData
@@ -126,7 +127,7 @@ def substitution_matrix(p: int, deg: int, entries: tuple[int, int, int, int]) ->
 
 
 def apply_matrix(M: Sequence[Sequence[int]], vec: Sequence[int], p: int) -> tuple[int, ...]:
-    return tuple(sum(row[k] * vec[k] for k in range(len(vec))) % p for row in M)
+    return tuple(sum(map(mul, row, vec)) % p for row in M)
 
 
 def substitute(form: HomogeneousForm, A: Mat2) -> HomogeneousForm:

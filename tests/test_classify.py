@@ -792,6 +792,100 @@ def test_negative_with_equal_profiles_at_the_gl2_cap_keeps_no_gl2_table():
     assert added_mb < 60
 
 
+# ---------------------------------------------------------------------------
+# value coordinates: the walk transports by table lookups, not by a
+# substitution matrix
+
+def _random_gl2(rng, p):
+    while True:
+        A = tuple(rng.randrange(p) for _ in range(4))
+        if (A[0] * A[3] - A[1] * A[2]) % p:
+            return A
+
+
+@pytest.mark.parametrize("p,n", [(5, 2), (7, 3), (13, 2), (31, 3)])
+def test_transported_values_are_the_substituted_pair_at_the_points(p, n):
+    """_transported(A) is the k-pair substituted by A, evaluated at the
+    n + 1 points (1, i): sum_k c_k * i^k for its coefficients c."""
+    rng = random.Random(40 * p + n)
+    for _ in range(30):
+        x1, x2 = k_invariant(_random_free(rng, p, n)).coeff_pair()
+        A = _random_gl2(rng, p)
+        M = substitution_matrix(p, n, A)
+        want = tuple(
+            tuple(
+                sum(c * i**k for k, c in enumerate(apply_matrix(M, x, p))) % p
+                for i in range(n + 1)
+            )
+            for x in (x1, x2)
+        )
+        assert classify._transported(p, n, A, x1, x2) == want, (x1, x2, A)
+
+
+def _record_value_tables(monkeypatch):
+    """Wrap classify._value_table; returns the list of p it is called for.
+    _transported's cache is cleared, so each transport reaches the tables."""
+    classify._transported.cache_clear()
+    builds = []
+    real = classify._value_table
+
+    def recording(p, x):
+        builds.append(p)
+        return real(p, x)
+
+    monkeypatch.setattr(classify, "_value_table", recording)
+    return builds
+
+
+def test_refusals_prunes_and_marked_calls_build_no_value_table(monkeypatch):
+    builds = _record_value_tables(monkeypatch)
+    X, Y = lens(37, 1, 2), lens(37, 2, 3)
+    assert k_invariant(X) != k_invariant(Y)
+    for decide in (homotopy_equivalent, homeomorphic):
+        with pytest.raises(CapacityError):
+            decide(X, Y)
+    rng = random.Random(5)
+    while True:
+        X, Y = _random_free(rng, 13, 2), _random_free(rng, 13, 2)
+        if _profile(X) != _profile(Y):
+            break
+    assert not homeomorphic(X, Y).equivalent
+    # marked, at a p whose p^2-entry table would not fit in memory
+    p = 10007
+    X = lens(p, 1, 2)
+    Y = validate(RotationData(p, 2, (p - X.R[0],) + X.R[1:], (p - X.Q[0],) + X.Q[1:]))
+    for decide in (homotopy_equivalent, homeomorphic):
+        got = decide(X, Y, marked=True)
+        assert got.equivalent and got.witness.B.det() == p - 1
+        assert not decide(X, lens(p, 2, 3), marked=True).equivalent
+    assert builds == []
+    rng = random.Random(5)
+    while True:  # the recorder does see the tables a walk builds
+        X, Y = _random_free(rng, 13, 2), _random_free(rng, 13, 2)
+        if _profile(X) == _profile(Y):
+            break
+    homotopy_equivalent(X, Y)
+    assert builds and set(builds) == {13}
+
+
+def test_walked_negatives_build_no_substitution_matrix():
+    p = 13
+    rng = random.Random(5)
+    while True:
+        X, Y = _random_free(rng, p, 2), _random_free(rng, p, 2)
+        if _profile(X) == _profile(Y) and not homotopy_equivalent(X, Y).equivalent:
+            break
+    for (X, Y), checked in (((X, Y), None), (_cube_free_lens_negative(31), 1800)):
+        for decide in (homotopy_equivalent, homeomorphic):
+            classify._transported.cache_clear()
+            substitution_matrix.cache_clear()
+            got = decide(X, Y)
+            assert substitution_matrix.cache_info().misses == 0
+            assert not got.equivalent and got.checked_pairs > 0
+            assert checked is None or got.checked_pairs == checked
+    classify._transported.cache_clear()
+
+
 def _negative_kind(X, Y):
     """'pruned' (profiles differ), 'no_span' (no A carries span k(X) onto
     span k(Y)) or 'no_mix' (some A does, with no det +-1 mix), per the
