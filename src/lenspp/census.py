@@ -15,8 +15,8 @@ through the reduced basis of its row space, and each plane (|GL2| free
 spaces) is classified once per process.
 
 Outputs are deterministic byte-for-byte: the enumeration order is fixed,
-workers only partition the scan and are merged with order-independent
-reductions (sums and minima), and serialization is canonical.
+workers merge their groups by class counts and least pairs alone (sums and
+minima, in any order), and serialization is canonical.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .actions import RotationData, _free_by_planes, product_of_lens_spaces
 from .classify import (
@@ -112,16 +112,18 @@ def _rank2(R, Q, p) -> bool:
     return any((a * y - b * x) % p for x, y in zip(R, Q))
 
 
-def _scan(p: int, n: int, start: int, stop: int) -> Iterator[tuple[tuple, tuple, bool]]:
-    """(R, Q, free) for every rank-2 pair whose R has lex index in
-    [start, stop) among the p^(2n) vectors, in lex order of (R, Q)."""
+def _scan(p: int, n: int, start: int, stop: int) -> Iterator[RotationData]:
+    """Every free (R, Q) whose R has lex index in [start, stop) among the
+    p^(2n) vectors, in lex order of (R, Q): the one enumeration of a census.
+    Each pair with R != 0 is tested for rank 2, each rank-2 pair for
+    freeness."""
     vectors = list(itertools.product(range(p), repeat=2 * n))
     for R in vectors[start:stop]:
         if not any(R):
             continue
         for Q in vectors:
-            if _rank2(R, Q, p):
-                yield R, Q, _free_by_planes(R, Q, p, n)
+            if _rank2(R, Q, p) and _free_by_planes(R, Q, p, n):
+                yield RotationData(p, n, R, Q)
 
 
 def free_count(p: int, n: int) -> int:
@@ -147,11 +149,13 @@ def free_count(p: int, n: int) -> int:
     )
 
 
-def _require_census(p: int, n: int, sample: int | None) -> None:
+def _require_census(p: int, n: int, sample: int | None, workers: int = 1) -> None:
     """Refuse an invalid or oversized census request before any scan or draw."""
     require_odd_prime(p)
     if n < 2:
         raise InvalidDimension(f"census needs n >= 2, got {n}")
+    if workers < 1:
+        raise ValueError(f"worker count must be at least 1, got {workers}")
     if sample is None:
         if p > CENSUS_PRIME_CAP or n != 2:
             raise CapacityError(
@@ -173,16 +177,14 @@ def enumerate_free(
 ) -> Iterator[RotationData]:
     """Yield each validated free (R, Q) exactly once, in a fixed order.
 
-    Exhaustive mode scans all p^(4n) raw pairs and is guarded at p <= 7,
+    Exhaustive mode is _scan over all p^(4n) raw pairs, guarded at p <= 7,
     n = 2; pass sample=k, 1 <= k <= free_count(p, n), to draw k distinct
     free spaces from a seeded RNG instead (any p, subject to p > n for the
     downstream k-invariant).  n < 2 is refused as invalid.
     """
     _require_census(p, n, sample)
     if sample is None:
-        for R, Q, free in _scan(p, n, 0, p ** (2 * n)):
-            if free:
-                yield RotationData(p, n, R, Q)
+        yield from _scan(p, n, 0, p ** (2 * n))
         return
     rng = random.Random(seed)
     seen: set[tuple] = set()
@@ -260,55 +262,45 @@ def _add(groups: dict, key: tuple, count: int, R: tuple, Q: tuple) -> None:
             got[1], got[2] = R, Q
 
 
-def _census_chunk(args: tuple) -> tuple[int, int, dict]:
-    """Scan R-indices [start, stop); returns (validated pairs, free count,
-    {(canonical, fingerprint): [count, min R, min Q]})."""
-    p, n, start, stop = args
-    total = 0
-    free = 0
+def _group(spaces: Iterable[RotationData]) -> dict[tuple, list]:
+    """{(canonical, fingerprint): [count, min R, min Q]} over spaces."""
     groups: dict[tuple, list] = {}
-    for R, Q, acts_freely in _scan(p, n, start, stop):
-        total += 1
-        if acts_freely:
-            free += 1
-            _add(groups, _classify_item(RotationData(p, n, R, Q)), 1, R, Q)
-    return total, free, groups
+    for data in spaces:
+        _add(groups, _classify_item(data), 1, data.R, data.Q)
+    return groups
+
+
+def _census_chunk(args: tuple) -> dict[tuple, list]:
+    """The groups of the free spaces whose R-index lies in [start, stop)."""
+    p, n, start, stop = args
+    return _group(_scan(p, n, start, stop))
 
 
 def run_census(
     p: int, n: int, workers: int = 1, sample: int | None = None, seed: int = 0
 ) -> CensusRecord:
-    """Full (or sampled) census; identical results for any worker count."""
-    _require_census(p, n, sample)
-    outside = not (p > 3 and p > n + 1)
-    total = 0
-    free = 0
-    groups: dict[tuple, list] = {}
+    """Full (or sampled) census; identical results for any worker count.
+
+    Each worker (at most one per CPU) groups one slice of the R-indices, a
+    sample is grouped as one slice, and the slices' groups are merged.
+    free_count sums the class counts; total_pairs counts the rank-2 pairs
+    tested for freeness, (p^(2n) - 1)(p^(2n) - p), or the sample size."""
+    _require_census(p, n, sample, workers)
+    size = p ** (2 * n)
     if sample is not None:
-        for data in enumerate_free(p, n, sample=sample, seed=seed):
-            free += 1
-            total += 1
-            _add(groups, _classify_item(data), 1, data.R, data.Q)
+        results = [_group(enumerate_free(p, n, sample=sample, seed=seed))]
     else:
-        size = p ** (2 * n)
-        workers = max(1, min(int(workers), size, os.cpu_count() or 1))
+        workers = min(int(workers), size, os.cpu_count() or 1)
+        chunks = [(p, n, size * w // workers, size * (w + 1) // workers) for w in range(workers)]
         if workers == 1:
-            chunks = [(p, n, 0, size)]
             results = map(_census_chunk, chunks)
         else:
-            bound = [size * w // workers for w in range(workers + 1)]
-            chunks = [
-                (p, n, bound[w], bound[w + 1])
-                for w in range(workers)
-                if bound[w] < bound[w + 1]
-            ]
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_census_chunk, chunks))
-        for chunk_total, chunk_free, chunk_groups in results:
-            total += chunk_total
-            free += chunk_free
-            for key, (cnt, R, Q) in chunk_groups.items():
-                _add(groups, key, cnt, R, Q)
+    groups: dict[tuple, list] = {}
+    for chunk in results:
+        for key, (cnt, R, Q) in chunk.items():
+            _add(groups, key, cnt, R, Q)
     reps = tuple(
         ClassRepresentative(R=tuple(rq[1]), Q=tuple(rq[2]), canonical=key[0],
                             fingerprint=key[1], count=rq[0])
@@ -317,11 +309,11 @@ def run_census(
     return CensusRecord(
         p=p,
         n=n,
-        total_pairs=total,
-        free_count=free,
+        total_pairs=sample if sample is not None else (size - 1) * (size - p),
+        free_count=sum(cnt for cnt, _, _ in groups.values()),
         homotopy_classes=len({key[0] for key in groups}),
         homeomorphism_classes=len(groups),
-        outside_hypotheses=outside,
+        outside_hypotheses=not (p > 3 and p > n + 1),
         sampled=sample is not None,
         representatives=reps,
     )

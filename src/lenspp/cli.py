@@ -142,7 +142,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_census(args: argparse.Namespace) -> int:
     # refuse the request, then an unusable --out, before the census runs
-    _require_census(args.p, args.n, args.sample)
+    _require_census(args.p, args.n, args.sample, args.workers)
     try:
         Path(args.out).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -239,9 +239,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_census.add_argument("p", type=int)
     p_census.add_argument("n", type=int)
     p_census.add_argument("--out", required=True, help="output directory")
-    p_census.add_argument("--workers", type=int, default=1)
-    p_census.add_argument("--sample", type=int, default=None)
-    p_census.add_argument("--seed", type=int, default=0)
+    p_census.add_argument(
+        "--workers", type=int, default=1,
+        help="worker processes, capped at the CPU count; results are identical for any count",
+    )
+    p_census.add_argument(
+        "--sample", type=int, default=None,
+        help="classify this many distinct free spaces drawn at random instead of all (any p)",
+    )
+    p_census.add_argument("--seed", type=int, default=0, help="seed of the --sample draw")
     p_census.set_defaults(func=_cmd_census)
 
     p_app = sub.add_parser(

@@ -36,10 +36,8 @@ class CohomRingModel:
         if f.is_zero() or g.is_zero():
             raise DegenerateIdeal("zero ideal generator; k-invariant components must be nonzero")
         self.p = p
-        self.n = n
         self.f = f
         self.g = g
-        self.truncation = 2 * n - 1  # max polynomial degree kept in the model
         self._bases: dict[int, tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = {}
 
     def _basis(self, d: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:

@@ -230,6 +230,56 @@ def test_census_workers_capped_at_cpu_count(monkeypatch, cpus, pools):
     assert sizes == pools
 
 
+def _record_calls(monkeypatch, names):
+    """Count the calls census makes to each of names, through its globals."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def recorder(*args, fn=getattr(census, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(census, name, recorder)
+    return calls
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_census_scan_work_matches_the_record(monkeypatch, workers):
+    """The scan tests each pair with R != 0 for rank 2 (81 * 80 at p = 3),
+    each rank-2 pair for freeness (total_pairs, in closed form) and
+    classifies each free space once (free_count), for any worker count."""
+    sizes = []
+    monkeypatch.setattr(census, "ProcessPoolExecutor", lambda max_workers: _InlinePool(sizes, max_workers))
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
+    calls = _record_calls(monkeypatch, ["_rank2", "_free_by_planes", "_classify_item"])
+    rec = run_census(3, 2, workers=workers)
+    assert sizes == ([workers] if workers > 1 else [])
+    assert (rec.total_pairs, rec.free_count) == (6240, 1344)
+    assert calls == {
+        "_rank2": 81 * 80,
+        "_free_by_planes": rec.total_pairs,
+        "_classify_item": rec.free_count,
+    }
+
+
+def test_sampled_census_counts_each_draw_once(monkeypatch):
+    calls = _record_calls(monkeypatch, ["_classify_item"])
+    rec = run_census(5, 2, sample=200, seed=3)
+    assert rec.sampled
+    assert rec.total_pairs == rec.free_count == calls["_classify_item"] == 200
+    assert sum(r.count for r in rec.representatives) == 200
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_run_census_refuses_workers_below_one_before_the_scan(monkeypatch, workers):
+    def forbidden(*args):
+        raise AssertionError("scan started before the refusal")
+
+    monkeypatch.setattr(census, "_scan", forbidden)
+    with pytest.raises(ValueError) as info:
+        run_census(3, 2, workers=workers)
+    assert type(info.value) is ValueError
+
+
 def test_census_reversed_order_recount():
     """Grouping the stream in reversed order reproduces the counts."""
     rec = run_census(3, 2)

@@ -196,6 +196,23 @@ def test_census_out_file_is_invalid_before_the_census_runs(tmp_path, capsys, mon
     assert out.read_text() == "not a directory"
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_census_workers_below_one_is_invalid_before_the_census_runs(
+    tmp_path, capsys, monkeypatch, workers
+):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run_census called")
+
+    monkeypatch.setattr(cli, "run_census", forbidden)
+    out = tmp_path / "census"
+    code = main(["census", "3", "2", "--out", str(out), "--workers", workers])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.count("\n") == 1
+    assert json.loads(captured.out)["error"] == "invalid"
+    assert not out.exists()
+
+
 def test_census_sampled(tmp_path, capsys):
     code, doc, _ = run_cli(
         capsys, "census", "7", "2", "--out", str(tmp_path), "--sample", "6",
