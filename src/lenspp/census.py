@@ -38,7 +38,7 @@ from .classify import (
     _matching_substitutions,
     homeomorphic,
 )
-from .errors import CapacityError, InvalidDimension
+from .errors import CapacityError, HypothesisViolation, InvalidDimension
 # product_of_linear_forms and total_pontrjagin_raw are the form-valued
 # counterparts of k_pair and pontrjagin_coeffs; the per-space kernel below
 # does not call them, but perfbench/tracing.py wraps them under these names.
@@ -154,6 +154,8 @@ def _require_census(p: int, n: int, sample: int | None, workers: int = 1) -> Non
     require_odd_prime(p)
     if n < 2:
         raise InvalidDimension(f"census needs n >= 2, got {n}")
+    if p <= n:
+        raise HypothesisViolation(f"census needs p > n, got p = {p}, n = {n}")
     if workers < 1:
         raise ValueError(f"worker count must be at least 1, got {workers}")
     if sample is None:
@@ -179,8 +181,9 @@ def enumerate_free(
 
     Exhaustive mode is _scan over all p^(4n) raw pairs, guarded at p <= 7,
     n = 2; pass sample=k, 1 <= k <= free_count(p, n), to draw k distinct
-    free spaces from a seeded RNG instead (any p, subject to p > n for the
-    downstream k-invariant).  n < 2 is refused as invalid.
+    free spaces from a seeded RNG instead (any p > n: the k-invariant and
+    the witness walk need it, and p <= n is refused with
+    HypothesisViolation).  n < 2 is refused as invalid.
     """
     _require_census(p, n, sample)
     if sample is None:

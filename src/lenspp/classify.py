@@ -30,7 +30,9 @@ The canonical form, the census grouping key, is the least pair in the
 k-invariant pair's (A, B) orbit.  Substitution and mix commute, so the orbit
 is built in one pass over GL2 (the scalar multiples of the PGL2
 representatives) as a union of B-orbits: each A transports the pair once,
-and only a transported pair not yet seen is mixed by the det +-1 group.
+and only a transported pair not yet reached is mixed by the det +-1 group.
+An orbit above ORBIT_SIZE_CAP pairs, sized first by orbit-stabiliser, is
+refused before it is built.
 The classical one-lens-space criteria are provided as baselines for
 cross-checks.
 """
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .actions import RotationData, is_free
-from .errors import HypothesisViolation, InvalidDimension, InvalidRotation
+from .errors import CapacityError, HypothesisViolation, InvalidDimension, InvalidRotation
 from .forms import (
     HomogeneousForm,
     KInvariant,
@@ -384,24 +386,46 @@ def _matching_substitutions(p, n, kx_pair, ky_pair) -> tuple[tuple, ...]:
 
 _ORBITS: dict[tuple, dict] = {}
 
+# Largest (A, B) orbit _canonicalize builds: every orbit at (13, 2) fits (the
+# largest seen holds 1,192,464 pairs, ~230 MB peak), while (11, 3), (13, 3) and
+# (17, 2) orbits run from 4,356,000 pairs up and are refused.
+ORBIT_SIZE_CAP = 2_000_000
+
+
+def _orbit_size(p: int, n: int, key: tuple) -> int:
+    """Number of pairs in the (A, B) orbit of the k-coefficient pair key, by
+    orbit-stabiliser: |GL2| * |{det B = +-1}| over the stabiliser, whose
+    members are the self-witnesses A of key (each with exactly one mix,
+    since the transported pair is independent).  One transport walk."""
+    group = (p * p - 1) * (p * p - p) * 2 * p * (p * p - 1)
+    return group // len(_matching_substitutions(p, n, key, key))
+
 
 def _canonicalize(p: int, n: int, key: tuple) -> tuple[tuple, tuple]:
     """Orbit minimum of a k-coefficient pair under the (A, B) action, plus a
     substitution A0 carrying this pair onto the minimum.
 
+    A cache miss whose orbit would exceed ORBIT_SIZE_CAP pairs is refused
+    with CapacityError before any of it is built (see _orbit_size).
     Substitution and mix commute, so the orbit is the union over A in GL2 of
     the B-orbits of the transported pair key.A.  One pass over GL2 (the
-    scalar multiples of the PGL2 representatives, in row-major order)
-    transports the key once per A; a transported pair already seen lies in a
-    B-orbit already enumerated, otherwise all its det +-1 mixes (read off a
-    table of the p^2 combinations c*u + d*v) are added with A as their
-    substitution part.  Every member's answer is cached at once, and
-    witnesses compose as A_key->x ^-1 * A_key->min.
+    scalar multiples of the PGL2 representatives, in row-major order) fills
+    reach, which maps each orbit member to the first A whose B-orbit holds
+    it: a transported pair already in reach lies in a B-orbit already
+    enumerated, otherwise all its det +-1 mixes (read off a table of the p^2
+    combinations c*u + d*v) map to A.  Every member's answer is cached at
+    once, and witnesses compose as A_key->x ^-1 * A_key->min.
     """
-    cache = _ORBITS.setdefault((p, n), {})
-    got = cache.get(key)
+    got = _ORBITS.get((p, n), {}).get(key)
     if got is not None:
         return got
+    size = _orbit_size(p, n, key)
+    if size > ORBIT_SIZE_CAP:
+        raise CapacityError(
+            f"the canonical form at p = {p}, n = {n} needs an orbit of {size} pairs, "
+            f"above the cap of {ORBIT_SIZE_CAP}"
+        )
+    cache = _ORBITS.setdefault((p, n), {})
     x1, x2 = key
     gl2 = sorted(
         (lam * a % p, lam * b % p, lam * c % p, lam * d % p)
@@ -410,28 +434,25 @@ def _canonicalize(p: int, n: int, key: tuple) -> tuple[tuple, tuple]:
         for lam in range(1, p)
     )
     mixes = [b for b in gl2 if (b[0] * b[3] - b[1] * b[2]) % p in (1, p - 1)]
-    seen: set[tuple] = set()
-    b_orbits = []  # (A, the B-orbit of key.A)
+    reach: dict[tuple, tuple] = {}
     for A in gl2:
         M = substitution_matrix(p, n, A)
         u = apply_matrix(M, x1, p)
         v = apply_matrix(M, x2, p)
-        if (u, v) in seen:
+        if (u, v) in reach:
             continue
         lin = {
             (c, d): tuple((c * x + d * y) % p for x, y in zip(u, v))
             for c in range(p)
             for d in range(p)
         }
-        members = {(lin[b[0], b[1]], lin[b[2], b[3]]) for b in mixes}
-        seen |= members
-        b_orbits.append((A, members))
-    canon = min(seen)
-    a_canon = next(A for A, members in b_orbits if canon in members)
-    for A, members in b_orbits:
-        entry = (canon, mat2_mul(mat2_inv(A, p), a_canon, p))
-        for pair in members:
-            cache[pair] = entry
+        for b in mixes:
+            reach[lin[b[0], b[1]], lin[b[2], b[3]]] = A
+    canon = min(reach)
+    a_canon = reach[canon]
+    entry = {A: (canon, mat2_mul(mat2_inv(A, p), a_canon, p)) for A in set(reach.values())}
+    for pair, A in reach.items():
+        cache[pair] = entry[A]
     return cache[key]
 
 

@@ -22,7 +22,7 @@ from lenspp.census import (
 from conftest import gl2_elements
 from lenspp import census, classify, forms
 from lenspp.classify import canonical_form, homeomorphic, homotopy_equivalent
-from lenspp.errors import CapacityError, InvalidDimension, InvalidSpan
+from lenspp.errors import CapacityError, HypothesisViolation, InvalidDimension, InvalidSpan
 from lenspp.forms import HomogeneousForm, k_invariant, substitute
 from lenspp.gfp import Mat2, inv, is_quadratic_residue
 from lenspp.pontrjagin import total_pontrjagin_raw
@@ -78,6 +78,8 @@ def test_enumerate_free_capacity_guard():
         (11, 2, None, CapacityError),
         (5, 3, None, CapacityError),
         (3, 2, 1345, CapacityError),
+        (3, 3, 1, HypothesisViolation),
+        (5, 5, 1, HypothesisViolation),
     ],
 )
 def test_census_refusals_are_shared_and_come_before_any_draw(monkeypatch, p, n, sample, error):

@@ -656,6 +656,7 @@ def _check_profile_of_canonical_pairs(monkeypatch, p, n, keys):
     for key in keys:
         canon, _ = classify._canonicalize(p, n, key)
         assert classify._pencil_profile(p, n, *canon) == classify._pencil_profile(p, n, *key), key
+    assert classify._ORBITS[(p, n)].keys() == keys
 
 
 def test_pencil_profile_of_every_free_space_p3_is_its_canonical_pairs(monkeypatch):
@@ -1022,3 +1023,86 @@ def test_one_new_orbit_transports_once_per_gl2_element(monkeypatch):
     assert made <= 2 * len(gl2_elements(p))  # 960; the generator BFS made ~28,800
     classify._canonicalize(p, n, canon)
     assert len(calls) == made  # a cached orbit member transports nothing
+
+
+# ---------------------------------------------------------------------------
+# oracle: the union-of-B-orbits pass _canonicalize ran before one member ->
+# substitution map replaced its seen set, B-orbit list and membership search.
+# gl2_elements is the sorted GL2 that pass walked.
+
+def _oracle_orbit_pass(orbits, p, n, key):
+    got = orbits.get(key)
+    if got is not None:
+        return got
+    x1, x2 = key
+    gl2 = gl2_elements(p)
+    mixes = [b for b in gl2 if (b[0] * b[3] - b[1] * b[2]) % p in (1, p - 1)]
+    seen = set()
+    b_orbits = []  # (A, the B-orbit of key.A)
+    for A in gl2:
+        M = substitution_matrix(p, n, A)
+        u = apply_matrix(M, x1, p)
+        v = apply_matrix(M, x2, p)
+        if (u, v) in seen:
+            continue
+        lin = {
+            (c, d): tuple((c * x + d * y) % p for x, y in zip(u, v))
+            for c in range(p)
+            for d in range(p)
+        }
+        members = {(lin[b[0], b[1]], lin[b[2], b[3]]) for b in mixes}
+        seen |= members
+        b_orbits.append((A, members))
+    canon = min(seen)
+    a_canon = next(A for A, members in b_orbits if canon in members)
+    for A, members in b_orbits:
+        entry = (canon, mat2_mul(mat2_inv(A, p), a_canon, p))
+        for pair in members:
+            orbits[pair] = entry
+    return orbits[key]
+
+
+def _check_against_orbit_pass(p, n, keys):
+    oracle = {}
+    for key in keys:
+        assert classify._canonicalize(p, n, key) == _oracle_orbit_pass(oracle, p, n, key)
+        canon = oracle[key][0]
+        assert classify._orbit_size(p, n, key) == sum(e[0] == canon for e in oracle.values())
+    assert classify._ORBITS[(p, n)] == oracle  # same keys, canonical pairs and a0
+
+
+def test_canonicalize_matches_the_orbit_pass_on_every_free_space_p3(monkeypatch):
+    monkeypatch.setattr(classify, "_ORBITS", {})
+    _check_against_orbit_pass(3, 2, [k_pair(3, 2, d.R, d.Q) for d in enumerate_free(3, 2)])
+
+
+def _seeded_keys(p, n, count, seed):
+    rng = random.Random(seed)
+    return [k_invariant(_random_free(rng, p, n)).coeff_pair() for _ in range(count)]
+
+
+@pytest.mark.parametrize("p,n,count", [(5, 2, 8), (5, 3, 3), (7, 2, 2), (7, 3, 3)])
+def test_canonicalize_matches_the_orbit_pass_on_seeded_keys(monkeypatch, p, n, count):
+    monkeypatch.setattr(classify, "_ORBITS", {})
+    _check_against_orbit_pass(p, n, _seeded_keys(p, n, count, 30 * p + n))
+
+
+def test_orbit_cap_admits_p13_and_refuses_larger_orbits():
+    """Sizing walks only: every seeded (13, 2) orbit fits under the cap, and
+    seeded (11, 3) and (17, 2) orbits do not."""
+    cap = classify.ORBIT_SIZE_CAP
+    assert max(classify._orbit_size(13, 2, k) for k in _seeded_keys(13, 2, 200, 13)) <= cap
+    for p, n in [(11, 3), (17, 2)]:
+        assert min(classify._orbit_size(p, n, k) for k in _seeded_keys(p, n, 5, p)) > cap
+
+
+def test_canonical_form_refuses_an_oversized_orbit_before_building_it(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("orbit built before the refusal")
+
+    monkeypatch.setattr(classify, "substitution_matrix", forbidden)
+    monkeypatch.setattr(classify, "_ORBITS", {})
+    X = _random_free(random.Random(17), 17, 2)
+    with pytest.raises(CapacityError):
+        canonical_form(X)
+    assert classify._ORBITS == {}

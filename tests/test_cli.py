@@ -213,6 +213,29 @@ def test_census_workers_below_one_is_invalid_before_the_census_runs(
     assert not out.exists()
 
 
+def test_census_with_p_at_most_n_is_invalid_before_the_census_runs(
+    tmp_path, capsys, monkeypatch
+):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run_census called")
+
+    monkeypatch.setattr(cli, "run_census", forbidden)
+    out = tmp_path / "census"
+    code = main(["census", "3", "3", "--out", str(out), "--sample", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.count("\n") == 1
+    assert json.loads(captured.out)["error"] == "invalid"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("p, n", [("11", "3"), ("17", "2")])
+def test_sampled_census_with_an_oversized_orbit_refuses_within_budget(tmp_path, p, n):
+    proc = run_cli_process("census", p, n, "--out", str(tmp_path / "census"), "--sample", "1")
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stdout)["error"] == "capacity"
+
+
 def test_census_sampled(tmp_path, capsys):
     code, doc, _ = run_cli(
         capsys, "census", "7", "2", "--out", str(tmp_path), "--sample", "6",
