@@ -25,6 +25,13 @@ evaluation is a linear isomorphism.  The walk is skipped when the
 pencil profiles differ (the zero counts on P^1(GF(p)) of the members of
 span k(X) and of span k(Y)): a substitution carrying one span onto the other
 maps members onto members and permutes P^1, so it would find no match.
+The same incidence, read point by point, prefilters the walk: if A carries
+span k(X) onto span k(Y), each member w of span k(Y) is m(phi_A) for a
+member m of span k(X), where phi_A(s, t) = (a*s + b*t, c*s + d*t) permutes
+P^1, so phi_A maps w's zeros onto m's.  Two zeros P0, P1 of a member of
+span k(Y) with the most zeros, z >= 2, must therefore land on one member of
+span k(X) that has z zeros, and only the representatives that pass this
+check are transported.
 
 The canonical form, the census grouping key, is the least pair in the
 k-invariant pair's (A, B) orbit.  Substitution and mix commute, so the orbit
@@ -182,22 +189,42 @@ def _target_plane(p, y1, y2):
     return w1, w2, i0, j0, rest
 
 
+@lru_cache(maxsize=2**4)
+def _point_index(p):
+    """The P^1(GF(p)) index of every nonzero (s, t), stored at s*p + t: t / s
+    for s != 0, and p for the point (0 : 1).  Index 0 holds (0, 0), which is
+    no point and is never looked up."""
+    return tuple(t * inv(s, p) % p if s else p for s in range(p) for t in range(p))
+
+
+@lru_cache(maxsize=2**12)
+def _pencil(p, n, x1, x2):
+    """The incidence of the pencil s*x1 + t*x2 of a free space's k-pair with
+    P^1(GF(p)): (member, zeros), where member[k] is the index of the one
+    member vanishing at the k-th point of P^1 ((1 : k), then (0 : 1)), and
+    zeros[m] is the zero count of the m-th member (1 : m), then (0 : 1).
+
+    At the point (a, b), x1 and x2 take values (e1, e2), not both zero
+    (freeness: no linear factor of x1 is proportional to one of x2), and
+    the one member vanishing there is (e2 : -e1)."""
+    member = []
+    for a, b in [(1, t) for t in range(p)] + [(0, 1)]:
+        e1, e2 = _at(x1, a, b, p), _at(x2, a, b, p)
+        member.append(-e1 * inv(e2, p) % p if e2 else p)
+    zeros = [0] * (p + 1)
+    for m in member:
+        zeros[m] += 1
+    return tuple(member), tuple(zeros)
+
+
 @lru_cache(maxsize=2**12)
 def _pencil_profile(p, n, x1, x2):
-    """Sorted zero counts on P^1(GF(p)) of the p + 1 members s*x1 + t*x2,
-    (s : t) projective, of the pencil of a free space's k-pair (x1, x2).
-
-    At each point (a, b), x1 and x2 take values (e1, e2), not both zero
-    (freeness: no linear factor of x1 is proportional to one of x2), and
-    the one member vanishing there is (e2 : -e1).  A substitution permutes
+    """Sorted zero counts on P^1(GF(p)) of the p + 1 members of the pencil
+    of a free space's k-pair (x1, x2) (see _pencil).  A substitution permutes
     P^1, an invertible mix permutes the members, and a scalar moves no
     zeros, so this is an invariant of the pair under (A, B) for every
     invertible B."""
-    zeros = Counter()
-    for a, b in [(1, t) for t in range(p)] + [(0, 1)]:
-        e1, e2 = _at(x1, a, b, p), _at(x2, a, b, p)
-        zeros[-e1 * inv(e2, p) % p if e2 else None] += 1  # None: the member (0 : 1)
-    return tuple(sorted(list(zeros.values()) + [0] * (p + 1 - len(zeros))))
+    return tuple(sorted(_pencil(p, n, x1, x2)[1]))
 
 
 def _mix_solver(u, v, y1, y2, i0, j0, p):
@@ -239,13 +266,33 @@ def _span_matches(p, n, kx_pair, ky_pair, marked=False):
     member of span k(Y), and A permutes the points of P^1, so the members'
     zero counts agree.  The walk would yield nothing, which is what the
     early return yields.  The marked path evaluates k(X) at the n + 1
-    points directly and builds no table, so it answers at any p."""
+    points directly and builds no table, so it answers at any p.
+
+    The same argument, point by point, prefilters the representatives
+    before any transport (see _pencil).  If A = (a, b, c, d) matches, every
+    member w of span k(Y) is m(phi_A) for a member m of span k(X), with
+    phi_A(s, t) = (a*s + b*t, c*s + d*t) a permutation of P^1; so phi_A
+    carries the zeros of w onto the zeros of m, and one member of span k(X)
+    vanishes at both images.  The walk takes two zeros P0, P1 of a member
+    of span k(Y) with the most zeros z, and transports A only if the
+    member of span k(X) vanishing at phi_A(P0) also vanishes at phi_A(P1)
+    and has z zeros.  Rejected representatives cannot match, so the yields
+    are the same; when every member has at most one zero (z <= 1) there is
+    no pair to probe and every representative is transported."""
     x1, x2 = kx_pair
     y1, y2 = ky_pair
     if not marked:
         reps = dict(pgl2_rows(p))
         if _pencil_profile(p, n, x1, x2) != _pencil_profile(p, n, y1, y2):
             return
+        member_x, zeros_x = _pencil(p, n, x1, x2)
+        member_y, zeros_y = _pencil(p, n, y1, y2)
+        z = max(zeros_y)
+        if z >= 2:  # P0 = (s0, t0), P1 = (s1, t1): zeros of a Y-member with z zeros
+            m = zeros_y.index(z)
+            probes = [(1, k) if k < p else (0, 1) for k, mk in enumerate(member_y) if mk == m]
+            (s0, t0), (s1, t1) = probes[:2]
+            idx = _point_index(p)
     w1, w2, i0, j0, rest = _target_plane(p, y1, y2)
 
     def in_plane(u, v):
@@ -267,6 +314,13 @@ def _span_matches(p, n, kx_pair, ky_pair, marked=False):
             if lam == 1:
                 got = matched[a, b] = []
                 for A in reps[a, b]:
+                    if z >= 2:
+                        e, f, g, h = A  # phi_A(s, t) = (e*s + f*t, g*s + h*t)
+                        m0 = member_x[idx[(e * s0 + f * t0) % p * p + (g * s0 + h * t0) % p]]
+                        if zeros_x[m0] != z or m0 != member_x[
+                            idx[(e * s1 + f * t1) % p * p + (g * s1 + h * t1) % p]
+                        ]:
+                            continue
                     u, v = _transported(p, n, A, x1, x2)
                     if in_plane(u, v):
                         got.append((A, _mix_solver(u, v, w1, w2, i0, j0, p)))

@@ -143,13 +143,21 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_census(args: argparse.Namespace) -> int:
     # refuse the request, then an unusable --out, before the census runs
     _require_census(args.p, args.n, args.sample, args.workers)
+    out = Path(args.out)
+    made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     try:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValueError(f"--out {args.out!r} is not a usable directory: {exc}") from exc
-    record = run_census(
-        args.p, args.n, workers=args.workers, sample=args.sample, seed=args.seed
-    )
+    try:
+        record = run_census(
+            args.p, args.n, workers=args.workers, sample=args.sample, seed=args.seed
+        )
+    except BaseException:
+        # a census refused or interrupted mid-run leaves no empty --out behind
+        for d in made:
+            d.rmdir()
+        raise
     paths = write_census(record, args.out)
     if record.outside_hypotheses:
         _note(

@@ -50,6 +50,7 @@ from lenspp.gfp import (
     is_quadratic_residue,
     mat2_inv,
     mat2_mul,
+    pgl2_rows,
 )
 from lenspp.pontrjagin import total_pontrjagin, total_pontrjagin_raw
 from lenspp.quotient_ring import ring_model
@@ -790,7 +791,157 @@ def test_negative_with_equal_profiles_at_the_gl2_cap_keeps_no_gl2_table():
     assert proc.returncode == 0, proc.stderr
     equivalent, added_mb = json.loads(proc.stdout)
     assert not equivalent
-    assert added_mb < 60
+    assert added_mb < 10
+
+
+# ---------------------------------------------------------------------------
+# the incidence prefilter: the walk transports only the representatives A
+# whose action on P^1 keeps two zeros of one member of span k(Y) on one
+# member of span k(X) with as many zeros
+
+def _oracle_span_matches(p, n, kx_pair, ky_pair):
+    """Every A of GL2, in row-major order, whose transported pair spans the
+    plane of ky_pair (per-substitution span keys)."""
+    target_span = span_key(list(ky_pair), p)
+    return tuple(
+        A for A in gl2_elements(p) if _oracle_transported(p, n, A, *kx_pair)[2] == target_span
+    )
+
+
+def _full_walk(monkeypatch, p, n, kx, ky):
+    """Every yield of an unmarked _span_matches walked to its end, and the
+    substitutions it transported, in order."""
+    transported = []
+    real = classify._transported
+
+    def recording(p, deg, A, x1, x2):
+        transported.append(A)
+        return real(p, deg, A, x1, x2)
+
+    monkeypatch.setattr(classify, "_transported", recording)
+    try:
+        return list(classify._span_matches(p, n, kx, ky)), transported
+    finally:
+        monkeypatch.setattr(classify, "_transported", real)
+
+
+def _representative(A, p):
+    """The PGL2 representative of A: its first row's first nonzero entry is 1."""
+    s = inv(A[0] or A[1], p)
+    return tuple(s * x % p for x in A)
+
+
+@pytest.mark.parametrize("p,n,pairs", [(5, 2, 9), (7, 2, 9), (7, 3, 6), (13, 2, 3)])
+def test_prefilter_transports_every_oracle_match(monkeypatch, p, n, pairs):
+    """On relabelled pairs, self-pairs and random pairs of equal profile, the
+    representative of every A that the per-substitution oracle finds over
+    all of GL2 (span matches, and among them the matching substitutions) is
+    transported, and the walk yields exactly the oracle's span matches."""
+    rng = random.Random(70 * p + n)
+    kinds = set()
+    try:
+        for i in range(pairs):
+            X = _random_free(rng, p, n)
+            if i % 3 == 0:
+                Y = _relabelled(rng, X)
+            elif i % 3 == 1:
+                Y = X
+            else:
+                Y = _random_free(rng, p, n)
+                while _profile(Y) != _profile(X):
+                    Y = _random_free(rng, p, n)
+            kx, ky = k_invariant(X).coeff_pair(), k_invariant(Y).coeff_pair()
+            matches, transported = _full_walk(monkeypatch, p, n, kx, ky)
+            span = _oracle_span_matches(p, n, kx, ky)
+            oracle = _oracle_matching_substitutions(p, n, kx, ky)
+            assert set(oracle) <= set(span)
+            assert {_representative(A, p) for A in span} <= set(transported), (X, Y)
+            assert [A for A, _ in matches] == list(span), (X, Y)
+            kinds.add((i % 3, bool(oracle)))
+    finally:
+        _oracle_transported.cache_clear()
+    assert {(0, True), (1, True)} <= kinds  # relabelled positives and self-pairs
+    assert {kind for kind, _ in kinds} == {0, 1, 2}
+
+
+def test_prefilter_keeps_the_equal_profile_negatives_of_the_oracle(monkeypatch):
+    """Equal-profile negatives at (5, 2), (13, 2) and (7, 3), found with the
+    deciders and confirmed by the oracle: every span match is transported."""
+    try:
+        for p, n in ((5, 2), (13, 2), (7, 3)):
+            rng = random.Random(90 * p + n)
+            while True:
+                X, Y = _random_free(rng, p, n), _random_free(rng, p, n)
+                if _profile(X) == _profile(Y) and not homotopy_equivalent(X, Y).equivalent:
+                    break
+            kx, ky = k_invariant(X).coeff_pair(), k_invariant(Y).coeff_pair()
+            assert _oracle_matching_substitutions(p, n, kx, ky) == ()
+            matches, transported = _full_walk(monkeypatch, p, n, kx, ky)
+            span = _oracle_span_matches(p, n, kx, ky)
+            assert {_representative(A, p) for A in span} <= set(transported), (X, Y)
+            assert [A for A, _ in matches] == list(span), (X, Y)
+    finally:
+        _oracle_transported.cache_clear()
+
+
+@pytest.mark.parametrize("p,n", [(5, 3), (7, 2), (7, 3), (11, 3), (13, 2)])
+def test_prefilter_transports_exactly_the_incident_representatives(monkeypatch, p, n):
+    """PGL2 acts sharply 3-transitively on P^1, so (p - 1) representatives
+    carry the two probed zeros onto each ordered pair of distinct points.
+    With z >= 2 the most zeros of a member of span k(Y), a full walk
+    therefore transports N * z * (z - 1) * (p - 1) representatives, N the
+    number of members of span k(X) with z zeros, whichever two zeros are
+    probed.  At n = 3 some pencils also have members with 2 zeros, fewer
+    than z = 3: a member that keeps the two probes but has the wrong zero
+    count is not transported."""
+    rng = random.Random(80 * p + n)
+    fewer = 0  # pencils with a member of 2 <= zeros < z
+    for _ in range(40):
+        X = _random_free(rng, p, n)
+        Y = _relabelled(rng, X)
+        kx, ky = k_invariant(X).coeff_pair(), k_invariant(Y).coeff_pair()
+        zeros = classify._pencil(p, n, *kx)[1]
+        assert sorted(zeros) == list(_profile(X)) == list(_profile(Y))
+        z = max(zeros)
+        if z < 2:
+            continue  # see the next test
+        _, transported = _full_walk(monkeypatch, p, n, kx, ky)
+        assert len(transported) == len(set(transported)), (X, Y)
+        assert len(transported) == zeros.count(z) * z * (z - 1) * (p - 1), (X, Y, zeros)
+        fewer += any(1 < k < z for k in zeros)
+    assert fewer > 0 or n == 2
+
+
+def test_prefilter_transports_every_representative_when_no_member_has_two_zeros(monkeypatch):
+    """At (5, 3) about one pencil in 300 has every member with one zero."""
+    p, n = 5, 3
+    rng = random.Random(53)
+    while True:
+        X = _random_free(rng, p, n)
+        if max(_profile(X)) == 1:
+            break
+    Y = _relabelled(rng, X)
+    kx, ky = k_invariant(X).coeff_pair(), k_invariant(Y).coeff_pair()
+    matches, transported = _full_walk(monkeypatch, p, n, kx, ky)
+    assert transported == [A for _, reps in pgl2_rows(p) for A in reps]
+    assert [A for A, _ in matches] == list(_oracle_span_matches(p, n, kx, ky))
+    _oracle_transported.cache_clear()
+
+
+def test_prefilter_transports_only_the_span_matches_of_the_cube_free_negative():
+    """The p = 31 lens negative: the members a^3 - c*b^3 with c a nonzero
+    cube have three zeros, ten of them, so 10 * 3 * 2 * 30 = 1,800
+    representatives are transported, each a span match (against all 29,760
+    PGL2 classes without the prefilter)."""
+    X, Y = _cube_free_lens_negative(31)
+    classify._transported.cache_clear()
+    try:
+        got = homotopy_equivalent(X, Y)
+        info = classify._transported.cache_info()
+    finally:
+        classify._transported.cache_clear()
+    assert not got.equivalent
+    assert info.misses == got.checked_pairs == 1800
 
 
 # ---------------------------------------------------------------------------

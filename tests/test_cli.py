@@ -236,6 +236,22 @@ def test_sampled_census_with_an_oversized_orbit_refuses_within_budget(tmp_path, 
     assert json.loads(proc.stdout)["error"] == "capacity"
 
 
+@pytest.mark.parametrize("out, existed", [("census", False), ("a/b", False), ("census", True)])
+def test_census_refused_mid_run_removes_only_the_directories_it_created(
+    tmp_path, capsys, out, existed
+):
+    """census 17 2 --sample 1 passes the request checks and creates --out,
+    then run_census refuses the orbit (exit 3)."""
+    out = tmp_path / out
+    if existed:
+        out.mkdir()
+    code, doc, _ = run_cli(capsys, "census", "17", "2", "--out", str(out), "--sample", "1")
+    assert code == 3
+    assert doc["error"] == "capacity"
+    assert out.is_dir() == existed
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["census"] if existed else [])
+
+
 def test_census_sampled(tmp_path, capsys):
     code, doc, _ = run_cli(
         capsys, "census", "7", "2", "--out", str(tmp_path), "--sample", "6",
