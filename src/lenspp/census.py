@@ -26,7 +26,6 @@ import json
 import math
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -104,12 +103,17 @@ class CensusRecord:
 
 
 def _rank2(R, Q, p) -> bool:
-    i0 = next((i for i, x in enumerate(R) if x), None)
-    if i0 is None:
-        return False
-    a, b = R[i0], Q[i0]
-    # Q is off the line of R iff some a*Q[i] - b*R[i] is nonzero
-    return any((a * y - b * x) % p for x, y in zip(R, Q))
+    """R != 0 and Q is off the line of R: some a*Q[j] - b*R[j] is nonzero,
+    with (a, b) = (R[i], Q[i]) at R's first nonzero entry.  A plain loop,
+    because the census calls it on every pair it scans."""
+    for i, a in enumerate(R):
+        if a:
+            b = Q[i]
+            for x, y in zip(R, Q):
+                if (a * y - b * x) % p:
+                    return True
+            return False
+    return False
 
 
 def _scan(p: int, n: int, start: int, stop: int) -> Iterator[RotationData]:
@@ -298,6 +302,9 @@ def run_census(
         if workers == 1:
             results = map(_census_chunk, chunks)
         else:
+            # imported here, so that lenspp loads no process pool until one is used
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_census_chunk, chunks))
     groups: dict[tuple, list] = {}

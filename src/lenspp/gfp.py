@@ -183,25 +183,32 @@ def rref_with_pivots(
 
 def pair_span_key(u: tuple[int, ...], v: tuple[int, ...], p: int) -> tuple[tuple[int, ...], ...]:
     """Canonical key for the row space of two rows of ints in [0, p): the
-    nonzero rows of its rref.  Unchecked."""
-    m = len(u)
-    for i in range(m):
-        if u[i] or v[i]:
+    nonzero rows of its rref.  Unchecked.
+
+    One pass scales the first pivot row and clears its pivot column from the
+    other row, noting the second pivot on the way."""
+    i = 0
+    for x in u:
+        if x or v[i]:
             break
+        i += 1
     else:
         return ()
     if not u[i]:
         u, v = v, u
     s = pow(u[i], p - 2, p)
-    r1 = [x * s % p for x in u]
     f = v[i]
-    r2 = [(y - f * x) % p for x, y in zip(r1, v)]
-    for j in range(i + 1, m):
-        if r2[j]:
-            break
-    else:
+    r1, r2, j = [], [], -1
+    for x, y in zip(u, v):
+        x = x * s % p
+        y = (y - f * x) % p
+        if y and j < 0:
+            j = len(r2)
+        r1.append(x)
+        r2.append(y)
+    if j < 0:
         return (tuple(r1),)
     t = pow(r2[j], p - 2, p)
-    r2 = [x * t % p for x in r2]
+    r2 = tuple([y * t % p for y in r2])
     g = r1[j]
-    return (tuple([(x - g * y) % p for x, y in zip(r1, r2)]), tuple(r2))
+    return (tuple([(x - g * y) % p for x, y in zip(r1, r2)]), r2)

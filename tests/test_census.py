@@ -1,7 +1,12 @@
+import concurrent.futures
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +24,7 @@ from lenspp.census import (
     verify_application,
     write_census,
 )
-from conftest import gl2_elements
+from conftest import gl2_elements, span_key
 from lenspp import census, classify, forms
 from lenspp.classify import canonical_form, homeomorphic, homotopy_equivalent
 from lenspp.errors import CapacityError, HypothesisViolation, InvalidDimension, InvalidSpan
@@ -207,6 +212,55 @@ def test_census_workers_merge_identically():
     assert solo == multi
 
 
+def test_import_loads_no_process_pool():
+    """The pool modules load only when run_census is given workers > 1.  Run
+    in a fresh interpreter: this module imports concurrent.futures itself."""
+    src = str(Path(census.__file__).resolve().parents[1])
+    script = (
+        "import sys, lenspp, lenspp.cli; "
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def _independent(R, Q, p):
+    """The rank oracle: the rref of [R; Q] has two nonzero rows."""
+    return len(span_key([R, Q], p)) == 2
+
+
+def test_rank2_matches_the_rref_oracle_exhaustive_p3():
+    vectors = list(itertools.product(range(3), repeat=4))
+    for R in vectors:
+        for Q in vectors:
+            assert census._rank2(R, Q, 3) == _independent(R, Q, 3), (R, Q)
+
+
+@pytest.mark.parametrize("p, n", [(5, 2), (7, 2), (5, 3), (7, 3)])
+def test_rank2_matches_the_rref_oracle_on_seeded_pairs(p, n):
+    """Random R with 0..2n leading zeros, against a random Q, every multiple
+    c*R, and c*R moved by one unit in one coordinate."""
+    rng = random.Random(10 * p + n)
+    m = 2 * n
+    for _ in range(60):
+        lead = rng.randrange(m + 1)
+        R = (0,) * lead + tuple(rng.randrange(p) for _ in range(m - lead))
+        multiples = [tuple(c * x % p for x in R) for c in range(p)]
+        moved = [
+            tuple((x + (k == j)) % p for k, x in enumerate(rng.choice(multiples)))
+            for j in range(m)
+        ]
+        for Q in [tuple(rng.randrange(p) for _ in range(m)), *multiples, *moved]:
+            assert census._rank2(R, Q, p) == _independent(R, Q, p), (R, Q)
+
+
 class _InlinePool:
     """Stands in for ProcessPoolExecutor: records max_workers, maps inline."""
 
@@ -226,7 +280,9 @@ class _InlinePool:
 @pytest.mark.parametrize("cpus, pools", [(3, [3]), (None, [])])
 def test_census_workers_capped_at_cpu_count(monkeypatch, cpus, pools):
     sizes = []
-    monkeypatch.setattr(census, "ProcessPoolExecutor", lambda max_workers: _InlinePool(sizes, max_workers))
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", lambda max_workers: _InlinePool(sizes, max_workers)
+    )
     monkeypatch.setattr(census.os, "cpu_count", lambda: cpus)
     assert run_census(3, 2, workers=1000) == run_census(3, 2)
     assert sizes == pools
@@ -250,7 +306,9 @@ def test_census_scan_work_matches_the_record(monkeypatch, workers):
     each rank-2 pair for freeness (total_pairs, in closed form) and
     classifies each free space once (free_count), for any worker count."""
     sizes = []
-    monkeypatch.setattr(census, "ProcessPoolExecutor", lambda max_workers: _InlinePool(sizes, max_workers))
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", lambda max_workers: _InlinePool(sizes, max_workers)
+    )
     monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
     calls = _record_calls(monkeypatch, ["_rank2", "_free_by_planes", "_classify_item"])
     rec = run_census(3, 2, workers=workers)
