@@ -1,13 +1,19 @@
 """Exhaustive censuses of free quotients for small (p, n), plus the
 quadratic-residue verification over products of 3-dimensional lens spaces.
 
-A census enumerates every validated free (R, Q), groups by the canonical
-form of the k-invariant pair (homotopy classes), and refines each class by
-a Pontrjagin fingerprint: the least transported reduced total class over
-all witnesses onto the canonical form.  Two spaces land in the same refined
-cell iff they are homeomorphic in the classifier's sense, because the
-transported classes of a space form one orbit under the canonical form's
-self-witnesses and orbits are equal or disjoint.
+A census enumerates every free (R, Q), groups by the canonical form of the
+k-invariant pair (homotopy classes), and refines each class by a Pontrjagin
+fingerprint: the least transported reduced total class over all witnesses
+onto the canonical form.  Two spaces land in the same refined cell iff they
+are homeomorphic in the classifier's sense, because the transported classes
+of a space form one orbit under the canonical form's self-witnesses and
+orbits are equal or disjoint.  Those self-witnesses come from the one
+stabiliser walk that sized the class's orbit when it was built (see
+classify._canonicalize), so each new homotopy class costs one walk.
+
+The scan (or the seeded draw) hands plain (R, Q) tuples to the grouping
+step; RotationData is built only where a caller sees the spaces, in
+enumerate_free.
 
 Relabelling the two group generators multiplies [R; Q] on the left by
 GL2(F_p) and leaves both keys unchanged, so each space is classified
@@ -32,11 +38,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .actions import RotationData, _free_by_planes, product_of_lens_spaces
-from .classify import (
-    _canonicalize,
-    _matching_substitutions,
-    homeomorphic,
-)
+from .classify import _canonicalize, _self_witnesses, homeomorphic
 from .errors import CapacityError, HypothesisViolation, InvalidDimension
 # product_of_linear_forms and total_pontrjagin_raw are the form-valued
 # counterparts of k_pair and pontrjagin_coeffs; the per-space kernel below
@@ -116,18 +118,36 @@ def _rank2(R, Q, p) -> bool:
     return False
 
 
-def _scan(p: int, n: int, start: int, stop: int) -> Iterator[RotationData]:
+def _scan(p: int, n: int, start: int, stop: int) -> Iterator[tuple[tuple, tuple]]:
     """Every free (R, Q) whose R has lex index in [start, stop) among the
-    p^(2n) vectors, in lex order of (R, Q): the one enumeration of a census.
-    Each pair with R != 0 is tested for rank 2, each rank-2 pair for
-    freeness."""
+    p^(2n) vectors, in lex order of (R, Q): the one enumeration of an
+    exhaustive census.  Each pair with R != 0 is tested for rank 2, each
+    rank-2 pair for freeness."""
     vectors = list(itertools.product(range(p), repeat=2 * n))
     for R in vectors[start:stop]:
         if not any(R):
             continue
         for Q in vectors:
             if _rank2(R, Q, p) and _free_by_planes(R, Q, p, n):
-                yield RotationData(p, n, R, Q)
+                yield R, Q
+
+
+def _draw(p: int, n: int, sample: int, seed: int) -> Iterator[tuple[tuple, tuple]]:
+    """sample distinct free (R, Q), drawn from a seeded RNG in draw order;
+    the request is checked by the caller (see _require_census)."""
+    rng = random.Random(seed)
+    seen: set[tuple] = set()
+    attempts = 0
+    while len(seen) < sample:
+        attempts += 1
+        if attempts > 10_000 * sample:
+            raise CapacityError("sampling failed to find enough free spaces")
+        R = tuple(rng.randrange(p) for _ in range(2 * n))
+        Q = tuple(rng.randrange(p) for _ in range(2 * n))
+        if (R, Q) in seen or not _rank2(R, Q, p) or not _free_by_planes(R, Q, p, n):
+            continue
+        seen.add((R, Q))
+        yield R, Q
 
 
 def free_count(p: int, n: int) -> int:
@@ -190,27 +210,9 @@ def enumerate_free(
     HypothesisViolation).  n < 2 is refused as invalid.
     """
     _require_census(p, n, sample)
-    if sample is None:
-        yield from _scan(p, n, 0, p ** (2 * n))
-        return
-    rng = random.Random(seed)
-    seen: set[tuple] = set()
-    attempts = 0
-    while len(seen) < sample:
-        attempts += 1
-        if attempts > 10_000 * sample:
-            raise CapacityError("sampling failed to find enough free spaces")
-        R = tuple(rng.randrange(p) for _ in range(2 * n))
-        Q = tuple(rng.randrange(p) for _ in range(2 * n))
-        if (R, Q) in seen or not _rank2(R, Q, p) or not _free_by_planes(R, Q, p, n):
-            continue
-        seen.add((R, Q))
+    pairs = _scan(p, n, 0, p ** (2 * n)) if sample is None else _draw(p, n, sample, seed)
+    for R, Q in pairs:
         yield RotationData(p, n, R, Q)
-
-
-@lru_cache(maxsize=1024)
-def _self_substitutions(p: int, n: int, canon: tuple) -> tuple[tuple, ...]:
-    return _matching_substitutions(p, n, canon, canon)
 
 
 def _transport(model: CohomRingModel, A: tuple, t: tuple) -> tuple:
@@ -225,18 +227,19 @@ def _transport(model: CohomRingModel, A: tuple, t: tuple) -> tuple:
 @lru_cache(maxsize=2**20)
 def _min_fingerprint(p: int, n: int, canon: tuple, t0: tuple) -> tuple:
     """Least transported class: minimize the reduced component tuple over the
-    canonical form's self-witness substitutions."""
+    canonical form's self-witness substitutions, recorded by the walk that
+    built its orbit."""
     model = ring_model(p, n, canon)
-    return min([t0, *(_transport(model, g, t0) for g in _self_substitutions(p, n, canon))])
+    return min([t0, *(_transport(model, g, t0) for g in _self_witnesses(p, n, canon))])
 
 
-def _classify_item(data: RotationData) -> tuple[tuple, tuple]:
-    """(canonical k pair, Pontrjagin fingerprint) for one free space.
+def _classify_item(p: int, n: int, R: tuple, Q: tuple) -> tuple[tuple, tuple]:
+    """(canonical k pair, Pontrjagin fingerprint) for the free space (R, Q).
 
     The key depends only on the plane spanned by R and Q, so this is a
-    lookup on that plane; data is trusted (validated, or produced by the
-    census scan)."""
-    return _classify_plane(data.p, data.n, pair_span_key(data.R, data.Q, data.p))
+    lookup on that plane; the pair is trusted (validated, or produced by
+    the census scan or draw)."""
+    return _classify_plane(p, n, pair_span_key(R, Q, p))
 
 
 @lru_cache(maxsize=2**16)
@@ -269,18 +272,18 @@ def _add(groups: dict, key: tuple, count: int, R: tuple, Q: tuple) -> None:
             got[1], got[2] = R, Q
 
 
-def _group(spaces: Iterable[RotationData]) -> dict[tuple, list]:
-    """{(canonical, fingerprint): [count, min R, min Q]} over spaces."""
+def _group(p: int, n: int, pairs: Iterable[tuple[tuple, tuple]]) -> dict[tuple, list]:
+    """{(canonical, fingerprint): [count, min R, min Q]} over the free pairs."""
     groups: dict[tuple, list] = {}
-    for data in spaces:
-        _add(groups, _classify_item(data), 1, data.R, data.Q)
+    for R, Q in pairs:
+        _add(groups, _classify_item(p, n, R, Q), 1, R, Q)
     return groups
 
 
 def _census_chunk(args: tuple) -> dict[tuple, list]:
     """The groups of the free spaces whose R-index lies in [start, stop)."""
     p, n, start, stop = args
-    return _group(_scan(p, n, start, stop))
+    return _group(p, n, _scan(p, n, start, stop))
 
 
 def run_census(
@@ -295,7 +298,7 @@ def run_census(
     _require_census(p, n, sample, workers)
     size = p ** (2 * n)
     if sample is not None:
-        results = [_group(enumerate_free(p, n, sample=sample, seed=seed))]
+        results = [_group(p, n, _draw(p, n, sample, seed))]
     else:
         workers = min(int(workers), size, os.cpu_count() or 1)
         chunks = [(p, n, size * w // workers, size * (w + 1) // workers) for w in range(workers)]

@@ -11,35 +11,23 @@ other's modulo the cohomology ideal.
 
 Witness searches enumerate A (then B) in row-major order over matrix
 entries and report the first witness, so runs are reproducible; identical
-k-invariants short-circuit to the identity witness first.  The search
-lives on PGL2: lam*A moves the degree-n k-pair to lam^n times its image
-under A, so it carries span k(X) to the same plane, and its mix is lam^-n
-times A's.  The span test and the mix are computed once per scalar class
-(p(p^2 - 1) of them, a (p - 1)-th of GL2), and the other members of a
-matched class are scaled copies.  Both run in value coordinates: a degree-n
-form is determined by its values at the n + 1 points (1, i), i = 0..n, and
-the substituted form x.A has values x(a + b*i, c + d*i) there, n + 1 lookups
-into a table of x over GF(p)^2, so no substitution matrix is built.  Span
-equality and the mix read the same on values as on coefficients, because
-evaluation is a linear isomorphism.  The walk is skipped when the
-pencil profiles differ (the zero counts on P^1(GF(p)) of the members of
-span k(X) and of span k(Y)): a substitution carrying one span onto the other
-maps members onto members and permutes P^1, so it would find no match.
-The same incidence, read point by point, prefilters the walk: if A carries
-span k(X) onto span k(Y), each member w of span k(Y) is m(phi_A) for a
-member m of span k(X), where phi_A(s, t) = (a*s + b*t, c*s + d*t) permutes
-P^1, so phi_A maps w's zeros onto m's.  Two zeros P0, P1 of a member of
-span k(Y) with the most zeros, z >= 2, must therefore land on one member of
-span k(X) that has z zeros, and only the representatives that pass this
-check are transported.
+k-invariants short-circuit to the identity witness first.  One walk,
+_span_matches, lists every A carrying span k(X) onto span k(Y) with its
+mix; the deciders, matching_substitutions and the canonical form all read
+it, and its docstring states how it transports (on PGL2, in value
+coordinates) and what it skips (by pencil profile, and by the incidence
+prefilter).
 
 The canonical form, the census grouping key, is the least pair in the
 k-invariant pair's (A, B) orbit.  Substitution and mix commute, so the orbit
 is built in one pass over GL2 (the scalar multiples of the PGL2
 representatives) as a union of B-orbits: each A transports the pair once,
 and only a transported pair not yet reached is mixed by the det +-1 group.
-An orbit above ORBIT_SIZE_CAP pairs, sized first by orbit-stabiliser, is
-refused before it is built.
+Before that pass, one walk lists the pair's self-witnesses, its stabiliser
+in GL2.  It sizes the orbit by orbit-stabiliser, so an orbit above
+ORBIT_SIZE_CAP pairs is refused before it is built, and, conjugated by the
+witness onto the minimum, it gives the canonical form's self-witnesses,
+which the census fingerprint minimises over.
 The classical one-lens-space criteria are provided as baselines for
 cross-checks.
 """
@@ -137,6 +125,17 @@ def _require_hypotheses(p: int, n: int) -> None:
 def _require_free(data: RotationData) -> None:
     if not is_free(data).free:
         raise InvalidRotation("comparison requires free actions; input is not free")
+
+
+def _same_setting(X: RotationData, Y: RotationData) -> bool:
+    """Refuse an input outside the hypotheses, then one that is not free,
+    checking both inputs; only then say whether they share (p, n).  A pair
+    with different (p, n) is a clean negative, but only for valid inputs."""
+    _require_hypotheses(X.p, X.n)
+    _require_hypotheses(Y.p, Y.n)
+    _require_free(X)
+    _require_free(Y)
+    return (X.p, X.n) == (Y.p, Y.n)
 
 
 def _at(x, s, t, p):
@@ -249,15 +248,22 @@ def _span_matches(p, n, kx_pair, ky_pair, marked=False):
     marked), for every substitution A carrying span k(X) onto span k(Y); B is
     the mix carrying k(X) transported by A onto k(Y).
 
-    Both tests run in value coordinates (see _values).  The transported
-    pair (u, v) is independent, so its span is k(Y)'s plane iff u and v
-    each lie in it: n - 1 residual checks each (see _target_plane).
+    The walk lives on PGL2: lam*A moves the degree-n k-pair to lam^n times
+    its image under A, so it carries span k(X) to the same plane, and its
+    mix is lam^-n times A's.  Row-major order walks the first rows (a, b) in
+    lex order.  A row whose first nonzero entry lam is 1 holds PGL2
+    representatives: each is transported and, if its span matches, its mix
+    solved.  Every other row is lam times the earlier row (a, b) / lam, so
+    its matches are lam*A with mix lam^-n * B, re-sorted.
 
-    Row-major order walks the first rows (a, b) in lex order.  A row whose
-    first nonzero entry lam is 1 holds PGL2 representatives: each is
-    transported and, if its span matches, its mix solved.  Every other row
-    is lam times the earlier row (a, b) / lam, so its matches are lam*A with
-    mix lam^-n * B, re-sorted.
+    Both tests run in value coordinates: a degree-n form is determined by
+    its values at the n + 1 points (1, i), i = 0..n (see _values), and the
+    substituted form x.A has values x(a + b*i, c + d*i) there, n + 1 lookups
+    into a table of x over GF(p)^2 (see _transported), so no substitution
+    matrix is built.  Span equality and the mix read the same on values as
+    on coefficients, because evaluation is a linear isomorphism.  The
+    transported pair (u, v) is independent, so its span is k(Y)'s plane iff
+    u and v each lie in it: n - 1 residual checks each (see _target_plane).
 
     Unmarked, the walk runs only if the pencil profiles agree, checked after
     pgl2_rows so its capacity refusal comes first, and before any value
@@ -337,12 +343,9 @@ def _span_matches(p, n, kx_pair, ky_pair, marked=False):
 
 
 def _decide(X, Y, level, marked=False, class_check=None):
-    if (X.p, X.n) != (Y.p, Y.n):
+    if not _same_setting(X, Y):
         return Verdict(False, None, 0, level)
     p, n = X.p, X.n
-    _require_hypotheses(p, n)
-    _require_free(X)
-    _require_free(Y)
     kx = k_pair(p, n, X.R, X.Q)
     ky = k_pair(p, n, Y.R, Y.Q)
     checked = 0
@@ -384,12 +387,9 @@ def simple_homotopy_equivalent(
 def homeomorphic(X: RotationData, Y: RotationData, marked: bool = False) -> Verdict:
     """Search all k-matching witnesses for one whose substitution also carries
     the total Pontrjagin class of X onto Y's, modulo Y's cohomology ideal."""
-    if (X.p, X.n) != (Y.p, Y.n):
+    if not _same_setting(X, Y):
         return Verdict(False, None, 0, LEVEL_HOMEO)
     p, n = X.p, X.n
-    _require_hypotheses(p, n)
-    _require_free(X)
-    _require_free(Y)
     classes = []  # Y's model, X's class, Y's reduced class: built on the first check
 
     def class_check(A: tuple) -> bool:
@@ -417,11 +417,10 @@ def homeomorphic(X: RotationData, Y: RotationData, marked: bool = False) -> Verd
 def matching_substitutions(X: RotationData, Y: RotationData) -> tuple[tuple, ...]:
     """All substitution parts A (row-major order, as entry 4-tuples) admitting
     some det +-1 mix B that carries k(X) onto k(Y).  Used to transport
-    characteristic classes along every witness.  Both spaces must be free."""
-    if (X.p, X.n) != (Y.p, Y.n):
+    characteristic classes along every witness.  Both spaces must meet the
+    hypotheses and be free; spaces with different (p, n) have none."""
+    if not _same_setting(X, Y):
         return ()
-    _require_free(X)
-    _require_free(Y)
     kx = k_invariant(X)
     ky = k_invariant(Y)
     return _matching_substitutions(X.p, X.n, kx.coeff_pair(), ky.coeff_pair())
@@ -439,6 +438,8 @@ def _matching_substitutions(p, n, kx_pair, ky_pair) -> tuple[tuple, ...]:
 # canonical forms: orbit of the k-invariant pair under (A, B)
 
 _ORBITS: dict[tuple, dict] = {}
+# (p, n) -> {canonical pair: its self-witnesses}, one entry per orbit in _ORBITS
+_SELF_WITNESSES: dict[tuple, dict] = {}
 
 # Largest (A, B) orbit _canonicalize builds: every orbit at (13, 2) fits (the
 # largest seen holds 1,192,464 pairs, ~230 MB peak), while (11, 3), (13, 3) and
@@ -446,21 +447,28 @@ _ORBITS: dict[tuple, dict] = {}
 ORBIT_SIZE_CAP = 2_000_000
 
 
-def _orbit_size(p: int, n: int, key: tuple) -> int:
-    """Number of pairs in the (A, B) orbit of the k-coefficient pair key, by
-    orbit-stabiliser: |GL2| * |{det B = +-1}| over the stabiliser, whose
-    members are the self-witnesses A of key (each with exactly one mix,
-    since the transported pair is independent).  One transport walk."""
-    group = (p * p - 1) * (p * p - p) * 2 * p * (p * p - 1)
-    return group // len(_matching_substitutions(p, n, key, key))
+def _orbit_size(p: int, stabiliser: int) -> int:
+    """Number of pairs in an (A, B) orbit whose pairs each have stabiliser
+    self-witnesses A, by orbit-stabiliser: |GL2| * |{det B = +-1}| over the
+    stabiliser (each self-witness has exactly one mix, since the transported
+    pair is independent)."""
+    return (p * p - 1) * (p * p - p) * 2 * p * (p * p - 1) // stabiliser
+
+
+def _self_witnesses(p: int, n: int, canon: tuple) -> tuple[tuple, ...]:
+    """The substitutions A, in row-major order, with a det +-1 mix carrying
+    the canonical pair canon onto itself: _matching_substitutions(p, n,
+    canon, canon), recorded by _canonicalize when it built canon's orbit."""
+    return _SELF_WITNESSES[p, n][canon]
 
 
 def _canonicalize(p: int, n: int, key: tuple) -> tuple[tuple, tuple]:
     """Orbit minimum of a k-coefficient pair under the (A, B) action, plus a
     substitution A0 carrying this pair onto the minimum.
 
-    A cache miss whose orbit would exceed ORBIT_SIZE_CAP pairs is refused
-    with CapacityError before any of it is built (see _orbit_size).
+    A cache miss walks once for the self-witnesses of key, Stab(key), which
+    size the orbit (see _orbit_size): one above ORBIT_SIZE_CAP pairs is
+    refused with CapacityError before any of it is built.
     Substitution and mix commute, so the orbit is the union over A in GL2 of
     the B-orbits of the transported pair key.A.  One pass over GL2 (the
     scalar multiples of the PGL2 representatives, in row-major order) fills
@@ -468,12 +476,15 @@ def _canonicalize(p: int, n: int, key: tuple) -> tuple[tuple, tuple]:
     it: a transported pair already in reach lies in a B-orbit already
     enumerated, otherwise all its det +-1 mixes (read off a table of the p^2
     combinations c*u + d*v) map to A.  Every member's answer is cached at
-    once, and witnesses compose as A_key->x ^-1 * A_key->min.
+    once, and witnesses compose as A_key->x ^-1 * A_key->min.  The same walk
+    gives the minimum's self-witnesses, Stab(min) = A0^-1 * Stab(key) * A0,
+    which are recorded for _self_witnesses.
     """
     got = _ORBITS.get((p, n), {}).get(key)
     if got is not None:
         return got
-    size = _orbit_size(p, n, key)
+    stabiliser = _matching_substitutions(p, n, key, key)
+    size = _orbit_size(p, len(stabiliser))
     if size > ORBIT_SIZE_CAP:
         raise CapacityError(
             f"the canonical form at p = {p}, n = {n} needs an orbit of {size} pairs, "
@@ -507,6 +518,11 @@ def _canonicalize(p: int, n: int, key: tuple) -> tuple[tuple, tuple]:
     entry = {A: (canon, mat2_mul(mat2_inv(A, p), a_canon, p)) for A in set(reach.values())}
     for pair, A in reach.items():
         cache[pair] = entry[A]
+    a0 = cache[key][1]
+    a0_inv = mat2_inv(a0, p)
+    _SELF_WITNESSES.setdefault((p, n), {})[canon] = tuple(
+        sorted(mat2_mul(mat2_mul(a0_inv, g, p), a0, p) for g in stabiliser)
+    )
     return cache[key]
 
 

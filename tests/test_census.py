@@ -165,6 +165,28 @@ def test_census_p3_bytes(tmp_path):
     )
 
 
+def test_sampled_census_p5_n3_bytes(tmp_path):
+    """The seed-0 sample of 3,000 at (5, 3) reaches all 10 homotopy classes;
+    the digest is the one perfbench/expected.json records for sample_p5n3."""
+    rec = run_census(5, 3, sample=3000, seed=0)
+    assert rec.homotopy_classes == 10
+    assert _ndjson_sha256(rec, tmp_path) == (
+        "6174ae7999b2f5a1da338d2135f1973e15a317fde3c64cd193292b1ccd47bcfa"
+    )
+
+
+@pytest.mark.parametrize("sample", [None, 200])
+def test_census_builds_no_rotation_data(monkeypatch, sample):
+    """The scan and the draw hand plain (R, Q) tuples to the grouping step."""
+    expected = run_census(3, 2, sample=sample, seed=5)
+
+    def forbidden(*args):
+        raise AssertionError("census built a RotationData")
+
+    monkeypatch.setattr(census, "RotationData", forbidden)
+    assert run_census(3, 2, sample=sample, seed=5) == expected
+
+
 def test_census_p5_counts(tmp_path):
     """Frozen regression pins; derived once from the exhaustive run and
     cross-checked against the pairwise classifier on representatives."""
@@ -199,9 +221,10 @@ def test_census_p5_counts(tmp_path):
 
 def test_census_known_class_memberships():
     """L(5;1)xL(5;1) and L(5;1)xL(5;4) share a class; L(5;1)xL(5;2) does not."""
-    a = _classify_item(product_of_lens_spaces(5, (1, 1), (1, 1)))
-    b = _classify_item(product_of_lens_spaces(5, (1, 1), (1, 4)))
-    c = _classify_item(product_of_lens_spaces(5, (1, 1), (1, 2)))
+    a, b, c = (
+        _classify_item(d.p, d.n, d.R, d.Q)
+        for d in (product_of_lens_spaces(5, (1, 1), rp) for rp in [(1, 1), (1, 4), (1, 2)])
+    )
     assert a == b
     assert a[0] != c[0]
 
@@ -345,7 +368,7 @@ def test_census_reversed_order_recount():
     rec = run_census(3, 2)
     groups = {}
     for d in reversed(list(enumerate_free(3, 2))):
-        groups.setdefault(_classify_item(d), []).append((d.R, d.Q))
+        groups.setdefault(_classify_item(d.p, d.n, d.R, d.Q), []).append((d.R, d.Q))
     assert len(groups) == rec.homeomorphism_classes
     assert len({canon for canon, _ in groups}) == rec.homotopy_classes
     by_key = {(r.canonical, r.fingerprint): r for r in rec.representatives}
@@ -376,7 +399,7 @@ def test_census_classifies_each_plane_once(p):
 def test_relabelled_spaces_share_one_plane():
     (d,) = enumerate_free(5, 2, sample=1, seed=4)
     census._classify_plane.cache_clear()
-    keys = {_classify_item(_relabel(d, m)) for m in gl2_elements(5)}
+    keys = {_classify_item(5, 2, x.R, x.Q) for x in (_relabel(d, m) for m in gl2_elements(5))}
     info = census._classify_plane.cache_info()
     assert len(keys) == 1
     assert (info.misses, info.hits) == (1, len(gl2_elements(5)) - 1)
@@ -389,7 +412,8 @@ def test_census_counts_invariant_under_group_relabeling():
     m = (1, 1, 0, 1)  # unipotent relabeling of the two generators
     sizes = {}
     for d in enumerate_free(p, n):
-        key = _classify_item(_relabel(d, m))
+        x = _relabel(d, m)
+        key = _classify_item(p, n, x.R, x.Q)
         sizes[key] = sizes.get(key, 0) + 1
     assert sorted(sizes.values()) == sorted(r.count for r in rec.representatives)
     assert len(sizes) == rec.homeomorphism_classes
@@ -403,7 +427,7 @@ def test_census_members_match_their_representative():
     members = {key: [] for key in by_key}
     pending = set(by_key)
     for d in enumerate_free(5, 2):
-        key = _classify_item(d)
+        key = _classify_item(d.p, d.n, d.R, d.Q)
         if key in pending:
             members[key].append(d)
             if len(members[key]) == 3:
@@ -512,14 +536,14 @@ def _classify_with_forms(d, memo):
 def test_classify_item_matches_form_path_p3():
     memo = {}
     for d in enumerate_free(3, 2):
-        assert _classify_item(d) == _classify_with_forms(d, memo), (d.R, d.Q)
+        assert _classify_item(d.p, d.n, d.R, d.Q) == _classify_with_forms(d, memo), (d.R, d.Q)
 
 
 @pytest.mark.parametrize("n,sample", [(2, 300), (3, 8)])
 def test_classify_item_matches_form_path_p5(n, sample):
     memo = {}
     for d in enumerate_free(5, n, sample=sample, seed=11):
-        assert _classify_item(d) == _classify_with_forms(d, memo), (d.R, d.Q)
+        assert _classify_item(d.p, d.n, d.R, d.Q) == _classify_with_forms(d, memo), (d.R, d.Q)
 
 
 def test_classify_item_matches_form_path_p7_n3():
@@ -535,7 +559,7 @@ def test_classify_item_matches_form_path_p7_n3():
     memo = {}
     try:
         for x in spaces:
-            assert _classify_item(x) == _classify_with_forms(x, memo), (x.R, x.Q)
+            assert _classify_item(x.p, x.n, x.R, x.Q) == _classify_with_forms(x, memo), (x.R, x.Q)
     finally:
         classify._ORBITS.pop((7, 3), None)
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import free_space_strategy, gl2_elements, span_key
 from lenspp.actions import RotationData, product_of_lens_spaces, validate
-from lenspp import classify
+from lenspp import census, classify
 from lenspp.classify import (
     LEVEL_HOMEO,
     LEVEL_HOMOTOPY,
@@ -128,6 +128,41 @@ def test_different_p_or_n_not_equivalent():
     v = homotopy_equivalent(X, Y)
     assert not v.equivalent
     assert v.checked_pairs == 0
+
+
+@pytest.mark.parametrize(
+    "decide", [homotopy_equivalent, simple_homotopy_equivalent, homeomorphic, matching_substitutions]
+)
+def test_invalid_input_is_refused_before_comparing_p_and_n(decide):
+    """A non-free space or one outside the hypotheses is refused against a
+    partner of another (p, n) exactly as against one of its own (p, n),
+    in either position, not answered with a negative."""
+    not_free = validate(RotationData(5, 2, (1, 0, 0, 0), (0, 0, 1, 0)))
+    at_p3 = product_of_lens_spaces(3, (1, 1), (1, 1))
+    for bad, error in [(not_free, InvalidRotation), (at_p3, HypothesisViolation)]:
+        for partner in (lens(7, 1, 2), lens(5, 1, 2)):
+            for pair in ((bad, partner), (partner, bad)):
+                with pytest.raises(error):
+                    decide(*pair)
+
+
+def test_homeomorphic_checks_freeness_four_times_per_same_setting_decision(monkeypatch):
+    """Two checks in homeomorphic and two in the shared decider for one
+    (p, n); a pair of different (p, n) stops after homeomorphic's two."""
+    calls = []
+    real = classify.is_free
+
+    def counting(data):
+        calls.append(data)
+        return real(data)
+
+    monkeypatch.setattr(classify, "is_free", counting)
+    X, Y = lens(5, 1, 1), lens(5, 1, 4)
+    assert homeomorphic(X, Y).equivalent
+    assert len(calls) == 4
+    calls.clear()
+    assert homeomorphic(X, lens(7, 1, 1)).checked_pairs == 0
+    assert len(calls) == 2
 
 
 def test_hypothesis_guard():
@@ -1218,7 +1253,10 @@ def _check_against_orbit_pass(p, n, keys):
     for key in keys:
         assert classify._canonicalize(p, n, key) == _oracle_orbit_pass(oracle, p, n, key)
         canon = oracle[key][0]
-        assert classify._orbit_size(p, n, key) == sum(e[0] == canon for e in oracle.values())
+        stabiliser = classify._self_witnesses(p, n, canon)
+        assert classify._orbit_size(p, len(stabiliser)) == sum(
+            e[0] == canon for e in oracle.values()
+        )
     assert classify._ORBITS[(p, n)] == oracle  # same keys, canonical pairs and a0
 
 
@@ -1238,13 +1276,59 @@ def test_canonicalize_matches_the_orbit_pass_on_seeded_keys(monkeypatch, p, n, c
     _check_against_orbit_pass(p, n, _seeded_keys(p, n, count, 30 * p + n))
 
 
+@pytest.mark.parametrize("p,n,count", [(5, 2, 12), (7, 2, 6), (5, 3, 6), (7, 3, 3)])
+def test_recorded_self_witnesses_match_the_walk_on_the_canonical_form(monkeypatch, p, n, count):
+    """Stab(canon) = a0^-1 * Stab(key) * a0, sorted, is the list the walk
+    finds on the canonical pair itself, in the same row-major order."""
+    monkeypatch.setattr(classify, "_ORBITS", {})
+    monkeypatch.setattr(classify, "_SELF_WITNESSES", {})
+    for key in _seeded_keys(p, n, count, 70 * p + n):
+        canon, _ = classify._canonicalize(p, n, key)
+        assert classify._self_witnesses(p, n, canon) == _matching_substitutions(p, n, canon, canon)
+
+
+def _count_walks(monkeypatch):
+    walks = []
+    real = classify._span_matches
+
+    def counting(*args, **kwargs):
+        walks.append(args[2:4])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(classify, "_span_matches", counting)
+    return walks
+
+
+def test_one_walk_per_orbit_built(monkeypatch):
+    """A sampled census walks once per homotopy class it builds, and a
+    canonical_form miss once; a hit walks not at all."""
+    monkeypatch.setattr(classify, "_ORBITS", {})
+    monkeypatch.setattr(classify, "_SELF_WITNESSES", {})
+    census._classify_plane.cache_clear()
+    census._min_fingerprint.cache_clear()
+    walks = _count_walks(monkeypatch)
+    rec = census.run_census(5, 3, sample=3000, seed=0)
+    built = {canon for canon, _ in classify._ORBITS[(5, 3)].values()}
+    assert len(walks) == len(built) == rec.homotopy_classes == 10
+    walks.clear()
+    X = _random_free(random.Random(72), 7, 2)
+    canonical_form(X)
+    assert walks == [(k_pair(7, 2, X.R, X.Q),) * 2]
+    canonical_form(X)
+    assert len(walks) == 1
+
+
 def test_orbit_cap_admits_p13_and_refuses_larger_orbits():
     """Sizing walks only: every seeded (13, 2) orbit fits under the cap, and
     seeded (11, 3) and (17, 2) orbits do not."""
     cap = classify.ORBIT_SIZE_CAP
-    assert max(classify._orbit_size(13, 2, k) for k in _seeded_keys(13, 2, 200, 13)) <= cap
+
+    def size(p, n, key):
+        return classify._orbit_size(p, len(_matching_substitutions(p, n, key, key)))
+
+    assert max(size(13, 2, k) for k in _seeded_keys(13, 2, 200, 13)) <= cap
     for p, n in [(11, 3), (17, 2)]:
-        assert min(classify._orbit_size(p, n, k) for k in _seeded_keys(p, n, 5, p)) > cap
+        assert min(size(p, n, k) for k in _seeded_keys(p, n, 5, p)) > cap
 
 
 def test_canonical_form_refuses_an_oversized_orbit_before_building_it(monkeypatch):

@@ -155,6 +155,18 @@ def test_compare_hypothesis_violation_exit(capsys):
     assert doc["error"] == "invalid"
 
 
+@pytest.mark.parametrize("level", ["homotopy", "simple", "homeo"])
+def test_compare_refuses_invalid_input_before_comparing_p_and_n(capsys, level):
+    """A non-free space is invalid input (exit 2) against a space of another
+    (p, n) too, not a negative verdict."""
+    not_free = "p=5 n=2 R=1,0,0,0 Q=0,0,1,0"
+    for other in ("lens p=7 r=1,1 rp=1,2", "lens p=5 r=1,1 rp=1,2"):
+        for pair in ((not_free, other), (other, not_free)):
+            code, doc, _ = run_cli(capsys, "compare", *pair, "--level", level)
+            assert code == 2
+            assert doc["error"] == "invalid"
+
+
 def test_census_command(tmp_path, capsys):
     out = tmp_path / "census"
     code, doc, err = run_cli(capsys, "census", "3", "2", "--out", str(out))
