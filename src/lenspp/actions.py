@@ -122,13 +122,17 @@ def is_free_plane_form(data: RotationData) -> bool:
 
     The span intersects B_ij nontrivially iff the 2x2 matrix
     [[R[i], Q[i]], [R[j], Q[j]]] is singular, so freeness is n^2 determinant
-    checks.  is_free decides by the same blocks and adds the scan-order witness.
+    checks: the n^2 cross-block minors of [R; Q], the cross-block Pluecker
+    coordinates of the span (entries of gfp.wedge(R, Q, p)), are all units.
+    is_free decides by the same blocks and adds the scan-order witness.
     """
     return _free_by_planes(data.R, data.Q, data.p, data.n)
 
 
 def _free_by_planes(R, Q, p, n) -> bool:
-    """is_free_plane_form on bare rotation vectors; unchecked."""
+    """is_free_plane_form on bare rotation vectors: every cross-block
+    Pluecker coordinate R[i]*Q[j] - Q[i]*R[j] (i < n <= j) is nonzero mod p.
+    Unchecked."""
     for i in range(n):
         ri, qi = R[i], Q[i]
         for j in range(n, 2 * n):

@@ -16,9 +16,11 @@ step; RotationData is built only where a caller sees the spaces, in
 enumerate_free.
 
 Relabelling the two group generators multiplies [R; Q] on the left by
-GL2(F_p) and leaves both keys unchanged, so each space is classified
-through the reduced basis of its row space, and each plane (|GL2| free
-spaces) is classified once per process.
+GL2(F_p) and leaves both keys unchanged, so each space is keyed by its 2x2
+minors (the wedge R^Q, which such a relabelling multiplies by its
+determinant), the reduced basis of its row space is read off the minors
+once per wedge, and each plane (|GL2| free spaces, p - 1 wedges) is
+classified once per process.
 
 Outputs are deterministic byte-for-byte: the enumeration order is fixed,
 workers merge their groups by class counts and least pairs alone (sums and
@@ -49,7 +51,7 @@ from .forms import (
     product_of_linear_forms,
     substitution_matrix,
 )
-from .gfp import inv, is_quadratic_residue, pair_span_key, require_odd_prime
+from .gfp import inv, is_quadratic_residue, require_odd_prime, wedge, wedge_span_key
 from .pontrjagin import pontrjagin_coeffs, total_pontrjagin_raw
 from .quotient_ring import CohomRingModel, ring_model
 
@@ -236,10 +238,18 @@ def _min_fingerprint(p: int, n: int, canon: tuple, t0: tuple) -> tuple:
 def _classify_item(p: int, n: int, R: tuple, Q: tuple) -> tuple[tuple, tuple]:
     """(canonical k pair, Pontrjagin fingerprint) for the free space (R, Q).
 
-    The key depends only on the plane spanned by R and Q, so this is a
-    lookup on that plane; the pair is trusted (validated, or produced by
-    the census scan or draw)."""
-    return _classify_plane(p, n, pair_span_key(R, Q, p))
+    The key depends only on the plane spanned by R and Q, so the space is
+    keyed by its 2x2 minors, the wedge R^Q, and this is one cached lookup;
+    the pair is trusted (validated, or produced by the census scan or draw)."""
+    return _classify_wedge(p, n, wedge(R, Q, p))
+
+
+@lru_cache(maxsize=2**18)
+def _classify_wedge(p: int, n: int, w: tuple) -> tuple[tuple, tuple]:
+    """The census key of the plane with wedge w, whose rref rows are read
+    off the minors once per wedge.  The p - 1 wedges of a plane (one per
+    determinant of a change of basis) share one _classify_plane entry."""
+    return _classify_plane(p, n, wedge_span_key(w, 2 * n, p))
 
 
 @lru_cache(maxsize=2**16)

@@ -7,6 +7,7 @@ and census layers rely on.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -212,3 +213,54 @@ def pair_span_key(u: tuple[int, ...], v: tuple[int, ...], p: int) -> tuple[tuple
     r2 = tuple([y * t % p for y in r2])
     g = r1[j]
     return (tuple([(x - g * y) % p for x, y in zip(r1, r2)]), r2)
+
+
+@lru_cache(maxsize=16)
+def wedge_pairs(m: int) -> tuple[tuple[int, int], ...]:
+    """The index pairs (i, j), i < j < m, in lex order: the coordinate order
+    of a wedge u^v of two vectors of length m."""
+    return tuple(itertools.combinations(range(m), 2))
+
+
+def wedge(u: tuple[int, ...], v: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """u^v: the 2x2 minors u[i]*v[j] - u[j]*v[i] mod p over wedge_pairs,
+    the Pluecker coordinates of span(u, v).  Unchecked.
+
+    The wedge is zero exactly when u and v are dependent, and another basis
+    of the same plane multiplies it by the determinant of the change."""
+    return tuple([(u[i] * v[j] - u[j] * v[i]) % p for i, j in wedge_pairs(len(u))])
+
+
+@lru_cache(maxsize=16)
+def _wedge_columns(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each column c, the (index, sign) over k that read the skew
+    extension w_kc off a wedge w: w_kc = sign * w[index], with w_ji = -w_ij
+    and w_cc = 0 (sign 0)."""
+    index = {ij: k for k, ij in enumerate(wedge_pairs(m))}
+    return tuple(
+        tuple(
+            (index[k, c], 1) if k < c else (index[c, k], -1) if k > c else (0, 0)
+            for k in range(m)
+        )
+        for c in range(m)
+    )
+
+
+def wedge_span_key(w: tuple[int, ...], m: int, p: int) -> tuple[tuple[int, ...], ...]:
+    """pair_span_key(u, v, p) of any pair with w = wedge(u, v, p) != 0 and
+    vectors of length m, read off the minors with no elimination.
+
+    With w_ji = -w_ij and w_kk = 0, the first pair (a, b) in wedge_pairs
+    order with w_ab != 0 holds the two pivots, and the reduced rows are
+    r1[k] = w_kb / w_ab and r2[k] = w_ak / w_ab: the rows of the plane
+    vanishing at b and at a, scaled to 1 at a and at b."""
+    first = next((k for k, x in enumerate(w) if x), None)
+    if first is None:
+        raise ValueError("a zero wedge spans no plane")
+    a, b = wedge_pairs(m)[first]
+    s = pow(w[first], p - 2, p)
+    columns = _wedge_columns(m)
+    return (
+        tuple([sign * w[k] * s % p for k, sign in columns[b]]),
+        tuple([-sign * w[k] * s % p for k, sign in columns[a]]),
+    )

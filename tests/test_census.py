@@ -25,11 +25,11 @@ from lenspp.census import (
     write_census,
 )
 from conftest import gl2_elements, span_key
-from lenspp import census, classify, forms
+from lenspp import actions, census, classify, forms, gfp
 from lenspp.classify import canonical_form, homeomorphic, homotopy_equivalent
 from lenspp.errors import CapacityError, HypothesisViolation, InvalidDimension, InvalidSpan
 from lenspp.forms import HomogeneousForm, k_invariant, substitute
-from lenspp.gfp import Mat2, inv, is_quadratic_residue
+from lenspp.gfp import Mat2, inv, is_quadratic_residue, pair_span_key, wedge
 from lenspp.pontrjagin import total_pontrjagin_raw
 from lenspp.quotient_ring import CohomRingModel, ring_model
 
@@ -387,22 +387,106 @@ def _relabel(d, m):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_census_classifies_each_plane_once(p):
-    """Each GL2 orbit of free pairs is one plane, classified once."""
+    """Each GL2 orbit of free pairs is one plane, classified once; each of
+    its p - 1 wedges is read off once, and every free space is one wedge
+    lookup."""
     gl2 = (p * p - 1) * (p * p - p)
+    census._classify_wedge.cache_clear()
     census._classify_plane.cache_clear()
     rec = run_census(p, 2)
-    info = census._classify_plane.cache_info()
-    assert info.misses == rec.free_count // gl2 == {3: 28, 5: 336}[p]
-    assert info.hits + info.misses == rec.free_count
+    planes = census._classify_plane.cache_info()
+    wedges = census._classify_wedge.cache_info()
+    assert planes.misses == rec.free_count // gl2 == {3: 28, 5: 336}[p]
+    assert wedges.misses == (p - 1) * planes.misses == {3: 56, 5: 1344}[p]
+    assert wedges.hits + wedges.misses == rec.free_count
 
 
 def test_relabelled_spaces_share_one_plane():
-    (d,) = enumerate_free(5, 2, sample=1, seed=4)
+    """The |GL2| bases of one plane have p - 1 wedges, one per determinant,
+    and one plane entry."""
+    p = 5
+    (d,) = enumerate_free(p, 2, sample=1, seed=4)
+    census._classify_wedge.cache_clear()
     census._classify_plane.cache_clear()
-    keys = {_classify_item(5, 2, x.R, x.Q) for x in (_relabel(d, m) for m in gl2_elements(5))}
-    info = census._classify_plane.cache_info()
+    keys = {_classify_item(p, 2, x.R, x.Q) for x in (_relabel(d, m) for m in gl2_elements(p))}
+    planes = census._classify_plane.cache_info()
+    wedges = census._classify_wedge.cache_info()
     assert len(keys) == 1
-    assert (info.misses, info.hits) == (1, len(gl2_elements(5)) - 1)
+    assert (planes.misses, planes.hits) == (1, p - 2)
+    assert (wedges.misses, wedges.hits) == (p - 1, len(gl2_elements(p)) - (p - 1))
+
+
+@pytest.mark.parametrize("p, n", [(5, 2), (7, 3)])
+def test_relabelling_multiplies_the_wedge_by_the_determinant(p, n):
+    (d,) = enumerate_free(p, n, sample=1, seed=p + n)
+    w = wedge(d.R, d.Q, p)
+    for m in gl2_elements(p):
+        x = _relabel(d, m)
+        det = (m[0] * m[3] - m[1] * m[2]) % p
+        assert wedge(x.R, x.Q, p) == tuple(det * c % p for c in w), m
+
+
+def _classify_by_rref(p, n, R, Q):
+    """The census key through the rref of [R; Q], as before the wedge key."""
+    return census._classify_plane(p, n, pair_span_key(R, Q, p))
+
+
+def test_classify_item_matches_the_rref_path_p3():
+    for d in enumerate_free(3, 2):
+        assert _classify_item(3, 2, d.R, d.Q) == _classify_by_rref(3, 2, d.R, d.Q), (d.R, d.Q)
+
+
+@pytest.mark.parametrize("p, n, sample", [(5, 2, 400), (7, 2, 200), (5, 3, 8)])
+def test_classify_item_matches_the_rref_path_on_seeded_pairs(p, n, sample):
+    census._classify_wedge.cache_clear()
+    for d in enumerate_free(p, n, sample=sample, seed=17):
+        assert _classify_item(p, n, d.R, d.Q) == _classify_by_rref(p, n, d.R, d.Q), (d.R, d.Q)
+
+
+def test_classify_item_matches_the_rref_path_p7_n3():
+    """One seeded space and relabelled copies of it, so that a single orbit
+    search covers them all; the copies have several wedges."""
+    rng = random.Random(17)
+    (d,) = enumerate_free(7, 3, sample=1, seed=17)
+    spaces = [d]
+    while len(spaces) < 8:
+        m = tuple(rng.randrange(7) for _ in range(4))
+        if (m[0] * m[3] - m[1] * m[2]) % 7:
+            spaces.append(_relabel(d, m))
+    census._classify_wedge.cache_clear()
+    try:
+        for x in spaces:
+            assert _classify_item(7, 3, x.R, x.Q) == _classify_by_rref(7, 3, x.R, x.Q), (x.R, x.Q)
+    finally:
+        classify._ORBITS.pop((7, 3), None)
+
+
+def test_census_makes_no_per_space_rref(monkeypatch):
+    """run_census(3, 2) keys its 1,344 free spaces by their wedges: no
+    pair_span_key call, at any module that imports it, takes a rotation
+    vector.  The only calls are the stabiliser walks' k-pair planes
+    (classify._target_plane, on n + 1 value coordinates), one per homotopy
+    class, and none once those walks are cached."""
+    calls = []
+    real = gfp.pair_span_key
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    modules = [
+        module for name, module in sorted(sys.modules.items())
+        if name.split(".")[0] == "lenspp" and hasattr(module, "pair_span_key")
+    ]
+    assert gfp in modules and actions in modules and classify in modules
+    for module in modules:
+        monkeypatch.setattr(module, "pair_span_key", counting)
+    census._classify_wedge.cache_clear()
+    census._classify_plane.cache_clear()
+    rec = run_census(3, 2)
+    assert rec.free_count == 1344
+    assert [args for args in calls if len(args[0]) == 4] == []
+    assert len(calls) <= rec.homotopy_classes == 2
 
 
 def test_census_counts_invariant_under_group_relabeling():
@@ -573,6 +657,7 @@ def test_census_kernel_builds_almost_no_forms(monkeypatch):
         post_init(self)
 
     ring_model.cache_clear()
+    census._classify_wedge.cache_clear()
     census._classify_plane.cache_clear()
     monkeypatch.setattr(forms.HomogeneousForm, "__post_init__", counting)
     rec = run_census(3, 2)

@@ -1304,6 +1304,7 @@ def test_one_walk_per_orbit_built(monkeypatch):
     canonical_form miss once; a hit walks not at all."""
     monkeypatch.setattr(classify, "_ORBITS", {})
     monkeypatch.setattr(classify, "_SELF_WITNESSES", {})
+    census._classify_wedge.cache_clear()
     census._classify_plane.cache_clear()
     census._min_fingerprint.cache_clear()
     walks = _count_walks(monkeypatch)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,9 @@ from lenspp.gfp import (
     pgl2_rows,
     require_odd_prime,
     rref_with_pivots,
+    wedge,
+    wedge_pairs,
+    wedge_span_key,
 )
 
 
@@ -239,3 +243,52 @@ def test_pair_span_key_equals_span_key_exhaustive_p3(m):
     for u in rows:
         for v in rows:
             assert pair_span_key(u, v, 3) == span_key([u, v], 3), (u, v)
+
+
+def test_wedge_pairs_are_the_lex_index_pairs():
+    assert wedge_pairs(4) == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+    assert len(wedge_pairs(8)) == 28
+    assert wedge((1, 2, 0, 4), (3, 0, 1, 1), 5) == (4, 1, 4, 2, 2, 1)
+
+
+def _rows_read_off_the_wedge(u, v, p):
+    return wedge_span_key(wedge(u, v, p), len(u), p)
+
+
+def test_wedge_span_key_equals_pair_span_key_exhaustive_p3():
+    """Every rank-2 pair of length 4 over GF(3); the wedge of every other
+    pair is zero."""
+    rows = list(itertools.product(range(3), repeat=4))
+    rank2 = 0
+    for u in rows:
+        for v in rows:
+            key = pair_span_key(u, v, 3)
+            if len(key) == 2:
+                rank2 += 1
+                assert _rows_read_off_the_wedge(u, v, 3) == key, (u, v)
+            else:
+                assert not any(wedge(u, v, 3)), (u, v)
+    assert rank2 == (81 - 1) * (81 - 3)
+
+
+@pytest.mark.parametrize("p, n", [(5, 2), (7, 3), (11, 4)])
+def test_wedge_span_key_equals_pair_span_key_on_seeded_pairs(p, n):
+    """Random pairs with 0..2n - 1 leading zeros in each row, so that the
+    two pivots fall on any position."""
+    rng = random.Random(100 * p + n)
+    m = 2 * n
+    checked = 0
+    while checked < 500:
+        u, v = (
+            (0,) * k + tuple(rng.randrange(p) for _ in range(m - k))
+            for k in (rng.randrange(m), rng.randrange(m))
+        )
+        key = pair_span_key(u, v, p)
+        if len(key) == 2:
+            checked += 1
+            assert _rows_read_off_the_wedge(u, v, p) == key == span_key([u, v], p), (u, v)
+
+
+def test_wedge_span_key_refuses_a_zero_wedge():
+    with pytest.raises(ValueError):
+        wedge_span_key(wedge((1, 2, 3, 4), (2, 4, 1, 3), 5), 4, 5)
