@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidDimension, InvalidRotation, InvalidSpan
-from .gfp import inv, pair_span_key, require_odd_prime
+from .gfp import inv, require_odd_prime
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def validate(data: RotationData) -> RotationData:
         raise InvalidDimension(
             f"rotation vectors must have length 2n = {2 * data.n}, got {len(R)} and {len(Q)}"
         )
-    if len(pair_span_key(R, Q, data.p)) != 2:
+    if not _rank2(R, Q, data.p):
         raise InvalidSpan("R and Q must span a 2-dimensional subspace of (Z/p)^(2n)")
     return RotationData(data.p, data.n, R, Q)
 
@@ -139,6 +139,20 @@ def _free_by_planes(R, Q, p, n) -> bool:
             if (ri * Q[j] - qi * R[j]) % p == 0:
                 return False
     return True
+
+
+def _rank2(R, Q, p) -> bool:
+    """R != 0 and Q is off the line of R: some a*Q[j] - b*R[j] is nonzero,
+    with (a, b) = (R[i], Q[i]) at R's first nonzero entry.  A plain loop,
+    because the census calls it on every pair it scans.  Unchecked."""
+    for i, a in enumerate(R):
+        if a:
+            b = Q[i]
+            for x, y in zip(R, Q):
+                if (a * y - b * x) % p:
+                    return True
+            return False
+    return False
 
 
 def product_of_lens_spaces(

@@ -9,7 +9,10 @@ are homeomorphic in the classifier's sense, because the transported classes
 of a space form one orbit under the canonical form's self-witnesses and
 orbits are equal or disjoint.  Those self-witnesses come from the one
 stabiliser walk that sized the class's orbit when it was built (see
-classify._canonicalize), so each new homotopy class costs one walk.
+classify._canonicalize), so each new homotopy class costs one walk.  Every
+transport of a class along a substitution goes through
+classify._transport_class, the helper behind the homeomorphism decider's
+class check.
 
 The scan (or the seeded draw) hands plain (R, Q) tuples to the grouping
 step; RotationData is built only where a caller sees the spaces, in
@@ -39,21 +42,17 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .actions import RotationData, _free_by_planes, product_of_lens_spaces
-from .classify import _canonicalize, _self_witnesses, homeomorphic
+from .actions import RotationData, _free_by_planes, _rank2, product_of_lens_spaces
+from .classify import _canonicalize, _self_witnesses, _transport_class, homeomorphic
 from .errors import CapacityError, HypothesisViolation, InvalidDimension
 # product_of_linear_forms and total_pontrjagin_raw are the form-valued
-# counterparts of k_pair and pontrjagin_coeffs; the per-space kernel below
-# does not call them, but perfbench/tracing.py wraps them under these names.
-from .forms import (
-    apply_matrix,
-    k_pair,
-    product_of_linear_forms,
-    substitution_matrix,
-)
+# counterparts of k_pair and pontrjagin_coeffs, and apply_matrix runs inside
+# classify._transport_class; the per-space kernel below does not call them,
+# but perfbench/tracing.py wraps them under these names.
+from .forms import apply_matrix, k_pair, product_of_linear_forms
 from .gfp import inv, is_quadratic_residue, require_odd_prime, wedge, wedge_span_key
 from .pontrjagin import pontrjagin_coeffs, total_pontrjagin_raw
-from .quotient_ring import CohomRingModel, ring_model
+from .quotient_ring import ring_model
 
 CENSUS_PRIME_CAP = 7
 
@@ -106,20 +105,6 @@ class CensusRecord:
         }
 
 
-def _rank2(R, Q, p) -> bool:
-    """R != 0 and Q is off the line of R: some a*Q[j] - b*R[j] is nonzero,
-    with (a, b) = (R[i], Q[i]) at R's first nonzero entry.  A plain loop,
-    because the census calls it on every pair it scans."""
-    for i, a in enumerate(R):
-        if a:
-            b = Q[i]
-            for x, y in zip(R, Q):
-                if (a * y - b * x) % p:
-                    return True
-            return False
-    return False
-
-
 def _scan(p: int, n: int, start: int, stop: int) -> Iterator[tuple[tuple, tuple]]:
     """Every free (R, Q) whose R has lex index in [start, stop) among the
     p^(2n) vectors, in lex order of (R, Q): the one enumeration of an
@@ -136,7 +121,9 @@ def _scan(p: int, n: int, start: int, stop: int) -> Iterator[tuple[tuple, tuple]
 
 def _draw(p: int, n: int, sample: int, seed: int) -> Iterator[tuple[tuple, tuple]]:
     """sample distinct free (R, Q), drawn from a seeded RNG in draw order;
-    the request is checked by the caller (see _require_census)."""
+    the request is checked by the caller (see _require_census).  A free pair
+    has rank 2 (a nonzero cross-block minor makes R and Q independent), so
+    freeness is the only test."""
     rng = random.Random(seed)
     seen: set[tuple] = set()
     attempts = 0
@@ -146,7 +133,7 @@ def _draw(p: int, n: int, sample: int, seed: int) -> Iterator[tuple[tuple, tuple
             raise CapacityError("sampling failed to find enough free spaces")
         R = tuple(rng.randrange(p) for _ in range(2 * n))
         Q = tuple(rng.randrange(p) for _ in range(2 * n))
-        if (R, Q) in seen or not _rank2(R, Q, p) or not _free_by_planes(R, Q, p, n):
+        if (R, Q) in seen or not _free_by_planes(R, Q, p, n):
             continue
         seen.add((R, Q))
         yield R, Q
@@ -217,22 +204,13 @@ def enumerate_free(
         yield RotationData(p, n, R, Q)
 
 
-def _transport(model: CohomRingModel, A: tuple, t: tuple) -> tuple:
-    """Substitute A into each (degree, coeffs) component, then reduce."""
-    p = model.p
-    return tuple(
-        (deg, model.reduce_coeffs(apply_matrix(substitution_matrix(p, deg // 2, A), coeffs, p)))
-        for deg, coeffs in t
-    )
-
-
 @lru_cache(maxsize=2**20)
 def _min_fingerprint(p: int, n: int, canon: tuple, t0: tuple) -> tuple:
-    """Least transported class: minimize the reduced component tuple over the
-    canonical form's self-witness substitutions, recorded by the walk that
-    built its orbit."""
+    """Least transported class: minimize the reduced coefficient tuples t0
+    over the canonical form's self-witness substitutions, recorded by the
+    walk that built its orbit."""
     model = ring_model(p, n, canon)
-    return min([t0, *(_transport(model, g, t0) for g in _self_witnesses(p, n, canon))])
+    return min([t0, *(_transport_class(model, g, t0) for g in _self_witnesses(p, n, canon))])
 
 
 def _classify_item(p: int, n: int, R: tuple, Q: tuple) -> tuple[tuple, tuple]:
@@ -261,14 +239,14 @@ def _classify_plane(p: int, n: int, plane: tuple) -> tuple[tuple, tuple]:
     moves the k-pair and the Pontrjagin class by one and the same linear
     substitution: the canonical form stays, and the transported class moves
     within the orbit of the canonical form's self-witnesses, over which the
-    fingerprint is a minimum."""
+    fingerprint is a minimum.  The minimum is taken on bare coefficient
+    tuples and the cohomological degrees 4k are attached once, at the end:
+    they sit at the same place in every candidate, so they move no minimum."""
     R, Q = plane
     canon, a0 = _canonicalize(p, n, k_pair(p, n, R, Q))
     raw = pontrjagin_coeffs(p, zip(R, Q), n - 1)
-    t0 = _transport(
-        ring_model(p, n, canon), a0, tuple((4 * k, c) for k, c in enumerate(raw, 1))
-    )
-    return canon, _min_fingerprint(p, n, canon, t0)
+    t0 = _transport_class(ring_model(p, n, canon), a0, raw)
+    return canon, tuple((4 * k, c) for k, c in enumerate(_min_fingerprint(p, n, canon, t0), 1))
 
 
 def _add(groups: dict, key: tuple, count: int, R: tuple, Q: tuple) -> None:

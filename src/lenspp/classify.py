@@ -55,9 +55,10 @@ from .gfp import (
     inv,
     mat2_inv,
     mat2_mul,
-    pair_span_key,
     pgl2_rows,
     require_odd_prime,
+    wedge,
+    wedge_span_key,
 )
 # total_pontrjagin_raw is the form-valued counterpart of pontrjagin_coeffs;
 # the deciders do not call it, but perfbench/tracing.py wraps it under this name.
@@ -181,7 +182,7 @@ def _target_plane(p, y1, y2):
     (k, r1[k], r2[k]) of its rref rows: w lies in the plane iff
     w[k] = w[i0]*r1[k] + w[j0]*r2[k] for each of them."""
     w1, w2 = _values(p, y1), _values(p, y2)
-    r1, r2 = pair_span_key(w1, w2, p)
+    r1, r2 = wedge_span_key(wedge(w1, w2, p), len(w1), p)
     i0 = next(k for k, x in enumerate(r1) if x)
     j0 = next(k for k, x in enumerate(r2) if x)
     rest = tuple((k, r1[k], r2[k]) for k in range(len(r1)) if k not in (i0, j0))
@@ -403,15 +404,22 @@ def homeomorphic(X: RotationData, Y: RotationData, marked: bool = False) -> Verd
             classes[:] = (
                 model,
                 pontrjagin_coeffs(p, X.rotation_pairs(), n - 1),
-                [model.reduce_coeffs(c) for c in cls_y],
+                tuple(model.reduce_coeffs(c) for c in cls_y),
             )
         model_y, cls_x, cls_y = classes
-        return all(
-            model_y.reduce_coeffs(apply_matrix(substitution_matrix(p, 2 * k, A), fx, p)) == fy
-            for k, (fx, fy) in enumerate(zip(cls_x, cls_y), 1)
-        )
+        return _transport_class(model_y, A, cls_x) == cls_y
 
     return _decide(X, Y, LEVEL_HOMEO, marked, class_check)
+
+
+def _transport_class(model, A: tuple, comps) -> tuple[tuple[int, ...], ...]:
+    """The graded class comps (coefficient tuples of polynomial degree 2k,
+    k = 1, 2, ...) carried along the substitution A and reduced by model."""
+    p = model.p
+    return tuple(
+        model.reduce_coeffs(apply_matrix(substitution_matrix(p, 2 * k, A), c, p))
+        for k, c in enumerate(comps, 1)
+    )
 
 
 def matching_substitutions(X: RotationData, Y: RotationData) -> tuple[tuple, ...]:

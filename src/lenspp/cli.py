@@ -71,7 +71,11 @@ def parse_space(text: str) -> RotationData:
     """Accepts the JSON, inline, and lens-shorthand space syntaxes."""
     text = text.strip()
     if text.startswith("{"):
-        return actions.from_json(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except RecursionError:
+            raise ValueError("space JSON is nested too deeply") from None
+        return actions.from_json(obj)
     tokens = text.split()
     if not tokens:
         raise ValueError("empty space description")

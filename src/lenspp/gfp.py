@@ -3,6 +3,11 @@
 Field elements are plain ints reduced into [0, p); matrices are tuples of
 tuples of ints.  Everything is immutable and cheap to hash, which the orbit
 and census layers rely on.
+
+The kernel has two row-space tools: rref_with_pivots, general elimination,
+for the slices of the cohomology ideal; and the wedge, for planes spanned
+by two rows, whose 2x2 minors (wedge) key the plane and whose reduced rows
+are read off those minors with no elimination (wedge_span_key).
 """
 
 from __future__ import annotations
@@ -182,39 +187,6 @@ def rref_with_pivots(
     return tuple(tuple(row) for row in m), tuple(pivots)
 
 
-def pair_span_key(u: tuple[int, ...], v: tuple[int, ...], p: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical key for the row space of two rows of ints in [0, p): the
-    nonzero rows of its rref.  Unchecked.
-
-    One pass scales the first pivot row and clears its pivot column from the
-    other row, noting the second pivot on the way."""
-    i = 0
-    for x in u:
-        if x or v[i]:
-            break
-        i += 1
-    else:
-        return ()
-    if not u[i]:
-        u, v = v, u
-    s = pow(u[i], p - 2, p)
-    f = v[i]
-    r1, r2, j = [], [], -1
-    for x, y in zip(u, v):
-        x = x * s % p
-        y = (y - f * x) % p
-        if y and j < 0:
-            j = len(r2)
-        r1.append(x)
-        r2.append(y)
-    if j < 0:
-        return (tuple(r1),)
-    t = pow(r2[j], p - 2, p)
-    r2 = tuple([y * t % p for y in r2])
-    g = r1[j]
-    return (tuple([(x - g * y) % p for x, y in zip(r1, r2)]), r2)
-
-
 @lru_cache(maxsize=16)
 def wedge_pairs(m: int) -> tuple[tuple[int, int], ...]:
     """The index pairs (i, j), i < j < m, in lex order: the coordinate order
@@ -247,8 +219,9 @@ def _wedge_columns(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 def wedge_span_key(w: tuple[int, ...], m: int, p: int) -> tuple[tuple[int, ...], ...]:
-    """pair_span_key(u, v, p) of any pair with w = wedge(u, v, p) != 0 and
-    vectors of length m, read off the minors with no elimination.
+    """The two nonzero rref rows of span(u, v), for any pair of vectors of
+    length m with w = wedge(u, v, p) != 0, read off the minors with no
+    elimination.
 
     With w_ji = -w_ij and w_kk = 0, the first pair (a, b) in wedge_pairs
     order with w_ab != 0 holds the two pivots, and the reduced rows are

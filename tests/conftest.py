@@ -33,7 +33,8 @@ def gl2_elements(p: int) -> tuple[tuple[int, int, int, int], ...]:
 
 def span_key(rows, p: int) -> tuple[tuple[int, ...], ...]:
     """Canonical key for the row space, by general row reduction: the nonzero
-    rows of the rref.  The oracle for gfp.pair_span_key."""
+    rows of the rref.  The oracle for gfp.wedge_span_key, which reads the
+    rows of a plane off its 2x2 minors."""
     reduced, pivots = rref_with_pivots(rows, p)
     return reduced[: len(pivots)]
 

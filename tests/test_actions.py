@@ -20,7 +20,7 @@ from lenspp.errors import (
     InvalidRotation,
     InvalidSpan,
 )
-from conftest import free_space_strategy, gl2_elements
+from conftest import free_space_strategy, gl2_elements, span_key
 
 
 def test_validate_accepts_independent_rows():
@@ -37,6 +37,32 @@ def test_validate_reduces_entries():
 def test_validate_rejects_dependent_rows():
     with pytest.raises(InvalidSpan):
         validate(RotationData(5, 2, (1, 2, 0, 0), (2, 4, 0, 0)))
+
+
+@pytest.mark.parametrize("p, n", [(5, 2), (7, 2), (5, 3), (7, 3)])
+def test_validate_rank_test_agrees_with_the_rref_oracle_on_unreduced_entries(p, n):
+    """Entries drawn from [-2p, 2p), so negative and >= p, with Q a shifted
+    multiple of R in a third of the pairs: validate accepts exactly the
+    pairs whose rref has two nonzero rows, and reduces what it accepts."""
+    rng = random.Random(1000 * p + n)
+    m = 2 * n
+    accepted = refused = 0
+    for trial in range(600):
+        R = tuple(rng.randrange(-2 * p, 2 * p) for _ in range(m))
+        if trial % 3:
+            Q = tuple(rng.randrange(-2 * p, 2 * p) for _ in range(m))
+        else:
+            c = rng.randrange(p)
+            Q = tuple(c * x + p * rng.randrange(-2, 2) for x in R)
+        if len(span_key([R, Q], p)) == 2:
+            d = validate(RotationData(p, n, R, Q))
+            assert (d.R, d.Q) == (tuple(x % p for x in R), tuple(x % p for x in Q))
+            accepted += 1
+        else:
+            with pytest.raises(InvalidSpan):
+                validate(RotationData(p, n, R, Q))
+            refused += 1
+    assert accepted and refused
 
 
 def test_validate_rejects_small_n():

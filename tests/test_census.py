@@ -29,7 +29,7 @@ from lenspp import actions, census, classify, forms, gfp
 from lenspp.classify import canonical_form, homeomorphic, homotopy_equivalent
 from lenspp.errors import CapacityError, HypothesisViolation, InvalidDimension, InvalidSpan
 from lenspp.forms import HomogeneousForm, k_invariant, substitute
-from lenspp.gfp import Mat2, inv, is_quadratic_residue, pair_span_key, wedge
+from lenspp.gfp import Mat2, inv, is_quadratic_residue, wedge
 from lenspp.pontrjagin import total_pontrjagin_raw
 from lenspp.quotient_ring import CohomRingModel, ring_model
 
@@ -345,11 +345,15 @@ def test_census_scan_work_matches_the_record(monkeypatch, workers):
 
 
 def test_sampled_census_counts_each_draw_once(monkeypatch):
-    calls = _record_calls(monkeypatch, ["_classify_item"])
+    """Each distinct free draw is classified once.  A free pair has rank 2,
+    so the draw makes no rank test, only one freeness test per pair."""
+    calls = _record_calls(monkeypatch, ["_rank2", "_free_by_planes", "_classify_item"])
     rec = run_census(5, 2, sample=200, seed=3)
     assert rec.sampled
     assert rec.total_pairs == rec.free_count == calls["_classify_item"] == 200
     assert sum(r.count for r in rec.representatives) == 200
+    assert calls["_rank2"] == 0
+    assert calls["_free_by_planes"] > 200
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -428,7 +432,7 @@ def test_relabelling_multiplies_the_wedge_by_the_determinant(p, n):
 
 def _classify_by_rref(p, n, R, Q):
     """The census key through the rref of [R; Q], as before the wedge key."""
-    return census._classify_plane(p, n, pair_span_key(R, Q, p))
+    return census._classify_plane(p, n, span_key([R, Q], p))
 
 
 def test_classify_item_matches_the_rref_path_p3():
@@ -462,13 +466,15 @@ def test_classify_item_matches_the_rref_path_p7_n3():
 
 
 def test_census_makes_no_per_space_rref(monkeypatch):
-    """run_census(3, 2) keys its 1,344 free spaces by their wedges: no
-    pair_span_key call, at any module that imports it, takes a rotation
-    vector.  The only calls are the stabiliser walks' k-pair planes
-    (classify._target_plane, on n + 1 value coordinates), one per homotopy
-    class, and none once those walks are cached."""
+    """run_census(3, 2) keys its 1,344 free spaces by their wedges and reads
+    rows off a wedge, never by elimination, once per wedge: wedge_span_key,
+    at every module that imports it, sees the p - 1 wedges of each of the
+    28 planes (56 calls on rotation vectors of length 4).  Its only other
+    calls are the stabiliser walks' k-pair planes (classify._target_plane,
+    on n + 1 = 3 value coordinates), one per homotopy class, and none once
+    those walks are cached."""
     calls = []
-    real = gfp.pair_span_key
+    real = gfp.wedge_span_key
 
     def counting(*args):
         calls.append(args)
@@ -476,17 +482,19 @@ def test_census_makes_no_per_space_rref(monkeypatch):
 
     modules = [
         module for name, module in sorted(sys.modules.items())
-        if name.split(".")[0] == "lenspp" and hasattr(module, "pair_span_key")
+        if name.split(".")[0] == "lenspp" and hasattr(module, "wedge_span_key")
     ]
-    assert gfp in modules and actions in modules and classify in modules
+    assert gfp in modules and census in modules and classify in modules
     for module in modules:
-        monkeypatch.setattr(module, "pair_span_key", counting)
+        monkeypatch.setattr(module, "wedge_span_key", counting)
     census._classify_wedge.cache_clear()
     census._classify_plane.cache_clear()
     rec = run_census(3, 2)
     assert rec.free_count == 1344
-    assert [args for args in calls if len(args[0]) == 4] == []
-    assert len(calls) <= rec.homotopy_classes == 2
+    lengths = [m for _, m, _ in calls]
+    assert lengths.count(4) == 56
+    assert lengths.count(3) <= rec.homotopy_classes == 2
+    assert len(lengths) == lengths.count(4) + lengths.count(3)
 
 
 def test_census_counts_invariant_under_group_relabeling():

@@ -46,6 +46,20 @@ def test_parse_space_rejects_garbage():
         parse_space("")
 
 
+_DEEP = '{"p":' + "[" * 5000 + "]" * 5000 + ',"n":2,"R":[1],"Q":[1]}'
+
+
+@pytest.mark.parametrize(
+    "argv", [("check-free", _DEEP), ("compare", _DEEP, "lens p=5 r=1,1 rp=1,2")]
+)
+def test_deeply_nested_space_json_is_invalid_input(capsys, argv):
+    """JSON nested past the decoder's recursion limit is invalid input
+    (exit 2), not a crash with the negative-verdict exit code 1."""
+    code, doc, _ = run_cli(capsys, *argv)
+    assert code == 2
+    assert doc["error"] == "invalid"
+
+
 def test_check_free_exit_codes(capsys):
     code, doc, _ = run_cli(capsys, "check-free", "lens p=5 r=1,2 rp=1,3")
     assert code == 0

@@ -11,7 +11,6 @@ from lenspp.gfp import (
     Mat2,
     inv,
     is_odd_prime,
-    pair_span_key,
     MR_EXACT_BOUND,
     is_quadratic_residue,
     mat2_inv,
@@ -228,23 +227,6 @@ def test_rref_preserves_row_space(p, data):
     assert len(span_key(m, p)) == len(span_key(reduced, p))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from([3, 5, 7, 13]), st.data())
-def test_pair_span_key_equals_span_key(p, data):
-    m = data.draw(st.integers(1, 5))
-    row = st.tuples(*(st.integers(0, p - 1) for _ in range(m)))
-    u, v = data.draw(row), data.draw(row)
-    assert pair_span_key(u, v, p) == span_key([u, v], p)
-
-
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_pair_span_key_equals_span_key_exhaustive_p3(m):
-    rows = list(itertools.product(range(3), repeat=m))
-    for u in rows:
-        for v in rows:
-            assert pair_span_key(u, v, 3) == span_key([u, v], 3), (u, v)
-
-
 def test_wedge_pairs_are_the_lex_index_pairs():
     assert wedge_pairs(4) == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
     assert len(wedge_pairs(8)) == 28
@@ -255,24 +237,42 @@ def _rows_read_off_the_wedge(u, v, p):
     return wedge_span_key(wedge(u, v, p), len(u), p)
 
 
-def test_wedge_span_key_equals_pair_span_key_exhaustive_p3():
-    """Every rank-2 pair of length 4 over GF(3); the wedge of every other
-    pair is zero."""
-    rows = list(itertools.product(range(3), repeat=4))
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_wedge_span_key_equals_span_key_exhaustive_p3(m):
+    """Every rank-2 pair of length m over GF(3); the wedge of every other
+    pair is zero.  The lengths cover the census's rotation vectors (2n = 4)
+    and the value coordinates of classify._target_plane (n + 1 = 3, 4, 5)."""
+    rows = list(itertools.product(range(3), repeat=m))
     rank2 = 0
     for u in rows:
         for v in rows:
-            key = pair_span_key(u, v, 3)
+            key = span_key([u, v], 3)
             if len(key) == 2:
                 rank2 += 1
                 assert _rows_read_off_the_wedge(u, v, 3) == key, (u, v)
             else:
                 assert not any(wedge(u, v, 3)), (u, v)
-    assert rank2 == (81 - 1) * (81 - 3)
+    assert rank2 == (3**m - 1) * (3**m - 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([3, 5, 7, 13]), st.integers(2, 6), st.data())
+def test_wedge_span_key_equals_span_key(p, m, data):
+    """Random pairs, with v a multiple of u in some of them: a rank-2 pair
+    gives span_key's rows, every other pair a zero wedge."""
+    row = st.tuples(*(st.integers(0, p - 1) for _ in range(m)))
+    u = data.draw(row)
+    c = data.draw(st.none() | st.integers(0, p - 1))
+    v = data.draw(row) if c is None else tuple(c * x % p for x in u)
+    key = span_key([u, v], p)
+    if len(key) == 2:
+        assert _rows_read_off_the_wedge(u, v, p) == key
+    else:
+        assert not any(wedge(u, v, p))
 
 
 @pytest.mark.parametrize("p, n", [(5, 2), (7, 3), (11, 4)])
-def test_wedge_span_key_equals_pair_span_key_on_seeded_pairs(p, n):
+def test_wedge_span_key_equals_span_key_on_seeded_pairs(p, n):
     """Random pairs with 0..2n - 1 leading zeros in each row, so that the
     two pivots fall on any position."""
     rng = random.Random(100 * p + n)
@@ -283,10 +283,10 @@ def test_wedge_span_key_equals_pair_span_key_on_seeded_pairs(p, n):
             (0,) * k + tuple(rng.randrange(p) for _ in range(m - k))
             for k in (rng.randrange(m), rng.randrange(m))
         )
-        key = pair_span_key(u, v, p)
+        key = span_key([u, v], p)
         if len(key) == 2:
             checked += 1
-            assert _rows_read_off_the_wedge(u, v, p) == key == span_key([u, v], p), (u, v)
+            assert _rows_read_off_the_wedge(u, v, p) == key, (u, v)
 
 
 def test_wedge_span_key_refuses_a_zero_wedge():
