@@ -69,16 +69,21 @@ def validate(data: RotationData) -> RotationData:
 
 def from_json(obj: dict) -> RotationData:
     """Parse the {"p":..,"n":..,"R":[..],"Q":[..]} space format; entries may be
-    unreduced but must be JSON integers (not floats, strings or booleans)."""
+    unreduced but must be JSON integers (not floats, strings or booleans).
+    An error names the bad field and the type of its first bad value, never
+    the input itself, which may be large."""
+    need = "space object needs integer p, n and integer lists R, Q"
     try:
         p, n, R, Q = obj["p"], obj["n"], obj["R"], obj["Q"]
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"space object needs integer p, n and integer lists R, Q: {exc}")
-    # type(x) is int: bool is an int subclass, but true/false is no rotation number
-    if not (isinstance(R, list) and isinstance(Q, list)) or any(
-        type(x) is not int for x in (p, n, *R, *Q)
-    ):
-        raise ValueError(f"space object needs integer p, n and integer lists R, Q, got {obj!r}")
+        raise ValueError(f"{need}: {exc}")
+    for key, values in (("p", [p]), ("n", [n]), ("R", R), ("Q", Q)):
+        if not isinstance(values, list):
+            raise ValueError(f"{need}: {key} is a {type(values).__name__}")
+        # type(x) is int: bool is an int subclass, but true/false is no rotation number
+        bad = next((type(x).__name__ for x in values if type(x) is not int), None)
+        if bad:
+            raise ValueError(f"{need}: {key} holds a {bad}")
     return validate(RotationData(p, n, tuple(R), tuple(Q)))
 
 

@@ -45,7 +45,6 @@ from .forms import (
     HomogeneousForm,
     KInvariant,
     apply_matrix,
-    k_invariant,
     k_pair,
     substitute,
     substitution_matrix,
@@ -149,30 +148,19 @@ def _at(x, s, t, p):
     return v % p
 
 
-@lru_cache(maxsize=2**8)
-def _value_table(p, x):
-    """x at every point of GF(p)^2, x(s, t) at index s*p + t: p^2 values,
-    ~7.7 KB at p = 31, so the 2^8 tables the cache holds stay near 2 MB."""
-    return tuple(_at(x, s, t, p) for s in range(p) for t in range(p))
-
-
-def _values(p, x):
-    """Value coordinates of a degree-n form x: its values at the n + 1
-    points (1, i), i = 0..n.  The points are distinct because p > n, and a
-    nonzero degree-n form has at most n zeros on P^1, so this linear map is
-    injective."""
-    return tuple(_at(x, 1, i, p) for i in range(len(x)))
+def _values(p, x, A=_IDENT):
+    """Value coordinates of the degree-n form x substituted by A = (a, b, c,
+    d): its values x(a + b*i, c + d*i) at the n + 1 points (1, i), i = 0..n.
+    The points are distinct because p > n, and a nonzero degree-n form has
+    at most n zeros on P^1, so this linear map is injective."""
+    a, b, c, d = A
+    return tuple(_at(x, (a + b * i) % p, (c + d * i) % p, p) for i in range(len(x)))
 
 
 @lru_cache(maxsize=2**18)
 def _transported(p, deg, A, x1, x2):
-    """Value coordinates of the k-pair substituted by A = (a, b, c, d):
-    u(1, i) = x1(a + b*i, c + d*i), n + 1 lookups into x1's value table,
-    and likewise v from x2."""
-    a, b, c, d = A
-    t1, t2 = _value_table(p, x1), _value_table(p, x2)
-    points = [(a + b * i) % p * p + (c + d * i) % p for i in range(deg + 1)]
-    return tuple(t1[k] for k in points), tuple(t2[k] for k in points)
+    """Value coordinates of the k-pair (x1, x2) substituted by A."""
+    return _values(p, x1, A), _values(p, x2, A)
 
 
 @lru_cache(maxsize=2**12)
@@ -200,13 +188,18 @@ def _point_index(p):
 @lru_cache(maxsize=2**12)
 def _pencil(p, n, x1, x2):
     """The incidence of the pencil s*x1 + t*x2 of a free space's k-pair with
-    P^1(GF(p)): (member, zeros), where member[k] is the index of the one
-    member vanishing at the k-th point of P^1 ((1 : k), then (0 : 1)), and
-    zeros[m] is the zero count of the m-th member (1 : m), then (0 : 1).
+    P^1(GF(p)): (member, zeros, profile), where member[k] is the index of
+    the one member vanishing at the k-th point of P^1 ((1 : k), then
+    (0 : 1)), zeros[m] is the zero count of the m-th member (1 : m), then
+    (0 : 1), and profile is zeros sorted.
 
     At the point (a, b), x1 and x2 take values (e1, e2), not both zero
     (freeness: no linear factor of x1 is proportional to one of x2), and
-    the one member vanishing there is (e2 : -e1)."""
+    the one member vanishing there is (e2 : -e1).
+
+    The profile is an invariant of the pair under (A, B) for every
+    invertible B: a substitution permutes P^1, an invertible mix permutes
+    the members, and a scalar moves no zeros."""
     member = []
     for a, b in [(1, t) for t in range(p)] + [(0, 1)]:
         e1, e2 = _at(x1, a, b, p), _at(x2, a, b, p)
@@ -214,17 +207,7 @@ def _pencil(p, n, x1, x2):
     zeros = [0] * (p + 1)
     for m in member:
         zeros[m] += 1
-    return tuple(member), tuple(zeros)
-
-
-@lru_cache(maxsize=2**12)
-def _pencil_profile(p, n, x1, x2):
-    """Sorted zero counts on P^1(GF(p)) of the p + 1 members of the pencil
-    of a free space's k-pair (x1, x2) (see _pencil).  A substitution permutes
-    P^1, an invertible mix permutes the members, and a scalar moves no
-    zeros, so this is an invariant of the pair under (A, B) for every
-    invertible B."""
-    return tuple(sorted(_pencil(p, n, x1, x2)[1]))
+    return tuple(member), tuple(zeros), tuple(sorted(zeros))
 
 
 def _mix_solver(u, v, y1, y2, i0, j0, p):
@@ -258,22 +241,22 @@ def _span_matches(p, n, kx_pair, ky_pair, marked=False):
     its matches are lam*A with mix lam^-n * B, re-sorted.
 
     Both tests run in value coordinates: a degree-n form is determined by
-    its values at the n + 1 points (1, i), i = 0..n (see _values), and the
-    substituted form x.A has values x(a + b*i, c + d*i) there, n + 1 lookups
-    into a table of x over GF(p)^2 (see _transported), so no substitution
-    matrix is built.  Span equality and the mix read the same on values as
-    on coefficients, because evaluation is a linear isomorphism.  The
-    transported pair (u, v) is independent, so its span is k(Y)'s plane iff
-    u and v each lie in it: n - 1 residual checks each (see _target_plane).
+    its values at the n + 1 points (1, i), i = 0..n, and the substituted
+    form x.A has values x(a + b*i, c + d*i) there (see _values), so no
+    substitution matrix is built.  Span equality and the mix read the same
+    on values as on coefficients, because evaluation is a linear
+    isomorphism.  The transported pair (u, v) is independent, so its span
+    is k(Y)'s plane iff u and v each lie in it: n - 1 residual checks each
+    (see _target_plane).
 
     Unmarked, the walk runs only if the pencil profiles agree, checked after
-    pgl2_rows so its capacity refusal comes first, and before any value
-    table or transport.  Differing profiles rule out every span match: a
-    matching A and its invertible mix carry each member of span k(X) onto a
-    member of span k(Y), and A permutes the points of P^1, so the members'
-    zero counts agree.  The walk would yield nothing, which is what the
-    early return yields.  The marked path evaluates k(X) at the n + 1
-    points directly and builds no table, so it answers at any p.
+    pgl2_rows so its capacity refusal comes first, and before any
+    transport.  Differing profiles rule out every span match: a matching A
+    and its invertible mix carry each member of span k(X) onto a member of
+    span k(Y), and A permutes the points of P^1, so the members' zero
+    counts agree.  The walk would yield nothing, which is what the early
+    return yields.  The marked path transports by the identity alone and
+    builds no pgl2_rows, so it answers at any p.
 
     The same argument, point by point, prefilters the representatives
     before any transport (see _pencil).  If A = (a, b, c, d) matches, every
@@ -290,10 +273,10 @@ def _span_matches(p, n, kx_pair, ky_pair, marked=False):
     y1, y2 = ky_pair
     if not marked:
         reps = dict(pgl2_rows(p))
-        if _pencil_profile(p, n, x1, x2) != _pencil_profile(p, n, y1, y2):
+        member_x, zeros_x, profile_x = _pencil(p, n, x1, x2)
+        member_y, zeros_y, profile_y = _pencil(p, n, y1, y2)
+        if profile_x != profile_y:
             return
-        member_x, zeros_x = _pencil(p, n, x1, x2)
-        member_y, zeros_y = _pencil(p, n, y1, y2)
         z = max(zeros_y)
         if z >= 2:  # P0 = (s0, t0), P1 = (s1, t1): zeros of a Y-member with z zeros
             m = zeros_y.index(z)
@@ -310,7 +293,7 @@ def _span_matches(p, n, kx_pair, ky_pair, marked=False):
         return True
 
     if marked:
-        u, v = _values(p, x1), _values(p, x2)
+        u, v = _transported(p, n, _IDENT, x1, x2)
         if in_plane(u, v):
             yield _IDENT, _mix_solver(u, v, w1, w2, i0, j0, p)
         return
@@ -429,9 +412,8 @@ def matching_substitutions(X: RotationData, Y: RotationData) -> tuple[tuple, ...
     hypotheses and be free; spaces with different (p, n) have none."""
     if not _same_setting(X, Y):
         return ()
-    kx = k_invariant(X)
-    ky = k_invariant(Y)
-    return _matching_substitutions(X.p, X.n, kx.coeff_pair(), ky.coeff_pair())
+    p, n = X.p, X.n
+    return _matching_substitutions(p, n, k_pair(p, n, X.R, X.Q), k_pair(p, n, Y.R, Y.Q))
 
 
 def _matching_substitutions(p, n, kx_pair, ky_pair) -> tuple[tuple, ...]:
@@ -540,8 +522,7 @@ def canonical_form(X: RotationData) -> tuple[HomogeneousForm, HomogeneousForm]:
     equivalence, so this is the census grouping key.  X must be free."""
     _require_hypotheses(X.p, X.n)
     _require_free(X)
-    k = k_invariant(X)
-    canon, _ = _canonicalize(X.p, X.n, k.coeff_pair())
+    canon, _ = _canonicalize(X.p, X.n, k_pair(X.p, X.n, X.R, X.Q))
     return (HomogeneousForm(X.p, canon[0]), HomogeneousForm(X.p, canon[1]))
 
 

@@ -649,19 +649,19 @@ def test_negative_at_the_gl2_cap_keeps_no_gl2_table():
 # the deciders compare before the transport walk
 
 def _profile(X):
-    return classify._pencil_profile(X.p, X.n, *k_invariant(X).coeff_pair())
+    return classify._pencil(X.p, X.n, *k_invariant(X).coeff_pair())[2]
 
 
 @pytest.mark.parametrize("p,n", [(5, 2), (7, 2), (7, 3), (11, 2), (13, 2)])
 def test_pencil_profile_is_invariant_under_substitution_and_mix(p, n):
-    assert classify._pencil_profile.cache_parameters()["maxsize"] is not None
+    assert classify._pencil.cache_parameters()["maxsize"] is not None
     rng = random.Random(1000 * p + n)
     gl2 = gl2_elements(p)
     mixes = [b for b in gl2 if (b[0] * b[3] - b[1] * b[2]) % p in (1, p - 1)]
     for _ in range(40):
         X = _random_free(rng, p, n)
         x1, x2 = k_invariant(X).coeff_pair()
-        want = classify._pencil_profile(p, n, x1, x2)
+        want = classify._pencil(p, n, x1, x2)[2]
         if n == 2:  # a member with one zero is a square: the walk tests' count
             assert want.count(1) * (p - 1) == _pencil_squares(X)
         M = substitution_matrix(p, n, rng.choice(gl2))
@@ -669,7 +669,7 @@ def test_pencil_profile_is_invariant_under_substitution_and_mix(p, n):
         c, d, e, f = rng.choice(mixes)
         y1 = tuple((c * a + d * b) % p for a, b in zip(u, v))
         y2 = tuple((e * a + f * b) % p for a, b in zip(u, v))
-        assert classify._pencil_profile(p, n, y1, y2) == want, (X, y1, y2)
+        assert classify._pencil(p, n, y1, y2)[2] == want, (X, y1, y2)
         assert _profile(_relabelled(rng, X)) == want, X
 
 
@@ -691,7 +691,7 @@ def _check_profile_of_canonical_pairs(monkeypatch, p, n, keys):
     monkeypatch.setattr(classify, "_ORBITS", {(p, n): _KeysOnly(keys)})
     for key in keys:
         canon, _ = classify._canonicalize(p, n, key)
-        assert classify._pencil_profile(p, n, *canon) == classify._pencil_profile(p, n, *key), key
+        assert classify._pencil(p, n, *canon)[2] == classify._pencil(p, n, *key)[2], key
     assert classify._ORBITS[(p, n)].keys() == keys
 
 
@@ -980,8 +980,8 @@ def test_prefilter_transports_only_the_span_matches_of_the_cube_free_negative():
 
 
 # ---------------------------------------------------------------------------
-# value coordinates: the walk transports by table lookups, not by a
-# substitution matrix
+# value coordinates: the walk transports by evaluating each form at n + 1
+# points, not by a substitution matrix
 
 def _random_gl2(rng, p):
     while True:
@@ -1009,23 +1009,23 @@ def test_transported_values_are_the_substituted_pair_at_the_points(p, n):
         assert classify._transported(p, n, A, x1, x2) == want, (x1, x2, A)
 
 
-def _record_value_tables(monkeypatch):
-    """Wrap classify._value_table; returns the list of p it is called for.
-    _transported's cache is cleared, so each transport reaches the tables."""
+def _record_transports(monkeypatch):
+    """Wrap classify._transported, its cache cleared; returns the list of
+    (p, A) it is called with."""
     classify._transported.cache_clear()
-    builds = []
-    real = classify._value_table
+    calls = []
+    real = classify._transported
 
-    def recording(p, x):
-        builds.append(p)
-        return real(p, x)
+    def recording(p, deg, A, x1, x2):
+        calls.append((p, A))
+        return real(p, deg, A, x1, x2)
 
-    monkeypatch.setattr(classify, "_value_table", recording)
-    return builds
+    monkeypatch.setattr(classify, "_transported", recording)
+    return calls
 
 
-def test_refusals_prunes_and_marked_calls_build_no_value_table(monkeypatch):
-    builds = _record_value_tables(monkeypatch)
+def test_refusals_and_prunes_transport_nothing_and_marked_calls_transport_once(monkeypatch):
+    calls = _record_transports(monkeypatch)
     X, Y = lens(37, 1, 2), lens(37, 2, 3)
     assert k_invariant(X) != k_invariant(Y)
     for decide in (homotopy_equivalent, homeomorphic):
@@ -1037,22 +1037,25 @@ def test_refusals_prunes_and_marked_calls_build_no_value_table(monkeypatch):
         if _profile(X) != _profile(Y):
             break
     assert not homeomorphic(X, Y).equivalent
-    # marked, at a p whose p^2-entry table would not fit in memory
+    assert calls == []
+    # marked, far above the GL2 cap: the identity is the one transport
     p = 10007
     X = lens(p, 1, 2)
     Y = validate(RotationData(p, 2, (p - X.R[0],) + X.R[1:], (p - X.Q[0],) + X.Q[1:]))
     for decide in (homotopy_equivalent, homeomorphic):
         got = decide(X, Y, marked=True)
         assert got.equivalent and got.witness.B.det() == p - 1
+        assert calls == [(p, (1, 0, 0, 1))]
         assert not decide(X, lens(p, 2, 3), marked=True).equivalent
-    assert builds == []
+        assert calls == [(p, (1, 0, 0, 1))] * 2
+        calls.clear()
     rng = random.Random(5)
-    while True:  # the recorder does see the tables a walk builds
+    while True:  # the recorder does see the transports of a walk
         X, Y = _random_free(rng, 13, 2), _random_free(rng, 13, 2)
         if _profile(X) == _profile(Y):
             break
     homotopy_equivalent(X, Y)
-    assert builds and set(builds) == {13}
+    assert calls and {q for q, _ in calls} == {13}
 
 
 def test_walked_negatives_build_no_substitution_matrix():

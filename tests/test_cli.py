@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 import lenspp
-from lenspp import cli
+from lenspp import actions, cli
 from lenspp.actions import product_of_lens_spaces
-from lenspp.classify import _pencil_profile
+from lenspp.classify import _pencil
 from lenspp.cli import main, parse_space
 from lenspp.forms import k_pair
 
@@ -58,6 +58,22 @@ def test_deeply_nested_space_json_is_invalid_input(capsys, argv):
     code, doc, _ = run_cli(capsys, *argv)
     assert code == 2
     assert doc["error"] == "invalid"
+
+
+def test_large_bad_space_json_gets_a_short_message(capsys):
+    """The error names the bad field and value type; it does not echo the
+    input, which would print the whole space on stdout and stderr."""
+    obj = {"p": 5, "n": 2, "R": [0.5] * 100_000, "Q": [0, 0, 1, 1]}
+    with pytest.raises(ValueError) as exc:
+        actions.from_json(obj)
+    assert len(str(exc.value)) < 200 and "R" in str(exc.value) and "float" in str(exc.value)
+    code, doc, err = run_cli(capsys, "check-free", json.dumps(obj))
+    assert code == 2
+    assert doc["error"] == "invalid"
+    assert len(doc["message"]) < 200 and len(err) < 300
+    with pytest.raises(ValueError) as exc:
+        actions.from_json([0.5] * 100_000)
+    assert len(str(exc.value)) < 200
 
 
 def test_check_free_exit_codes(capsys):
@@ -390,7 +406,7 @@ def test_oversized_sample_refuses_within_budget(tmp_path):
 
 def _profile(text):
     d = parse_space(text)
-    return _pencil_profile(d.p, d.n, *k_pair(d.p, d.n, d.R, d.Q))
+    return _pencil(d.p, d.n, *k_pair(d.p, d.n, d.R, d.Q))[2]
 
 
 def test_compare_homeo_of_equal_spaces_beyond_gl2_cap_answers(capsys):
