@@ -20,9 +20,9 @@ prefilter).
 
 The canonical form, the census grouping key, is the least pair in the
 k-invariant pair's (A, B) orbit.  Substitution and mix commute, so the orbit
-is built in one pass over GL2 (the scalar multiples of the PGL2
-representatives) as a union of B-orbits: each A transports the pair once,
-and only a transported pair not yet reached is mixed by the det +-1 group.
+is built in one pass over GL2 in row-major order as a union of B-orbits:
+each A transports the pair once, and only a transported pair not yet
+reached is mixed by the det +-1 group.
 Before that pass, one walk lists the pair's self-witnesses, its stabiliser
 in GL2.  It sizes the orbit by orbit-stabiliser, so an orbit above
 ORBIT_SIZE_CAP pairs is refused before it is built, and, conjugated by the
@@ -34,6 +34,7 @@ cross-checks.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -50,11 +51,11 @@ from .forms import (
     substitution_matrix,
 )
 from .gfp import (
+    GL2_PRIME_CAP,
     Mat2,
     inv,
     mat2_inv,
     mat2_mul,
-    pgl2_rows,
     require_odd_prime,
     wedge,
     wedge_span_key,
@@ -122,9 +123,9 @@ def _require_hypotheses(p: int, n: int) -> None:
         )
 
 
-def _require_free(data: RotationData) -> None:
+def _require_free(data: RotationData, name: str = "input") -> None:
     if not is_free(data).free:
-        raise InvalidRotation("comparison requires free actions; input is not free")
+        raise InvalidRotation(f"comparison requires free actions; {name} is not free")
 
 
 def _same_setting(X: RotationData, Y: RotationData) -> bool:
@@ -133,8 +134,8 @@ def _same_setting(X: RotationData, Y: RotationData) -> bool:
     with different (p, n) is a clean negative, but only for valid inputs."""
     _require_hypotheses(X.p, X.n)
     _require_hypotheses(Y.p, Y.n)
-    _require_free(X)
-    _require_free(Y)
+    _require_free(X, "the first space")
+    _require_free(Y, "the second space")
     return (X.p, X.n) == (Y.p, Y.n)
 
 
@@ -175,14 +176,6 @@ def _target_plane(p, y1, y2):
     j0 = next(k for k, x in enumerate(r2) if x)
     rest = tuple((k, r1[k], r2[k]) for k in range(len(r1)) if k not in (i0, j0))
     return w1, w2, i0, j0, rest
-
-
-@lru_cache(maxsize=2**4)
-def _point_index(p):
-    """The P^1(GF(p)) index of every nonzero (s, t), stored at s*p + t: t / s
-    for s != 0, and p for the point (0 : 1).  Index 0 holds (0, 0), which is
-    no point and is never looked up."""
-    return tuple(t * inv(s, p) % p if s else p for s in range(p) for t in range(p))
 
 
 @lru_cache(maxsize=2**12)
@@ -236,9 +229,10 @@ def _span_matches(p, n, kx_pair, ky_pair, marked=False):
     its image under A, so it carries span k(X) to the same plane, and its
     mix is lam^-n times A's.  Row-major order walks the first rows (a, b) in
     lex order.  A row whose first nonzero entry lam is 1 holds PGL2
-    representatives: each is transported and, if its span matches, its mix
-    solved.  Every other row is lam times the earlier row (a, b) / lam, so
-    its matches are lam*A with mix lam^-n * B, re-sorted.
+    representatives, its invertible (c, d) in lex order: each is transported
+    and, if its span matches, its mix solved.  Every other row is lam times
+    the earlier row (a, b) / lam, so its matches are lam*A with mix
+    lam^-n * B, re-sorted.
 
     Both tests run in value coordinates: a degree-n form is determined by
     its values at the n + 1 points (1, i), i = 0..n, and the substituted
@@ -249,14 +243,14 @@ def _span_matches(p, n, kx_pair, ky_pair, marked=False):
     is k(Y)'s plane iff u and v each lie in it: n - 1 residual checks each
     (see _target_plane).
 
-    Unmarked, the walk runs only if the pencil profiles agree, checked after
-    pgl2_rows so its capacity refusal comes first, and before any
-    transport.  Differing profiles rule out every span match: a matching A
-    and its invertible mix carry each member of span k(X) onto a member of
-    span k(Y), and A permutes the points of P^1, so the members' zero
-    counts agree.  The walk would yield nothing, which is what the early
-    return yields.  The marked path transports by the identity alone and
-    builds no pgl2_rows, so it answers at any p.
+    Unmarked, the walk refuses p above GL2_PRIME_CAP first; then it runs
+    only if the pencil profiles agree, checked before any transport.
+    Differing profiles rule out every span match: a matching A and its
+    invertible mix carry each member of span k(X) onto a member of span
+    k(Y), and A permutes the points of P^1, so the members' zero counts
+    agree.  The walk would yield nothing, which is what the early
+    return yields.  The marked path transports by the identity alone, with
+    no walk and no cap, so it answers at any p.
 
     The same argument, point by point, prefilters the representatives
     before any transport (see _pencil).  If A = (a, b, c, d) matches, every
@@ -268,11 +262,16 @@ def _span_matches(p, n, kx_pair, ky_pair, marked=False):
     member of span k(X) vanishing at phi_A(P0) also vanishes at phi_A(P1)
     and has z zeros.  Rejected representatives cannot match, so the yields
     are the same; when every member has at most one zero (z <= 1) there is
-    no pair to probe and every representative is transported."""
+    no pair to probe and every representative is transported.  A singular
+    (c, d) may pass the prefilter; the determinant test rejects it before
+    any transport."""
     x1, x2 = kx_pair
     y1, y2 = ky_pair
     if not marked:
-        reps = dict(pgl2_rows(p))
+        if p > GL2_PRIME_CAP:
+            raise CapacityError(
+                f"GL2 enumeration over GF({p}) has {(p*p-1)*(p*p-p)} elements; capped at p <= {GL2_PRIME_CAP}"
+            )
         member_x, zeros_x, profile_x = _pencil(p, n, x1, x2)
         member_y, zeros_y, profile_y = _pencil(p, n, y1, y2)
         if profile_x != profile_y:
@@ -282,7 +281,6 @@ def _span_matches(p, n, kx_pair, ky_pair, marked=False):
             m = zeros_y.index(z)
             probes = [(1, k) if k < p else (0, 1) for k, mk in enumerate(member_y) if mk == m]
             (s0, t0), (s1, t1) = probes[:2]
-            idx = _point_index(p)
     w1, w2, i0, j0, rest = _target_plane(p, y1, y2)
 
     def in_plane(u, v):
@@ -303,18 +301,28 @@ def _span_matches(p, n, kx_pair, ky_pair, marked=False):
             lam = a or b
             if lam == 1:
                 got = matched[a, b] = []
-                for A in reps[a, b]:
+                if z >= 2:
+                    # the row fixes the first coordinate fi = a*si + b*ti of phi_A(Pi), so
+                    # its P^1 index is (c*si + d*ti) / fi = c*kci + d*kdi, or p (oi) if fi = 0
+                    f0, f1 = (a * s0 + b * t0) % p, (a * s1 + b * t1) % p
+                    q0, q1 = (inv(f, p) if f else 0 for f in (f0, f1))
+                    kc0, kd0, o0 = s0 * q0 % p, t0 * q0 % p, 0 if f0 else p
+                    kc1, kd1, o1 = s1 * q1 % p, t1 * q1 % p, 0 if f1 else p
+                for c in range(p):
                     if z >= 2:
-                        e, f, g, h = A  # phi_A(s, t) = (e*s + f*t, g*s + h*t)
-                        m0 = member_x[idx[(e * s0 + f * t0) % p * p + (g * s0 + h * t0) % p]]
-                        if zeros_x[m0] != z or m0 != member_x[
-                            idx[(e * s1 + f * t1) % p * p + (g * s1 + h * t1) % p]
-                        ]:
+                        base0, base1 = c * kc0, c * kc1
+                    for d in range(p):
+                        if z >= 2:
+                            m0 = member_x[(base0 + d * kd0) % p + o0]
+                            if zeros_x[m0] != z or m0 != member_x[(base1 + d * kd1) % p + o1]:
+                                continue
+                        if (a * d - b * c) % p == 0:
                             continue
-                    u, v = _transported(p, n, A, x1, x2)
-                    if in_plane(u, v):
-                        got.append((A, _mix_solver(u, v, w1, w2, i0, j0, p)))
-                        yield got[-1]
+                        A = (a, b, c, d)
+                        u, v = _transported(p, n, A, x1, x2)
+                        if in_plane(u, v):
+                            got.append((A, _mix_solver(u, v, w1, w2, i0, j0, p)))
+                            yield got[-1]
             elif lam:
                 s = inv(lam, p)
                 got = matched[a * s % p, b * s % p]
@@ -460,8 +468,8 @@ def _canonicalize(p: int, n: int, key: tuple) -> tuple[tuple, tuple]:
     size the orbit (see _orbit_size): one above ORBIT_SIZE_CAP pairs is
     refused with CapacityError before any of it is built.
     Substitution and mix commute, so the orbit is the union over A in GL2 of
-    the B-orbits of the transported pair key.A.  One pass over GL2 (the
-    scalar multiples of the PGL2 representatives, in row-major order) fills
+    the B-orbits of the transported pair key.A.  One pass over GL2 in
+    row-major order (the p^4 entry tuples, singular ones skipped) fills
     reach, which maps each orbit member to the first A whose B-orbit holds
     it: a transported pair already in reach lies in a B-orbit already
     enumerated, otherwise all its det +-1 mixes (read off a table of the p^2
@@ -482,12 +490,7 @@ def _canonicalize(p: int, n: int, key: tuple) -> tuple[tuple, tuple]:
         )
     cache = _ORBITS.setdefault((p, n), {})
     x1, x2 = key
-    gl2 = sorted(
-        (lam * a % p, lam * b % p, lam * c % p, lam * d % p)
-        for _, reps in pgl2_rows(p)
-        for a, b, c, d in reps
-        for lam in range(1, p)
-    )
+    gl2 = [A for A in itertools.product(range(p), repeat=4) if (A[0] * A[3] - A[1] * A[2]) % p]
     mixes = [b for b in gl2 if (b[0] * b[3] - b[1] * b[2]) % p in (1, p - 1)]
     reach: dict[tuple, tuple] = {}
     for A in gl2:

@@ -45,19 +45,25 @@ def _note(text: str) -> None:
     print(text, file=sys.stderr)
 
 
-def _ints(text: str) -> tuple[int, ...]:
+# Parse errors name the field and the 1-based position of the bad entry, and
+# quote at most 20 characters of it: the input may be large.
+def _int(field: str, text: str) -> int:
     try:
-        return tuple(int(tok) for tok in text.split(","))
+        return int(text)
     except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {text!r}")
+        raise ValueError(f"{field}: expected an integer, got {text[:20]!r}") from None
 
 
-def _kv(tokens: list[str], allowed: set[str]) -> dict[str, str]:
+def _ints(field: str, text: str) -> tuple[int, ...]:
+    return tuple(_int(f"{field} entry {i}", tok) for i, tok in enumerate(text.split(","), 1))
+
+
+def _kv(tokens: list[str], allowed: set[str], first: int = 1) -> dict[str, str]:
     out: dict[str, str] = {}
-    for tok in tokens:
+    for i, tok in enumerate(tokens, first):  # tokens[0] is token `first` of the input
         key, sep, value = tok.partition("=")
         if not sep or key not in allowed:
-            raise ValueError(f"unrecognized token {tok!r}; expected key=value with key in {sorted(allowed)}")
+            raise ValueError(f"unrecognized token {i}: {tok[:20]!r}; expected key=value with key in {sorted(allowed)}")
         if key in out:
             raise ValueError(f"duplicate key {key!r}")
         out[key] = value
@@ -80,12 +86,11 @@ def parse_space(text: str) -> RotationData:
     if not tokens:
         raise ValueError("empty space description")
     if tokens[0] == "lens":
-        kv = _kv(tokens[1:], {"p", "r", "rp"})
-        return product_of_lens_spaces(int(kv["p"]), _ints(kv["r"]), _ints(kv["rp"]))
+        kv = _kv(tokens[1:], {"p", "r", "rp"}, 2)
+        return product_of_lens_spaces(_int("p", kv["p"]), _ints("r", kv["r"]), _ints("rp", kv["rp"]))
     kv = _kv(tokens, {"p", "n", "R", "Q"})
-    return validate(
-        RotationData(int(kv["p"]), int(kv["n"]), _ints(kv["R"]), _ints(kv["Q"]))
-    )
+    p, n = _int("p", kv["p"]), _int("n", kv["n"])
+    return validate(RotationData(p, n, _ints("R", kv["R"]), _ints("Q", kv["Q"])))
 
 
 def _cmd_check_free(args: argparse.Namespace) -> int:
@@ -198,8 +203,8 @@ def _cmd_verify_application(args: argparse.Namespace) -> int:
 
 
 def _cmd_lens_compare(args: argparse.Namespace) -> int:
-    r = _ints(args.r)
-    rp = _ints(args.rp)
+    r = _ints("--r", args.r)
+    rp = _ints("--rp", args.rp)
     n = len(r)
     homotopy = lens_homotopy_equivalent(args.p, n, r, rp)
     simple = lens_simple_homotopy_equivalent(args.p, n, r, rp)

@@ -135,23 +135,6 @@ class Mat2:
         return [[a, b], [c, d]]
 
 
-@lru_cache(maxsize=8)
-def pgl2_rows(p: int) -> tuple[tuple[tuple[int, int], tuple[tuple, ...]], ...]:
-    """One representative per scalar class of GL2(GF(p)), the member whose
-    first nonzero entry is 1: p(p^2 - 1) entry tuples, grouped by first row
-    (a, b) as ((a, b), members), groups and members in row-major order.
-    GL2 is the union of lam * A over these A and the units lam."""
-    require_odd_prime(p)
-    if p > GL2_PRIME_CAP:
-        raise CapacityError(
-            f"GL2 enumeration over GF({p}) has {(p*p-1)*(p*p-p)} elements; capped at p <= {GL2_PRIME_CAP}"
-        )
-    return tuple(
-        ((a, b), tuple((a, b, c, d) for c in range(p) for d in range(p) if (a * d - b * c) % p))
-        for a, b in [(0, 1)] + [(1, b) for b in range(p)]
-    )
-
-
 def rref_with_pivots(
     rows: Iterable[Iterable[int]], p: int
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:

@@ -19,6 +19,6 @@ def _module_caches():
 
 def test_every_module_lru_cache_is_bounded():
     caches = dict(_module_caches())
-    assert {"lenspp.gfp.pgl2_rows", "lenspp.classify._transported"} <= caches.keys()
+    assert {"lenspp.classify._pencil", "lenspp.classify._transported"} <= caches.keys()
     unbounded = sorted(name for name, maxsize in caches.items() if maxsize is None)
     assert not unbounded

@@ -50,7 +50,6 @@ from lenspp.gfp import (
     is_quadratic_residue,
     mat2_inv,
     mat2_mul,
-    pgl2_rows,
 )
 from lenspp.pontrjagin import total_pontrjagin, total_pontrjagin_raw
 from lenspp.quotient_ring import ring_model
@@ -958,7 +957,7 @@ def test_prefilter_transports_every_representative_when_no_member_has_two_zeros(
     Y = _relabelled(rng, X)
     kx, ky = k_invariant(X).coeff_pair(), k_invariant(Y).coeff_pair()
     matches, transported = _full_walk(monkeypatch, p, n, kx, ky)
-    assert transported == [A for _, reps in pgl2_rows(p) for A in reps]
+    assert transported == [A for A in gl2_elements(p) if (A[0] or A[1]) == 1]
     assert [A for A, _ in matches] == list(_oracle_span_matches(p, n, kx, ky))
     _oracle_transported.cache_clear()
 
@@ -1022,6 +1021,58 @@ def _record_transports(monkeypatch):
 
     monkeypatch.setattr(classify, "_transported", recording)
     return calls
+
+
+_CAP_MESSAGE = "GL2 enumeration over GF(37) has 1822176 elements; capped at p <= 31"
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        homotopy_equivalent,
+        simple_homotopy_equivalent,
+        homeomorphic,
+        matching_substitutions,
+        lambda X, Y: canonical_form(X),
+    ],
+    ids=[
+        "homotopy_equivalent",
+        "simple_homotopy_equivalent",
+        "homeomorphic",
+        "matching_substitutions",
+        "canonical_form",
+    ],
+)
+def test_gl2_capacity_guard(monkeypatch, entry):
+    """Above GL2_PRIME_CAP every walking entry point refuses with the cap's
+    message before the pencil profiles are read and before any transport."""
+    calls = _record_transports(monkeypatch)
+    monkeypatch.setattr(classify, "_ORBITS", {})
+    pencils = []
+    real = classify._pencil
+    monkeypatch.setattr(classify, "_pencil", lambda *args: pencils.append(args) or real(*args))
+    X, Y = lens(37, 1, 2), lens(37, 2, 3)
+    with pytest.raises(CapacityError) as exc:
+        entry(X, Y)
+    assert str(exc.value) == _CAP_MESSAGE
+    assert calls == [] and pencils == []
+
+
+def test_gl2_enumeration_is_row_major_and_exact(monkeypatch):
+    """The orbit pass of _canonicalize substitutes every element of GL2
+    once, in row-major order."""
+    real = classify.substitution_matrix
+    for p in (5, 7):
+        monkeypatch.setattr(classify, "_ORBITS", {})
+        walked = []
+
+        def recording(q, deg, A):
+            walked.append(A)
+            return real(q, deg, A)
+
+        monkeypatch.setattr(classify, "substitution_matrix", recording)
+        classify._canonicalize(p, 2, k_invariant(lens(p, 1, 2)).coeff_pair())
+        assert walked == list(gl2_elements(p))
 
 
 def test_refusals_and_prunes_transport_nothing_and_marked_calls_transport_once(monkeypatch):

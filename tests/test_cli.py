@@ -76,6 +76,42 @@ def test_large_bad_space_json_gets_a_short_message(capsys):
     assert len(str(exc.value)) < 200
 
 
+_FLOATS = ",".join(["0.5"] * 100_000)  # 400,000 characters
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (("check-free", f"p=5 n=2 R={_FLOATS} Q=0,0,1,1"), "R entry 1: "),
+        (("check-free", f"p=5 n=2 R=1,1,0,0 Q=0,0,1,{_FLOATS}"), "Q entry 4: "),
+        (("check-free", f"lens p=5 r={_FLOATS} rp=1,2"), "r entry 1: "),
+        (("check-free", f"lens p=5 r=1,1 rp=1,{_FLOATS}"), "rp entry 2: "),
+        (("lens-compare", "5", "--r", _FLOATS, "--rp", "1,2"), "--r entry 1: "),
+        (("lens-compare", "5", "--r", "1,2", "--rp", "1," + _FLOATS), "--rp entry 2: "),
+        (("check-free", "p=" + "x" * 100_000 + " n=2 R=1,1,0,0 Q=0,0,1,1"), "p: "),
+        (("check-free", "p=5 n=2 R=1,1,0,0 Q=0,0,1,1 " + "x" * 100_000), "token 5: "),
+        (("check-free", "lens p=5 r=1,1 rp=1,2 " + "x" * 100_000), "token 5: "),
+    ],
+)
+def test_large_bad_inline_space_gets_a_short_message(capsys, argv, field):
+    """An inline or lens-compare parse error names the field and the 1-based
+    position of the first bad entry; it does not echo the input."""
+    code, doc, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert doc["error"] == "invalid"
+    assert field in doc["message"]
+    assert len(doc["message"]) < 200 and len(err) < 200
+
+
+@pytest.mark.parametrize("level", ["homotopy", "simple", "homeo"])
+def test_compare_names_the_space_that_is_not_free(capsys, level):
+    not_free, free = "p=5 n=2 R=1,0,0,0 Q=0,0,1,0", "lens p=5 r=1,1 rp=1,2"
+    for pair, name in (((not_free, free), "the first space"), ((free, not_free), "the second space")):
+        code, doc, _ = run_cli(capsys, "compare", *pair, "--level", level)
+        assert code == 2
+        assert doc["message"] == f"comparison requires free actions; {name} is not free"
+
+
 def test_check_free_exit_codes(capsys):
     code, doc, _ = run_cli(capsys, "check-free", "lens p=5 r=1,2 rp=1,3")
     assert code == 0

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gl2_elements, span_key
+from lenspp.classify import _orbit_size
 from lenspp.errors import CapacityError, InvalidPrime
 from lenspp.gfp import (
     Mat2,
@@ -15,7 +16,6 @@ from lenspp.gfp import (
     is_quadratic_residue,
     mat2_inv,
     mat2_mul,
-    pgl2_rows,
     require_odd_prime,
     rref_with_pivots,
     wedge,
@@ -109,50 +109,27 @@ def test_quadratic_residue_rejects_zero():
         is_quadratic_residue(0, 5)
 
 
-def _scalar_multiples(p):
-    """lam * A for every PGL2 representative A and unit lam, in table order."""
-    return [
-        tuple(lam * x % p for x in A) for _, reps in pgl2_rows(p) for A in reps for lam in range(1, p)
-    ]
-
-
 def _det_pm1(elements, p):
     return [e for e in elements if (e[0] * e[3] - e[1] * e[2]) % p in (1, p - 1)]
 
 
 def test_gl2_counts():
-    assert [len(_scalar_multiples(p)) for p in (3, 5, 7)] == [48, 480, 2016]
-    assert [len(_det_pm1(_scalar_multiples(p), p)) for p in (5, 7)] == [240, 672]
-
-
-def test_gl2_enumeration_is_row_major_and_exact():
-    """pgl2_rows at p = 3, 5, 7: p(p^2 - 1) members, first nonzero entry 1,
-    grouped by first row; groups and members in row-major order.  Their
-    scalar multiples are exactly GL2, each element once."""
+    """The row-major GL2 enumeration and its det +-1 elements have the group
+    orders _orbit_size multiplies: (p^2 - 1)(p^2 - p) and 2p(p^2 - 1)."""
     for p in (3, 5, 7):
-        groups = pgl2_rows(p)
-        rows = [row for row, _ in groups]
-        assert rows == sorted(rows) == [(0, 1)] + [(1, b) for b in range(p)]
-        members = [A for _, reps in groups for A in reps]
-        assert len(members) == p * (p * p - 1)
-        assert members == sorted(members)
-        for row, reps in groups:
-            assert reps and all(A[:2] == row for A in reps)
-        multiples = _scalar_multiples(p)
-        assert len(set(multiples)) == len(multiples)
-        assert sorted(multiples) == list(gl2_elements(p))
+        gl2 = gl2_elements(p)
+        assert len(gl2) == (p * p - 1) * (p * p - p)
+        assert len(_det_pm1(gl2, p)) == 2 * p * (p * p - 1)
+        assert _orbit_size(p, 1) == len(gl2) * len(_det_pm1(gl2, p))
 
 
 def test_gl2_pm_subset():
-    """The det +-1 scalar multiples are the det +-1 subgroup of GL2."""
-    for p in (5, 7):
-        pm = _det_pm1(_scalar_multiples(p), p)
-        assert sorted(pm) == _det_pm1(gl2_elements(p), p)
-
-
-def test_gl2_capacity_guard():
-    with pytest.raises(CapacityError):
-        pgl2_rows(37)
+    """The det +-1 elements of GL2 form a subgroup: closed under product and
+    inverse."""
+    for p in (3, 5, 7):
+        pm = set(_det_pm1(gl2_elements(p), p))
+        assert all(mat2_inv(a, p) in pm for a in pm)
+        assert all(mat2_mul(a, b, p) in pm for a in pm for b in pm)
 
 
 def test_mat2_inverse_roundtrip_exhaustive_p3():
