@@ -15,8 +15,8 @@ k-invariants short-circuit to the identity witness first.  One walk,
 _span_matches, lists every A carrying span k(X) onto span k(Y) with its
 mix; the deciders, matching_substitutions and the canonical form all read
 it, and its docstring states how it transports (on PGL2, in value
-coordinates) and what it skips (by pencil profile, and by the incidence
-prefilter).
+coordinates), what it skips (by pencil profile) and which representatives
+it transports (those it solves for from the pencils' zeros, row by row).
 
 The canonical form, the census grouping key, is the least pair in the
 k-invariant pair's (A, B) orbit.  Substitution and mix commute, so the orbit
@@ -178,13 +178,29 @@ def _target_plane(p, y1, y2):
     return w1, w2, i0, j0, rest
 
 
+def _point(k, p):
+    """The k-th point of P^1(GF(p)): (1 : k) for k < p, then (0 : 1)."""
+    return (1, k) if k < p else (0, 1)
+
+
 @lru_cache(maxsize=2**12)
 def _pencil(p, n, x1, x2):
     """The incidence of the pencil s*x1 + t*x2 of a free space's k-pair with
-    P^1(GF(p)): (member, zeros, profile), where member[k] is the index of
-    the one member vanishing at the k-th point of P^1 ((1 : k), then
-    (0 : 1)), zeros[m] is the zero count of the m-th member (1 : m), then
-    (0 : 1), and profile is zeros sorted.
+    P^1(GF(p)): (member, zeros, profile, targets, probes), where member[k]
+    is the index of the one member vanishing at the k-th point of P^1 (see
+    _point), zeros[m] is the zero count of the m-th member (1 : m), then
+    (0 : 1), and profile is zeros sorted.  With z the most zeros of a
+    member, targets and probes are what _span_matches solves with, read
+    once per pencil:
+    - targets = (pairs, ends): pairs holds the ordered pairs (k0, k1) of
+      distinct zeros, both below p, of every member with z zeros; ends
+      holds the other zeros of the member vanishing at (0 : 1) if it has z
+      zeros, and is empty otherwise;
+    - probes is None when z <= 1.  Otherwise it is (P0, P1, solve, second):
+      P0 and P1 are the first two zeros of the first member with z zeros,
+      solve is the inverse (i00, i01, i10, i11) of the matrix with rows P0
+      and P1, and second is (P2, P3, z2), the first two zeros of the first
+      other member with z2 >= 2 zeros, or None if there is none.
 
     At the point (a, b), x1 and x2 take values (e1, e2), not both zero
     (freeness: no linear factor of x1 is proportional to one of x2), and
@@ -194,13 +210,41 @@ def _pencil(p, n, x1, x2):
     invertible B: a substitution permutes P^1, an invertible mix permutes
     the members, and a scalar moves no zeros."""
     member = []
-    for a, b in [(1, t) for t in range(p)] + [(0, 1)]:
+    for k in range(p + 1):
+        a, b = _point(k, p)
         e1, e2 = _at(x1, a, b, p), _at(x2, a, b, p)
         member.append(-e1 * inv(e2, p) % p if e2 else p)
-    zeros = [0] * (p + 1)
-    for m in member:
-        zeros[m] += 1
-    return tuple(member), tuple(zeros), tuple(sorted(zeros))
+    roots = [[] for _ in range(p + 1)]  # roots[m]: the zeros of member m, in index order
+    for k, m in enumerate(member):
+        roots[m].append(k)
+    zeros = tuple(map(len, roots))
+    z = max(zeros)
+    pairs = tuple(
+        (k0, k1)
+        for r in roots
+        if len(r) == z
+        for k0 in r
+        for k1 in r
+        if k0 != k1 and k0 < p and k1 < p
+    )
+    end = roots[member[p]]
+    ends = tuple(k for k in end if k < p) if len(end) == z else ()
+    probes = None
+    if z >= 2:
+        m = zeros.index(z)
+        (s0, t0), (s1, t1) = _point(roots[m][0], p), _point(roots[m][1], p)
+        q = inv(s0 * t1 - t0 * s1, p)
+        solve = (t1 * q % p, -t0 * q % p, -s1 * q % p, s0 * q % p)
+        second = next(
+            (
+                (_point(r[0], p), _point(r[1], p), len(r))
+                for k, r in enumerate(roots)
+                if k != m and len(r) >= 2
+            ),
+            None,
+        )
+        probes = ((s0, t0), (s1, t1), solve, second)
+    return tuple(member), zeros, tuple(sorted(zeros)), (pairs, ends), probes
 
 
 def _mix_solver(u, v, y1, y2, i0, j0, p):
@@ -218,6 +262,26 @@ def _mix_solver(u, v, y1, y2, i0, j0, p):
         for y in (y1, y2)
         for x in (y[i0] * v[j0] - v[i0] * y[j0], u[i0] * y[j0] - y[i0] * u[j0])
     )
+
+
+def _row_solutions(p, a, b, targets, probes):
+    """The (c, d), in lex order, for which phi_A with A = (a, b, c, d)
+    carries the probes P0, P1 of one pencil onto an ordered pair of zeros
+    of a member of the other with z zeros: targets and probes as in
+    _pencil, probes not None.  All of them are invertible (see
+    _span_matches)."""
+    (s0, t0), (s1, t1), (i00, i01, i10, i11), _ = probes
+    pairs, ends = targets
+    # the row fixes the first coordinate fi = a*si + b*ti of phi_A(Pi); the
+    # P^1 index of phi_A(Pi) is ki when c*si + d*ti = ki*fi, or p if fi = 0
+    f0, f1 = (a * s0 + b * t0) % p, (a * s1 + b * t1) % p
+    if f0 and f1:
+        rhs = [(k0 * f0, k1 * f1) for k0, k1 in pairs]
+    elif f1:  # phi_A(P0) = (0 : e), e = c*s0 + d*t0 any unit
+        rhs = [(e, k1 * f1) for k1 in ends for e in range(1, p)]
+    else:
+        rhs = [(k0 * f0, e) for k0 in ends for e in range(1, p)]
+    return sorted(((x * i00 + y * i01) % p, (x * i10 + y * i11) % p) for x, y in rhs)
 
 
 def _span_matches(p, n, kx_pair, ky_pair, marked=False):
@@ -252,19 +316,32 @@ def _span_matches(p, n, kx_pair, ky_pair, marked=False):
     return yields.  The marked path transports by the identity alone, with
     no walk and no cap, so it answers at any p.
 
-    The same argument, point by point, prefilters the representatives
-    before any transport (see _pencil).  If A = (a, b, c, d) matches, every
-    member w of span k(Y) is m(phi_A) for a member m of span k(X), with
-    phi_A(s, t) = (a*s + b*t, c*s + d*t) a permutation of P^1; so phi_A
-    carries the zeros of w onto the zeros of m, and one member of span k(X)
-    vanishes at both images.  The walk takes two zeros P0, P1 of a member
-    of span k(Y) with the most zeros z, and transports A only if the
-    member of span k(X) vanishing at phi_A(P0) also vanishes at phi_A(P1)
-    and has z zeros.  Rejected representatives cannot match, so the yields
-    are the same; when every member has at most one zero (z <= 1) there is
-    no pair to probe and every representative is transported.  A singular
-    (c, d) may pass the prefilter; the determinant test rejects it before
-    any transport."""
+    The same argument, point by point, lists the representatives worth a
+    transport (see _pencil).  If A = (a, b, c, d) matches, every member w of
+    span k(Y) is m(phi_A) for a member m of span k(X), with phi_A(s, t) =
+    (a*s + b*t, c*s + d*t) a permutation of P^1; so phi_A carries the zeros
+    of w onto the zeros of m, which has as many zeros.  The walk takes two
+    zeros P0, P1 of a member of span k(Y) with the most zeros z >= 2, and
+    solves for the (c, d) that carry them onto an ordered pair (k0, k1) of
+    zeros of a member of span k(X) with z zeros, instead of trying every
+    (c, d).  In a row the first coordinate fi = a*si + b*ti of phi_A(Pi) is
+    fixed, so phi_A(Pi) is the point (1 : ki) iff c*si + d*ti = ki*fi: one
+    2x2 solve per target pair, by the inverse of the matrix with rows P0
+    and P1.  In the row where f0 = 0, phi_A(P0) is (0 : 1), so only the
+    pairs (p, k1) qualify and c*s0 + d*t0 is any unit, p - 1 solutions per
+    pair; likewise when f1 = 0.  The solutions, all invertible, are sorted
+    back into lex order.  Each is transported only if the same incidence
+    test holds for two zeros P2, P3 of a second member of span k(Y), with
+    z2 >= 2 zeros: one member of span k(X) with z2 zeros vanishes at
+    phi_A(P2) and phi_A(P3), read off their P^1 indices.  Both tests are
+    necessary, so the yields and their order are those of a walk over
+    every (c, d).  At n = 2 they are also sufficient: the members with two
+    zeros pair the points of P^1 by a Moebius involution, whose pairs span
+    the pencil, and phi_A conjugates Y's involution to X's at the four
+    points P0..P3, hence everywhere; so the walk transports only span
+    matches.  When every member has at most one zero (z <= 1) there is no
+    pair to probe: every (c, d) is tried, and the determinant test skips
+    the singular ones before any transport."""
     x1, x2 = kx_pair
     y1, y2 = ky_pair
     if not marked:
@@ -272,15 +349,13 @@ def _span_matches(p, n, kx_pair, ky_pair, marked=False):
             raise CapacityError(
                 f"GL2 enumeration over GF({p}) has {(p*p-1)*(p*p-p)} elements; capped at p <= {GL2_PRIME_CAP}"
             )
-        member_x, zeros_x, profile_x = _pencil(p, n, x1, x2)
-        member_y, zeros_y, profile_y = _pencil(p, n, y1, y2)
+        member_x, zeros_x, profile_x, targets, _ = _pencil(p, n, x1, x2)
+        *_, profile_y, _, probes = _pencil(p, n, y1, y2)
         if profile_x != profile_y:
             return
-        z = max(zeros_y)
-        if z >= 2:  # P0 = (s0, t0), P1 = (s1, t1): zeros of a Y-member with z zeros
-            m = zeros_y.index(z)
-            probes = [(1, k) if k < p else (0, 1) for k, mk in enumerate(member_y) if mk == m]
-            (s0, t0), (s1, t1) = probes[:2]
+        second = probes and probes[3]  # probes is None when z <= 1
+        if second:
+            (s2, t2), (s3, t3), z2 = second
     w1, w2, i0, j0, rest = _target_plane(p, y1, y2)
 
     def in_plane(u, v):
@@ -301,28 +376,27 @@ def _span_matches(p, n, kx_pair, ky_pair, marked=False):
             lam = a or b
             if lam == 1:
                 got = matched[a, b] = []
-                if z >= 2:
-                    # the row fixes the first coordinate fi = a*si + b*ti of phi_A(Pi), so
-                    # its P^1 index is (c*si + d*ti) / fi = c*kci + d*kdi, or p (oi) if fi = 0
-                    f0, f1 = (a * s0 + b * t0) % p, (a * s1 + b * t1) % p
-                    q0, q1 = (inv(f, p) if f else 0 for f in (f0, f1))
-                    kc0, kd0, o0 = s0 * q0 % p, t0 * q0 % p, 0 if f0 else p
-                    kc1, kd1, o1 = s1 * q1 % p, t1 * q1 % p, 0 if f1 else p
-                for c in range(p):
-                    if z >= 2:
-                        base0, base1 = c * kc0, c * kc1
-                    for d in range(p):
-                        if z >= 2:
-                            m0 = member_x[(base0 + d * kd0) % p + o0]
-                            if zeros_x[m0] != z or m0 != member_x[(base1 + d * kd1) % p + o1]:
-                                continue
-                        if (a * d - b * c) % p == 0:
+                if probes:
+                    cds = _row_solutions(p, a, b, targets, probes)
+                    if second:  # index of phi_A(Pi), i = 2, 3: (c*si + d*ti) / fi, or p if fi = 0
+                        f2, f3 = (a * s2 + b * t2) % p, (a * s3 + b * t3) % p
+                        q2, q3 = (inv(f, p) if f else 0 for f in (f2, f3))
+                        kc2, kd2, o2 = s2 * q2 % p, t2 * q2 % p, 0 if f2 else p
+                        kc3, kd3, o3 = s3 * q3 % p, t3 * q3 % p, 0 if f3 else p
+                else:
+                    cds = itertools.product(range(p), repeat=2)
+                for c, d in cds:
+                    if second:
+                        m2 = member_x[(c * kc2 + d * kd2) % p + o2]
+                        if zeros_x[m2] != z2 or m2 != member_x[(c * kc3 + d * kd3) % p + o3]:
                             continue
-                        A = (a, b, c, d)
-                        u, v = _transported(p, n, A, x1, x2)
-                        if in_plane(u, v):
-                            got.append((A, _mix_solver(u, v, w1, w2, i0, j0, p)))
-                            yield got[-1]
+                    if (a * d - b * c) % p == 0:
+                        continue
+                    A = (a, b, c, d)
+                    u, v = _transported(p, n, A, x1, x2)
+                    if in_plane(u, v):
+                        got.append((A, _mix_solver(u, v, w1, w2, i0, j0, p)))
+                        yield got[-1]
             elif lam:
                 s = inv(lam, p)
                 got = matched[a * s % p, b * s % p]

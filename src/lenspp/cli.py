@@ -46,7 +46,8 @@ def _note(text: str) -> None:
 
 
 # Parse errors name the field and the 1-based position of the bad entry, and
-# quote at most 20 characters of it: the input may be large.
+# quote at most 20 characters of it: the input may be large.  The integer
+# arguments of the subcommands are read as text and converted here too.
 def _int(field: str, text: str) -> int:
     try:
         return int(text)
@@ -150,8 +151,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
+    p, n = _int("p", args.p), _int("n", args.n)
+    workers, seed = _int("--workers", args.workers), _int("--seed", args.seed)
+    sample = None if args.sample is None else _int("--sample", args.sample)
     # refuse the request, then an unusable --out, before the census runs
-    _require_census(args.p, args.n, args.sample, args.workers)
+    _require_census(p, n, sample, workers)
     out = Path(args.out)
     made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     try:
@@ -159,9 +163,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise ValueError(f"--out {args.out!r} is not a usable directory: {exc}") from exc
     try:
-        record = run_census(
-            args.p, args.n, workers=args.workers, sample=args.sample, seed=args.seed
-        )
+        record = run_census(p, n, workers=workers, sample=sample, seed=seed)
     except BaseException:
         # a census refused or interrupted mid-run leaves no empty --out behind
         for d in made:
@@ -187,7 +189,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_application(args: argparse.Namespace) -> int:
-    report = verify_application(args.p)
+    report = verify_application(_int("p", args.p))
     _emit(report.to_json())
     if report.ok:
         _note(
@@ -203,14 +205,15 @@ def _cmd_verify_application(args: argparse.Namespace) -> int:
 
 
 def _cmd_lens_compare(args: argparse.Namespace) -> int:
+    p = _int("p", args.p)
     r = _ints("--r", args.r)
     rp = _ints("--rp", args.rp)
     n = len(r)
-    homotopy = lens_homotopy_equivalent(args.p, n, r, rp)
-    simple = lens_simple_homotopy_equivalent(args.p, n, r, rp)
+    homotopy = lens_homotopy_equivalent(p, n, r, rp)
+    simple = lens_simple_homotopy_equivalent(p, n, r, rp)
     _emit(
         {
-            "p": args.p,
+            "p": p,
             "n": n,
             "r": list(r),
             "rp": list(rp),
@@ -253,31 +256,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_census = sub.add_parser("census", help="enumerate and classify all free spaces")
-    p_census.add_argument("p", type=int)
-    p_census.add_argument("n", type=int)
+    p_census.add_argument("p")
+    p_census.add_argument("n")
     p_census.add_argument("--out", required=True, help="output directory")
     p_census.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", default="1",
         help="worker processes, capped at the CPU count; results are identical for any count",
     )
     p_census.add_argument(
-        "--sample", type=int, default=None,
+        "--sample", default=None,
         help="classify this many distinct free spaces drawn at random instead of all (any p)",
     )
-    p_census.add_argument("--seed", type=int, default=0, help="seed of the --sample draw")
+    p_census.add_argument("--seed", default="0", help="seed of the --sample draw")
     p_census.set_defaults(func=_cmd_census)
 
     p_app = sub.add_parser(
         "verify-application",
         help="check the quadratic-residue criterion against the classifier",
     )
-    p_app.add_argument("p", type=int)
+    p_app.add_argument("p")
     p_app.set_defaults(func=_cmd_verify_application)
 
     p_lens = sub.add_parser(
         "lens-compare", help="classical equivalences of the lens-space factors"
     )
-    p_lens.add_argument("p", type=int)
+    p_lens.add_argument("p")
     p_lens.add_argument("--r", required=True)
     p_lens.add_argument("--rp", required=True)
     p_lens.add_argument("--level", choices=["homotopy", "simple"], default="homotopy")

@@ -918,32 +918,187 @@ def test_prefilter_keeps_the_equal_profile_negatives_of_the_oracle(monkeypatch):
         _oracle_transported.cache_clear()
 
 
+def _index(point, p):
+    """The P^1 index of the point (s : t): t / s, or p when s = 0."""
+    s, t = point
+    return t * inv(s, p) % p if s % p else p
+
+
+def _pgl2_representatives(p):
+    """The invertible A whose first row's first nonzero entry is 1, in
+    row-major order."""
+    rows = [(0, 1)] + [(1, b) for b in range(p)]
+    return [(a, b, c, d) for a, b in rows for c in range(p) for d in range(p) if (a * d - b * c) % p]
+
+
+def _probe_pairs(p, n, ky):
+    """The walk's probes, read off member and zeros of k(Y)'s pencil: the
+    first two zeros of the first member with the most zeros z, then those
+    of the first other member with at least two, each with its zero count."""
+    member, zeros = classify._pencil(p, n, *ky)[:2]
+    roots = [[k for k, m in enumerate(member) if m == j] for j in range(p + 1)]
+    first = zeros.index(max(zeros))
+    later = [(r[:2], len(r)) for j, r in enumerate(roots) if j != first and len(r) >= 2]
+    return [(roots[first][:2], zeros[first])] + later[:1]
+
+
+def _oracle_incident(p, n, kx, ky):
+    """Brute force over PGL2: the representatives A for which, for each
+    probe pair (P, P') with zero count zz, the member of span k(X) vanishing
+    at phi_A(P) also vanishes at phi_A(P') and has zz zeros."""
+    member, zeros = classify._pencil(p, n, *kx)[:2]
+    probes = _probe_pairs(p, n, ky)
+
+    def image(A, k):
+        a, b, c, d = A
+        s, t = classify._point(k, p)
+        return _index(((a * s + b * t) % p, (c * s + d * t) % p), p)
+
+    def incident(A):
+        for (k0, k1), zz in probes:
+            m0 = member[image(A, k0)]
+            if zeros[m0] != zz or member[image(A, k1)] != m0:
+                return False
+        return True
+
+    return [A for A in _pgl2_representatives(p) if incident(A)]
+
+
+def _oracle_span_representatives(p, n, kx, ky):
+    """The representatives of _oracle_span_matches, read on the
+    representatives alone: lam*A carries span k(X) onto the same plane as A."""
+    target_span = span_key(list(ky), p)
+    return {A for A in _pgl2_representatives(p) if _oracle_transported(p, n, A, *kx)[2] == target_span}
+
+
 @pytest.mark.parametrize("p,n", [(5, 3), (7, 2), (7, 3), (11, 3), (13, 2)])
 def test_prefilter_transports_exactly_the_incident_representatives(monkeypatch, p, n):
-    """PGL2 acts sharply 3-transitively on P^1, so (p - 1) representatives
-    carry the two probed zeros onto each ordered pair of distinct points.
-    With z >= 2 the most zeros of a member of span k(Y), a full walk
-    therefore transports N * z * (z - 1) * (p - 1) representatives, N the
-    number of members of span k(X) with z zeros, whichever two zeros are
-    probed.  At n = 3 some pencils also have members with 2 zeros, fewer
-    than z = 3: a member that keeps the two probes but has the wrong zero
-    count is not transported."""
+    """With z >= 2 the most zeros of a member of span k(Y), a full walk
+    transports exactly the representatives, in row-major order, that keep
+    both probe pairs on members of span k(X) with the probed zero counts
+    (brute force over PGL2).  At n = 2 those are exactly the span matches:
+    the members with two zeros are the pairs of a Moebius involution, and
+    two pairs fix its conjugacy.  At n = 3 some pencils also have members
+    with 2 zeros, fewer than z = 3: a member that keeps two probes but has
+    the wrong zero count is not transported."""
     rng = random.Random(80 * p + n)
     fewer = 0  # pencils with a member of 2 <= zeros < z
-    for _ in range(40):
-        X = _random_free(rng, p, n)
-        Y = _relabelled(rng, X)
-        kx, ky = k_invariant(X).coeff_pair(), k_invariant(Y).coeff_pair()
-        zeros = classify._pencil(p, n, *kx)[1]
-        assert sorted(zeros) == list(_profile(X)) == list(_profile(Y))
-        z = max(zeros)
-        if z < 2:
-            continue  # see the next test
-        _, transported = _full_walk(monkeypatch, p, n, kx, ky)
-        assert len(transported) == len(set(transported)), (X, Y)
-        assert len(transported) == zeros.count(z) * z * (z - 1) * (p - 1), (X, Y, zeros)
-        fewer += any(1 < k < z for k in zeros)
+    try:
+        for _ in range(40):
+            X = _random_free(rng, p, n)
+            Y = _relabelled(rng, X)
+            kx, ky = k_invariant(X).coeff_pair(), k_invariant(Y).coeff_pair()
+            zeros = classify._pencil(p, n, *kx)[1]
+            assert sorted(zeros) == list(_profile(X)) == list(_profile(Y))
+            z = max(zeros)
+            if z < 2:
+                continue  # see the next test
+            _, transported = _full_walk(monkeypatch, p, n, kx, ky)
+            assert transported == _oracle_incident(p, n, kx, ky), (X, Y)
+            if n == 2:
+                assert set(transported) == _oracle_span_representatives(p, n, kx, ky), (X, Y)
+            fewer += any(1 < k < z for k in zeros)
+    finally:
+        _oracle_transported.cache_clear()
     assert fewer > 0 or n == 2
+
+
+def _trial_row(p, a, b, member, zeros, P0, P1):
+    """The per-(c, d) incidence prefilter the walk ran before it solved: the
+    invertible (c, d), in lex order, for which the member vanishing at
+    phi_A(P0), A = (a, b, c, d), has the most zeros and vanishes at
+    phi_A(P1) too.  The row fixes the first coordinate fi = a*si + b*ti of
+    phi_A(Pi), so its index is c*kci + d*kdi, or p (oi) if fi = 0."""
+    z = max(zeros)
+    (s0, t0), (s1, t1) = P0, P1
+    f0, f1 = (a * s0 + b * t0) % p, (a * s1 + b * t1) % p
+    q0, q1 = (inv(f, p) if f else 0 for f in (f0, f1))
+    kc0, kd0, o0 = s0 * q0 % p, t0 * q0 % p, 0 if f0 else p
+    kc1, kd1, o1 = s1 * q1 % p, t1 * q1 % p, 0 if f1 else p
+    passed = []
+    for c in range(p):
+        for d in range(p):
+            m0 = member[(c * kc0 + d * kd0) % p + o0]
+            if zeros[m0] != z or m0 != member[(c * kc1 + d * kd1) % p + o1]:
+                continue
+            if (a * d - b * c) % p:
+                passed.append((c, d))
+    return passed
+
+
+def _check_row_solutions(p, n, kx, probe_points):
+    """For every representative row and each (P0, P1), _row_solutions lists
+    exactly the (c, d) the trial loop passes.  Returns how many rows where a
+    probe's image is (0 : 1) have some (c, d) pass."""
+    member, zeros, _, targets, _ = classify._pencil(p, n, *kx)
+    seen = 0
+    for P0, P1 in probe_points:
+        (s0, t0), (s1, t1) = P0, P1
+        q = inv(s0 * t1 - t0 * s1, p)
+        probes = (P0, P1, (t1 * q % p, -t0 * q % p, -s1 * q % p, s0 * q % p), None)
+        for a, b in [(0, 1)] + [(1, b) for b in range(p)]:
+            want = _trial_row(p, a, b, member, zeros, P0, P1)
+            assert classify._row_solutions(p, a, b, targets, probes) == want, (kx, P0, P1, a, b)
+            if want and ((a * s0 + b * t0) % p == 0 or (a * s1 + b * t1) % p == 0):
+                seen += 1
+    return seen
+
+
+def _planes(p, n):
+    """Every 2-dimensional subspace of the degree-n forms over GF(p) whose
+    members have no common zero on P^1, as its rref rows."""
+    m = n + 1
+    for i, j in itertools.combinations(range(m), 2):
+        free1 = [k for k in range(i + 1, m) if k != j]
+        for v1 in itertools.product(range(p), repeat=len(free1)):
+            for v2 in itertools.product(range(p), repeat=m - j - 1):
+                r1, r2 = [0] * m, [0] * m
+                r1[i], r2[j] = 1, 1
+                for k, x in zip(free1, v1):
+                    r1[k] = x
+                r2[j + 1:] = v2
+                points = (classify._point(k, p) for k in range(p + 1))
+                if all(classify._at(r1, s, t, p) or classify._at(r2, s, t, p) for s, t in points):
+                    yield tuple(r1), tuple(r2)
+
+
+@pytest.mark.parametrize("p,n", [(5, 2), (7, 2), (5, 3), (7, 3)])
+def test_row_solutions_are_the_trial_loop_on_every_pencil(p, n):
+    """Exhaustive at p <= 7: on every base-point-free pencil with a member
+    of two or more zeros, in every representative row, the solved (c, d)
+    are the ones the per-(c, d) prefilter passes.  At n = 2 every ordered
+    pair of distinct points is probed; at n = 3 the walk's own probes."""
+    seen = pencils = 0
+    for kx in _planes(p, n):
+        zeros = classify._pencil(p, n, *kx)[1]
+        if max(zeros) < 2:
+            continue
+        pencils += 1
+        if n == 2:
+            points = [classify._point(k, p) for k in range(p + 1)]
+            probe_points = [(P, Q) for P in points for Q in points if P != Q]
+        else:
+            probe_points = [classify._pencil(p, n, *kx)[4][:2]]
+        seen += _check_row_solutions(p, n, kx, probe_points)
+    assert pencils > 0 and seen > 0
+
+
+@pytest.mark.parametrize("p,n", [(11, 2), (13, 3), (31, 2), (31, 3), (31, 4)])
+def test_row_solutions_are_the_trial_loop_on_seeded_pairs(p, n):
+    """Seeded up to the GL2 cap: on relabelled pairs, with the probes the
+    walk takes from k(Y)'s pencil, every representative row's solutions
+    are the (c, d) the per-(c, d) prefilter passes."""
+    rng = random.Random(60 * p + n)
+    seen = pairs = 0
+    while pairs < 8:
+        X = _random_free(rng, p, n)
+        kx, ky = k_invariant(X).coeff_pair(), k_invariant(_relabelled(rng, X)).coeff_pair()
+        probes = classify._pencil(p, n, *ky)[4]
+        if probes is None:
+            continue
+        pairs += 1
+        seen += _check_row_solutions(p, n, kx, [probes[:2]])
+    assert seen > 0
 
 
 def test_prefilter_transports_every_representative_when_no_member_has_two_zeros(monkeypatch):
@@ -964,9 +1119,10 @@ def test_prefilter_transports_every_representative_when_no_member_has_two_zeros(
 
 def test_prefilter_transports_only_the_span_matches_of_the_cube_free_negative():
     """The p = 31 lens negative: the members a^3 - c*b^3 with c a nonzero
-    cube have three zeros, ten of them, so 10 * 3 * 2 * 30 = 1,800
-    representatives are transported, each a span match (against all 29,760
-    PGL2 classes without the prefilter)."""
+    cube have three zeros, ten of them.  60 representatives match, times
+    30 scalars: 1,800 checked pairs.  The first probe pair alone admits
+    10 * 3 * 2 * 30 = 1,800 representatives; with the second pair 120 are
+    transported (against all 29,760 PGL2 classes without the prefilter)."""
     X, Y = _cube_free_lens_negative(31)
     classify._transported.cache_clear()
     try:
@@ -975,7 +1131,8 @@ def test_prefilter_transports_only_the_span_matches_of_the_cube_free_negative():
     finally:
         classify._transported.cache_clear()
     assert not got.equivalent
-    assert info.misses == got.checked_pairs == 1800
+    assert got.checked_pairs == 1800
+    assert info.misses == 120
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,7 @@ def test_large_bad_space_json_gets_a_short_message(capsys):
 
 
 _FLOATS = ",".join(["0.5"] * 100_000)  # 400,000 characters
+_OUT = object()  # stands for the census --out directory, under tmp_path
 
 
 @pytest.mark.parametrize(
@@ -91,16 +92,27 @@ _FLOATS = ",".join(["0.5"] * 100_000)  # 400,000 characters
         (("check-free", "p=" + "x" * 100_000 + " n=2 R=1,1,0,0 Q=0,0,1,1"), "p: "),
         (("check-free", "p=5 n=2 R=1,1,0,0 Q=0,0,1,1 " + "x" * 100_000), "token 5: "),
         (("check-free", "lens p=5 r=1,1 rp=1,2 " + "x" * 100_000), "token 5: "),
+        (("lens-compare", "x" * 100_000, "--r", "1,2", "--rp", "1,2"), "p: "),
+        (("verify-application", "x" * 100_000), "p: "),
+        (("verify-application", "1" * 100_000), "p: "),
+        (("census", "x" * 100_000, "2", "--out", _OUT), "p: "),
+        (("census", "5", "x" * 100_000, "--out", _OUT), "n: "),
+        (("census", "5", "2", "--workers", "x" * 100_000, "--out", _OUT), "--workers: "),
+        (("census", "5", "2", "--sample", "x" * 100_000, "--out", _OUT), "--sample: "),
+        (("census", "5", "2", "--sample", "3", "--seed", "x" * 100_000, "--out", _OUT), "--seed: "),
     ],
 )
-def test_large_bad_inline_space_gets_a_short_message(capsys, argv, field):
-    """An inline or lens-compare parse error names the field and the 1-based
-    position of the first bad entry; it does not echo the input."""
-    code, doc, err = run_cli(capsys, *argv)
+def test_large_bad_inline_space_gets_a_short_message(capsys, tmp_path, argv, field):
+    """An inline, lens-compare or integer argument parse error names the
+    field and the 1-based position of the first bad entry; it does not echo
+    the input.  A census refused so creates no --out directory."""
+    out = tmp_path / "out"
+    code, doc, err = run_cli(capsys, *(str(out) if a is _OUT else a for a in argv))
     assert code == 2
     assert doc["error"] == "invalid"
     assert field in doc["message"]
     assert len(doc["message"]) < 200 and len(err) < 200
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("level", ["homotopy", "simple", "homeo"])
