@@ -166,16 +166,17 @@ def _transported(p, deg, A, x1, x2):
 
 @lru_cache(maxsize=2**12)
 def _target_plane(p, y1, y2):
-    """Value coordinates (w1, w2) of the k-pair (y1, y2), the rref pivots
-    i0 < j0 of their plane, and for every other column k the entries
-    (k, r1[k], r2[k]) of its rref rows: w lies in the plane iff
-    w[k] = w[i0]*r1[k] + w[j0]*r2[k] for each of them."""
+    """The rref pivots i0 < j0 of the plane of the k-pair (y1, y2) in value
+    coordinates, W = the columns i0, j0 of their values (row-major, one row
+    per form), and for every other column k the entries (k, r1[k], r2[k])
+    of its rref rows: w lies in the plane iff w[k] = w[i0]*r1[k] +
+    w[j0]*r2[k] for each of them."""
     w1, w2 = _values(p, y1), _values(p, y2)
     r1, r2 = wedge_span_key(wedge(w1, w2, p), len(w1), p)
     i0 = next(k for k, x in enumerate(r1) if x)
     j0 = next(k for k, x in enumerate(r2) if x)
     rest = tuple((k, r1[k], r2[k]) for k in range(len(r1)) if k not in (i0, j0))
-    return w1, w2, i0, j0, rest
+    return (w1[i0], w1[j0], w2[i0], w2[j0]), i0, j0, rest
 
 
 def _point(k, p):
@@ -190,7 +191,7 @@ def _pencil(p, n, x1, x2):
     is the index of the one member vanishing at the k-th point of P^1 (see
     _point), zeros[m] is the zero count of the m-th member (1 : m), then
     (0 : 1), and profile is zeros sorted.  With z the most zeros of a
-    member, targets and probes are what _span_matches solves with, read
+    member, targets and probes are what _row_solutions solves with, read
     once per pencil:
     - targets = (pairs, ends): pairs holds the ordered pairs (k0, k1) of
       distinct zeros, both below p, of every member with z zeros; ends
@@ -198,9 +199,9 @@ def _pencil(p, n, x1, x2):
       zeros, and is empty otherwise;
     - probes is None when z <= 1.  Otherwise it is (P0, P1, solve, second):
       P0 and P1 are the first two zeros of the first member with z zeros,
-      solve is the inverse (i00, i01, i10, i11) of the matrix with rows P0
-      and P1, and second is (P2, P3, z2), the first two zeros of the first
-      other member with z2 >= 2 zeros, or None if there is none.
+      solve is the inverse of the matrix with rows P0 and P1 (gfp.mat2_inv),
+      and second is (P2, P3, z2), the first two zeros of the first other
+      member with z2 >= 2 zeros, or None if there is none.
 
     At the point (a, b), x1 and x2 take values (e1, e2), not both zero
     (freeness: no linear factor of x1 is proportional to one of x2), and
@@ -232,9 +233,7 @@ def _pencil(p, n, x1, x2):
     probes = None
     if z >= 2:
         m = zeros.index(z)
-        (s0, t0), (s1, t1) = _point(roots[m][0], p), _point(roots[m][1], p)
-        q = inv(s0 * t1 - t0 * s1, p)
-        solve = (t1 * q % p, -t0 * q % p, -s1 * q % p, s0 * q % p)
+        P0, P1 = _point(roots[m][0], p), _point(roots[m][1], p)
         second = next(
             (
                 (_point(r[0], p), _point(r[1], p), len(r))
@@ -243,37 +242,47 @@ def _pencil(p, n, x1, x2):
             ),
             None,
         )
-        probes = ((s0, t0), (s1, t1), solve, second)
+        probes = (P0, P1, mat2_inv(P0 + P1, p), second)
     return tuple(member), zeros, tuple(sorted(zeros)), (pairs, ends), probes
 
 
-def _mix_solver(u, v, y1, y2, i0, j0, p):
-    """The mix (c, d, e, f) with c*u + d*v = y1 and e*u + f*v = y2, solved
-    on the columns i0 and j0 of value coordinates.
+def _mix_solver(u, v, W, i0, j0, p):
+    """The mix B = (c, d, e, f) with c*u + d*v = y1 and e*u + f*v = y2, for
+    the k-pair (y1, y2) whose plane has rref pivots i0 and j0 and W the
+    columns i0, j0 of its values (see _target_plane): B*U = W, with U the
+    columns i0, j0 of (u, v).
 
-    u and v must be independent and lie in the plane of y1 and y2, whose
-    rref pivots are i0 and j0: that plane projects isomorphically onto
-    those two columns, so the 2x2 minor of (u, v) there is invertible.  The
-    k-pair of a free space and all its substitutions are independent (the
-    public entry points check freeness first)."""
-    s = inv(u[i0] * v[j0] - v[i0] * u[j0], p)
-    return tuple(
-        x * s % p
-        for y in (y1, y2)
-        for x in (y[i0] * v[j0] - v[i0] * y[j0], u[i0] * y[j0] - y[i0] * u[j0])
-    )
+    u and v must be independent and lie in that plane, which projects
+    isomorphically onto the pivot columns, so U is invertible.  The k-pair
+    of a free space and all its substitutions are independent (the public
+    entry points check freeness first)."""
+    return mat2_mul(W, mat2_inv((u[i0], u[j0], v[i0], v[j0]), p), p)
 
 
-def _row_solutions(p, a, b, targets, probes):
-    """The (c, d), in lex order, for which phi_A with A = (a, b, c, d)
-    carries the probes P0, P1 of one pencil onto an ordered pair of zeros
-    of a member of the other with z zeros: targets and probes as in
-    _pencil, probes not None.  All of them are invertible (see
-    _span_matches)."""
-    (s0, t0), (s1, t1), (i00, i01, i10, i11), _ = probes
-    pairs, ends = targets
-    # the row fixes the first coordinate fi = a*si + b*ti of phi_A(Pi); the
-    # P^1 index of phi_A(Pi) is ki when c*si + d*ti = ki*fi, or p if fi = 0
+def _row_solutions(p, a, b, pencil_x, probes):
+    """Yield, in lex order, the (c, d) of the representative row (a, b)
+    worth a transport: those with A = (a, b, c, d) invertible and phi_A
+    carrying each probe pair of the other pencil onto zeros of one member
+    of span k(X) with as many zeros.  pencil_x is k(X)'s _pencil entry and
+    probes the other pencil's (see _pencil); the profiles agree.
+
+    With probes None (z <= 1) every invertible (c, d) is yielded.
+    Otherwise the row fixes the first coordinate fi = a*si + b*ti of
+    phi_A(Pi), so phi_A(Pi) is the point (1 : ki) iff c*si + d*ti = ki*fi:
+    one 2x2 solve, by probes' inverse, per ordered pair (k0, k1) of zeros
+    of a member with z zeros.  Where f0 = 0, phi_A(P0) is (0 : 1), so only
+    the pairs (p, k1) qualify and c*s0 + d*t0 is any unit, p - 1 solutions
+    per pair; likewise where f1 = 0.  Every solution is invertible: phi_A
+    takes P0 and P1 to distinct points.  The solutions are sorted into lex
+    order, then, when a second probe pair P2, P3 exists, its member of
+    span k(X), read off the P^1 indices of phi_A(P2) and phi_A(P3), must
+    vanish at both and have z2 zeros; that check runs lazily, as the walk
+    consumes the row."""
+    if probes is None:
+        yield from ((c, d) for c in range(p) for d in range(p) if (a * d - b * c) % p)
+        return
+    member_x, zeros_x, _, (pairs, ends), _ = pencil_x
+    (s0, t0), (s1, t1), (i00, i01, i10, i11), second = probes
     f0, f1 = (a * s0 + b * t0) % p, (a * s1 + b * t1) % p
     if f0 and f1:
         rhs = [(k0 * f0, k1 * f1) for k0, k1 in pairs]
@@ -281,7 +290,20 @@ def _row_solutions(p, a, b, targets, probes):
         rhs = [(e, k1 * f1) for k1 in ends for e in range(1, p)]
     else:
         rhs = [(k0 * f0, e) for k0 in ends for e in range(1, p)]
-    return sorted(((x * i00 + y * i01) % p, (x * i10 + y * i11) % p) for x, y in rhs)
+    cds = sorted(((x * i00 + y * i01) % p, (x * i10 + y * i11) % p) for x, y in rhs)
+    if second is None:
+        yield from cds
+        return
+    # the P^1 index of phi_A(Pi), i = 2, 3: c*kci + d*kdi, or p (oi) if fi = 0
+    (s2, t2), (s3, t3), z2 = second
+    f2, f3 = (a * s2 + b * t2) % p, (a * s3 + b * t3) % p
+    q2, q3 = (inv(f, p) if f else 0 for f in (f2, f3))
+    kc2, kd2, o2 = s2 * q2 % p, t2 * q2 % p, 0 if f2 else p
+    kc3, kd3, o3 = s3 * q3 % p, t3 * q3 % p, 0 if f3 else p
+    for c, d in cds:
+        m2 = member_x[(c * kc2 + d * kd2) % p + o2]
+        if zeros_x[m2] == z2 and m2 == member_x[(c * kc3 + d * kd3) % p + o3]:
+            yield c, d
 
 
 def _span_matches(p, n, kx_pair, ky_pair, marked=False):
@@ -317,31 +339,22 @@ def _span_matches(p, n, kx_pair, ky_pair, marked=False):
     no walk and no cap, so it answers at any p.
 
     The same argument, point by point, lists the representatives worth a
-    transport (see _pencil).  If A = (a, b, c, d) matches, every member w of
-    span k(Y) is m(phi_A) for a member m of span k(X), with phi_A(s, t) =
-    (a*s + b*t, c*s + d*t) a permutation of P^1; so phi_A carries the zeros
-    of w onto the zeros of m, which has as many zeros.  The walk takes two
-    zeros P0, P1 of a member of span k(Y) with the most zeros z >= 2, and
-    solves for the (c, d) that carry them onto an ordered pair (k0, k1) of
-    zeros of a member of span k(X) with z zeros, instead of trying every
-    (c, d).  In a row the first coordinate fi = a*si + b*ti of phi_A(Pi) is
-    fixed, so phi_A(Pi) is the point (1 : ki) iff c*si + d*ti = ki*fi: one
-    2x2 solve per target pair, by the inverse of the matrix with rows P0
-    and P1.  In the row where f0 = 0, phi_A(P0) is (0 : 1), so only the
-    pairs (p, k1) qualify and c*s0 + d*t0 is any unit, p - 1 solutions per
-    pair; likewise when f1 = 0.  The solutions, all invertible, are sorted
-    back into lex order.  Each is transported only if the same incidence
-    test holds for two zeros P2, P3 of a second member of span k(Y), with
-    z2 >= 2 zeros: one member of span k(X) with z2 zeros vanishes at
-    phi_A(P2) and phi_A(P3), read off their P^1 indices.  Both tests are
+    transport.  If A = (a, b, c, d) matches, every member w of span k(Y) is
+    m(phi_A) for a member m of span k(X), with phi_A(s, t) = (a*s + b*t,
+    c*s + d*t) a permutation of P^1; so phi_A carries the zeros of w onto
+    the zeros of m, which has as many zeros.  Hence a match carries two
+    zeros P0, P1 of a member of span k(Y) with the most zeros z >= 2 onto
+    two zeros of one member of span k(X) with z zeros, and likewise two
+    zeros P2, P3 of a second member with z2 >= 2 zeros.  _row_solutions
+    lists, row by row in lex order, the invertible (c, d) that pass both
+    incidence tests (see _pencil for the probes).  Both tests are
     necessary, so the yields and their order are those of a walk over
     every (c, d).  At n = 2 they are also sufficient: the members with two
     zeros pair the points of P^1 by a Moebius involution, whose pairs span
     the pencil, and phi_A conjugates Y's involution to X's at the four
     points P0..P3, hence everywhere; so the walk transports only span
     matches.  When every member has at most one zero (z <= 1) there is no
-    pair to probe: every (c, d) is tried, and the determinant test skips
-    the singular ones before any transport."""
+    pair to probe, and every invertible (c, d) is transported."""
     x1, x2 = kx_pair
     y1, y2 = ky_pair
     if not marked:
@@ -349,14 +362,11 @@ def _span_matches(p, n, kx_pair, ky_pair, marked=False):
             raise CapacityError(
                 f"GL2 enumeration over GF({p}) has {(p*p-1)*(p*p-p)} elements; capped at p <= {GL2_PRIME_CAP}"
             )
-        member_x, zeros_x, profile_x, targets, _ = _pencil(p, n, x1, x2)
+        pencil_x = _pencil(p, n, x1, x2)
         *_, profile_y, _, probes = _pencil(p, n, y1, y2)
-        if profile_x != profile_y:
+        if pencil_x[2] != profile_y:
             return
-        second = probes and probes[3]  # probes is None when z <= 1
-        if second:
-            (s2, t2), (s3, t3), z2 = second
-    w1, w2, i0, j0, rest = _target_plane(p, y1, y2)
+    W, i0, j0, rest = _target_plane(p, y1, y2)
 
     def in_plane(u, v):
         su, tu, sv, tv = u[i0], u[j0], v[i0], v[j0]
@@ -368,7 +378,7 @@ def _span_matches(p, n, kx_pair, ky_pair, marked=False):
     if marked:
         u, v = _transported(p, n, _IDENT, x1, x2)
         if in_plane(u, v):
-            yield _IDENT, _mix_solver(u, v, w1, w2, i0, j0, p)
+            yield _IDENT, _mix_solver(u, v, W, i0, j0, p)
         return
     matched: dict[tuple, list] = {}  # representative row -> its matches (A, B)
     for a in range(p):
@@ -376,26 +386,11 @@ def _span_matches(p, n, kx_pair, ky_pair, marked=False):
             lam = a or b
             if lam == 1:
                 got = matched[a, b] = []
-                if probes:
-                    cds = _row_solutions(p, a, b, targets, probes)
-                    if second:  # index of phi_A(Pi), i = 2, 3: (c*si + d*ti) / fi, or p if fi = 0
-                        f2, f3 = (a * s2 + b * t2) % p, (a * s3 + b * t3) % p
-                        q2, q3 = (inv(f, p) if f else 0 for f in (f2, f3))
-                        kc2, kd2, o2 = s2 * q2 % p, t2 * q2 % p, 0 if f2 else p
-                        kc3, kd3, o3 = s3 * q3 % p, t3 * q3 % p, 0 if f3 else p
-                else:
-                    cds = itertools.product(range(p), repeat=2)
-                for c, d in cds:
-                    if second:
-                        m2 = member_x[(c * kc2 + d * kd2) % p + o2]
-                        if zeros_x[m2] != z2 or m2 != member_x[(c * kc3 + d * kd3) % p + o3]:
-                            continue
-                    if (a * d - b * c) % p == 0:
-                        continue
+                for c, d in _row_solutions(p, a, b, pencil_x, probes):
                     A = (a, b, c, d)
                     u, v = _transported(p, n, A, x1, x2)
                     if in_plane(u, v):
-                        got.append((A, _mix_solver(u, v, w1, w2, i0, j0, p)))
+                        got.append((A, _mix_solver(u, v, W, i0, j0, p)))
                         yield got[-1]
             elif lam:
                 s = inv(lam, p)
@@ -418,7 +413,7 @@ def _decide(X, Y, level, marked=False, class_check=None):
 
     if kx == ky:
         checked += 1
-        if class_check is None or class_check(_IDENT):
+        if class_check is None or class_check(_IDENT, ky):
             w = EquivalenceWitness(Mat2.identity(p), Mat2.identity(p), level)
             return Verdict(True, w, checked, level)
 
@@ -426,7 +421,7 @@ def _decide(X, Y, level, marked=False, class_check=None):
         checked += 1
         if (c * f - d * e) % p not in (1, p - 1):
             continue
-        if class_check is not None and not class_check(A):
+        if class_check is not None and not class_check(A, ky):
             continue
         w = EquivalenceWitness(Mat2(p, A), Mat2(p, (c, d, e, f)), level)
         return Verdict(True, w, checked, level)
@@ -458,11 +453,12 @@ def homeomorphic(X: RotationData, Y: RotationData, marked: bool = False) -> Verd
     p, n = X.p, X.n
     classes = []  # Y's model, X's class, Y's reduced class: built on the first check
 
-    def class_check(A: tuple) -> bool:
+    def class_check(A: tuple, ky: tuple) -> bool:
         # lazily, so _span_matches refuses above the GL2 cap and prunes by
-        # pencil profile before any ring model is built
+        # pencil profile before any ring model is built; ky is Y's k-pair,
+        # which _decide has already computed
         if not classes:
-            model = ring_model(p, n, k_pair(p, n, Y.R, Y.Q))
+            model = ring_model(p, n, ky)
             cls_y = pontrjagin_coeffs(p, Y.rotation_pairs(), n - 1)
             # reduction is linear and idempotent, so reduce(moved - cls_y)
             # vanishes iff reduce(moved) equals the reduced class of Y

@@ -4,6 +4,7 @@ import math
 import random
 import subprocess
 import sys
+from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 
@@ -162,6 +163,22 @@ def test_homeomorphic_checks_freeness_four_times_per_same_setting_decision(monke
     calls.clear()
     assert homeomorphic(X, lens(7, 1, 1)).checked_pairs == 0
     assert len(calls) == 2
+
+
+def test_homeomorphic_computes_each_k_pair_once(monkeypatch):
+    """The class check builds Y's ring model on the k-pair the shared
+    decider computed, so one decision that runs the class check computes
+    two k-pairs, one per space."""
+    calls, checks = [], []
+    real_k_pair, real_ring_model = classify.k_pair, classify.ring_model
+    monkeypatch.setattr(classify, "k_pair", lambda *args: calls.append(args) or real_k_pair(*args))
+    monkeypatch.setattr(
+        classify, "ring_model", lambda *args: checks.append(args) or real_ring_model(*args)
+    )
+    X, Y = lens(5, 1, 1), lens(5, 1, 4)
+    assert homeomorphic(X, Y).equivalent
+    assert len(checks) == 1
+    assert sorted(calls) == sorted([(5, 2, X.R, X.Q), (5, 2, Y.R, Y.Q)])
 
 
 def test_hypothesis_guard():
@@ -631,7 +648,7 @@ def test_negative_at_the_gl2_cap_keeps_no_gl2_table():
             break
     src = Path(classify.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", _PEAK_SCRIPT, json.dumps([[X.R, X.Q], [Y.R, Y.Q]])],
+        [sys.executable, "-B", "-c", _PEAK_SCRIPT, json.dumps([[X.R, X.Q], [Y.R, Y.Q]])],
         capture_output=True,
         text=True,
         timeout=120,
@@ -816,7 +833,7 @@ def test_negative_with_equal_profiles_at_the_gl2_cap_keeps_no_gl2_table():
     script = _PEAK_SCRIPT.replace("RotationData(31, 2,", "RotationData(31, 3,")
     assert script != _PEAK_SCRIPT
     proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps([[X.R, X.Q], [Y.R, Y.Q]])],
+        [sys.executable, "-B", "-c", script, json.dumps([[X.R, X.Q], [Y.R, Y.Q]])],
         capture_output=True,
         text=True,
         timeout=120,
@@ -1003,45 +1020,65 @@ def test_prefilter_transports_exactly_the_incident_representatives(monkeypatch, 
     assert fewer > 0 or n == 2
 
 
-def _trial_row(p, a, b, member, zeros, P0, P1):
-    """The per-(c, d) incidence prefilter the walk ran before it solved: the
-    invertible (c, d), in lex order, for which the member vanishing at
-    phi_A(P0), A = (a, b, c, d), has the most zeros and vanishes at
-    phi_A(P1) too.  The row fixes the first coordinate fi = a*si + b*ti of
-    phi_A(Pi), so its index is c*kci + d*kdi, or p (oi) if fi = 0."""
-    z = max(zeros)
-    (s0, t0), (s1, t1) = P0, P1
-    f0, f1 = (a * s0 + b * t0) % p, (a * s1 + b * t1) % p
-    q0, q1 = (inv(f, p) if f else 0 for f in (f0, f1))
-    kc0, kd0, o0 = s0 * q0 % p, t0 * q0 % p, 0 if f0 else p
-    kc1, kd1, o1 = s1 * q1 % p, t1 * q1 % p, 0 if f1 else p
+def _trial_row(p, a, b, member, zeros, probe_pairs):
+    """The per-(c, d) trial loop that _row_solutions replaces: the (c, d),
+    in lex order, with A = (a, b, c, d) invertible and, for each probe pair
+    (P, P', zz), the member of span k(X) vanishing at phi_A(P) with zz zeros
+    and vanishing at phi_A(P') too.  The row fixes the first coordinate
+    f = a*s + b*t of phi_A(P), so its index is c*kc + d*kd, or p (o) if
+    f = 0."""
+
+    def index_of(point):
+        s, t = point
+        f = (a * s + b * t) % p
+        q = inv(f, p) if f else 0
+        return s * q % p, t * q % p, 0 if f else p
+
+    tests = [(index_of(P), index_of(P1), zz) for P, P1, zz in probe_pairs]
     passed = []
     for c in range(p):
         for d in range(p):
-            m0 = member[(c * kc0 + d * kd0) % p + o0]
-            if zeros[m0] != z or m0 != member[(c * kc1 + d * kd1) % p + o1]:
+            if (a * d - b * c) % p == 0:
                 continue
-            if (a * d - b * c) % p:
+            for (kc0, kd0, o0), (kc1, kd1, o1), zz in tests:
+                m0 = member[(c * kc0 + d * kd0) % p + o0]
+                if zeros[m0] != zz or m0 != member[(c * kc1 + d * kd1) % p + o1]:
+                    break
+            else:
                 passed.append((c, d))
     return passed
 
 
-def _check_row_solutions(p, n, kx, probe_points):
-    """For every representative row and each (P0, P1), _row_solutions lists
-    exactly the (c, d) the trial loop passes.  Returns how many rows where a
-    probe's image is (0 : 1) have some (c, d) pass."""
-    member, zeros, _, targets, _ = classify._pencil(p, n, *kx)
-    seen = 0
-    for P0, P1 in probe_points:
-        (s0, t0), (s1, t1) = P0, P1
-        q = inv(s0 * t1 - t0 * s1, p)
-        probes = (P0, P1, (t1 * q % p, -t0 * q % p, -s1 * q % p, s0 * q % p), None)
+def _probes(p, P0, P1, second=None):
+    """A probes entry in _pencil's shape for the probe pair (P0, P1)."""
+    return P0, P1, mat2_inv(P0 + P1, p), second
+
+
+def _check_row_solutions(p, n, kx, probe_sets):
+    """For every representative row and each probes entry (in _pencil's
+    shape, or None), _row_solutions yields exactly the (c, d) the trial
+    loop passes, in the same order.  Returns the cases hit: 'z<=1' (probes
+    None), 'second' and 'no second' (a second probe pair or none), and
+    'end' (a row where a probe's image is (0 : 1) with some (c, d) passing)."""
+    pencil_x = classify._pencil(p, n, *kx)
+    member, zeros = pencil_x[:2]
+    z = max(zeros)
+    hit = Counter()
+    for probes in probe_sets:
+        if probes is None:
+            probe_pairs, case = [], "z<=1"
+        else:
+            P0, P1, _, second = probes
+            probe_pairs = [(P0, P1, z)] + ([second] if second else [])
+            case = "second" if second else "no second"
+        hit[case] += 1
         for a, b in [(0, 1)] + [(1, b) for b in range(p)]:
-            want = _trial_row(p, a, b, member, zeros, P0, P1)
-            assert classify._row_solutions(p, a, b, targets, probes) == want, (kx, P0, P1, a, b)
-            if want and ((a * s0 + b * t0) % p == 0 or (a * s1 + b * t1) % p == 0):
-                seen += 1
-    return seen
+            want = _trial_row(p, a, b, member, zeros, probe_pairs)
+            got = classify._row_solutions(p, a, b, pencil_x, probes)
+            assert list(got) == want, (kx, probes, a, b)
+            if want and any((a * s + b * t) % p == 0 for P, P1, _ in probe_pairs for s, t in (P, P1)):
+                hit["end"] += 1
+    return hit
 
 
 def _planes(p, n):
@@ -1064,41 +1101,57 @@ def _planes(p, n):
 
 @pytest.mark.parametrize("p,n", [(5, 2), (7, 2), (5, 3), (7, 3)])
 def test_row_solutions_are_the_trial_loop_on_every_pencil(p, n):
-    """Exhaustive at p <= 7: on every base-point-free pencil with a member
-    of two or more zeros, in every representative row, the solved (c, d)
-    are the ones the per-(c, d) prefilter passes.  At n = 2 every ordered
-    pair of distinct points is probed; at n = 3 the walk's own probes."""
-    seen = pencils = 0
+    """Exhaustive at p <= 7: on every base-point-free pencil, in every
+    representative row, the yielded (c, d) are the ones the per-(c, d)
+    trial loop passes, in lex order: with the pencil's own probes, which
+    are None when no member has two zeros (25 of the 635 pencils at (5, 3),
+    42 of 2,422 at (7, 3)) and lack a second pair on 300 and 616 of them,
+    and at n = 2 also with every ordered pair of distinct points as the
+    only probe pair."""
+    hit = Counter()
+    points = [classify._point(k, p) for k in range(p + 1)]
     for kx in _planes(p, n):
-        zeros = classify._pencil(p, n, *kx)[1]
-        if max(zeros) < 2:
-            continue
-        pencils += 1
+        probe_sets = [classify._pencil(p, n, *kx)[4]]
         if n == 2:
-            points = [classify._point(k, p) for k in range(p + 1)]
-            probe_points = [(P, Q) for P in points for Q in points if P != Q]
-        else:
-            probe_points = [classify._pencil(p, n, *kx)[4][:2]]
-        seen += _check_row_solutions(p, n, kx, probe_points)
-    assert pencils > 0 and seen > 0
+            probe_sets += [_probes(p, P, Q) for P in points for Q in points if P != Q]
+        hit += _check_row_solutions(p, n, kx, probe_sets)
+    assert hit["second"] and hit["no second"] and hit["end"], hit
+    assert hit["z<=1"] or n == 2, hit  # at n = 2 some member has two zeros
 
 
 @pytest.mark.parametrize("p,n", [(11, 2), (13, 3), (31, 2), (31, 3), (31, 4)])
 def test_row_solutions_are_the_trial_loop_on_seeded_pairs(p, n):
     """Seeded up to the GL2 cap: on relabelled pairs, with the probes the
-    walk takes from k(Y)'s pencil, every representative row's solutions
-    are the (c, d) the per-(c, d) prefilter passes."""
+    walk takes from k(Y)'s pencil, every representative row yields the
+    (c, d) the per-(c, d) trial loop passes."""
     rng = random.Random(60 * p + n)
-    seen = pairs = 0
-    while pairs < 8:
+    hit = Counter()
+    for _ in range(8):
         X = _random_free(rng, p, n)
         kx, ky = k_invariant(X).coeff_pair(), k_invariant(_relabelled(rng, X)).coeff_pair()
-        probes = classify._pencil(p, n, *ky)[4]
-        if probes is None:
-            continue
-        pairs += 1
-        seen += _check_row_solutions(p, n, kx, [probes[:2]])
-    assert seen > 0
+        hit += _check_row_solutions(p, n, kx, [classify._pencil(p, n, *ky)[4]])
+    assert hit["end"] > 0, hit
+
+
+@pytest.mark.parametrize("p,n", [(5, 2), (7, 3), (13, 2), (31, 3)])
+def test_mix_solver_is_the_oracle_solver(p, n):
+    """On a k-pair substituted by A and mixed by an invertible B, the mix
+    _mix_solver reads off the pivot columns of the transported pair is B,
+    and it is the oracle's, which solves on its own columns and checks
+    every coordinate."""
+    rng = random.Random(70 * p + n)
+    for _ in range(30):
+        x1, x2 = k_invariant(_random_free(rng, p, n)).coeff_pair()
+        A, B = _random_gl2(rng, p), _random_gl2(rng, p)
+        M = substitution_matrix(p, n, A)
+        u1, u2 = apply_matrix(M, x1, p), apply_matrix(M, x2, p)
+        y1, y2 = (tuple((c * x + d * y) % p for x, y in zip(u1, u2)) for c, d in (B[:2], B[2:]))
+        u, v = classify._transported(p, n, A, x1, x2)
+        W, i0, j0, _ = classify._target_plane(p, y1, y2)
+        got = classify._mix_solver(u, v, W, i0, j0, p)
+        assert got == B, (x1, x2, A, B)
+        solve = _oracle_mix_solver(u, v, p)
+        assert solve(classify._values(p, y1)) + solve(classify._values(p, y2)) == [B[:2], B[2:]]
 
 
 def test_prefilter_transports_every_representative_when_no_member_has_two_zeros(monkeypatch):
