@@ -123,16 +123,21 @@ def _draw(p: int, n: int, sample: int, seed: int) -> Iterator[tuple[tuple, tuple
     """sample distinct free (R, Q), drawn from a seeded RNG in draw order;
     the request is checked by the caller (see _require_census).  A free pair
     has rank 2 (a nonzero cross-block minor makes R and Q independent), so
-    freeness is the only test."""
+    freeness is the only test.
+
+    Each coordinate is a getrandbits word of p's bit length, words >= p
+    rejected: the stream random.Random.randrange(p) draws, R's 2n
+    coordinates first, then Q's."""
     rng = random.Random(seed)
+    coords = filter(p.__gt__, map(rng.getrandbits, itertools.repeat(p.bit_length())))
     seen: set[tuple] = set()
     attempts = 0
     while len(seen) < sample:
         attempts += 1
         if attempts > 10_000 * sample:
             raise CapacityError("sampling failed to find enough free spaces")
-        R = tuple(rng.randrange(p) for _ in range(2 * n))
-        Q = tuple(rng.randrange(p) for _ in range(2 * n))
+        R = tuple(itertools.islice(coords, 2 * n))
+        Q = tuple(itertools.islice(coords, 2 * n))
         if (R, Q) in seen or not _free_by_planes(R, Q, p, n):
             continue
         seen.add((R, Q))

@@ -20,9 +20,10 @@ it transports (those it solves for from the pencils' zeros, row by row).
 
 The canonical form, the census grouping key, is the least pair in the
 k-invariant pair's (A, B) orbit.  Substitution and mix commute, so the orbit
-is built in one pass over GL2 in row-major order as a union of B-orbits:
-each A transports the pair once, and only a transported pair not yet
-reached is mixed by the det +-1 group.
+is a union of B-orbits, one per transported pair: one pass over GL2 in
+row-major order transports the pair once per A and keys it by the least
+member of its B-orbit, in closed form; the least key is the canonical form,
+and each B-orbit's members are mixed by the det +-1 group and stored once.
 Before that pass, one walk lists the pair's self-witnesses, its stabiliser
 in GL2.  It sizes the orbit by orbit-stabiliser, so an orbit above
 ORBIT_SIZE_CAP pairs is refused before it is built, and, conjugated by the
@@ -510,7 +511,7 @@ _ORBITS: dict[tuple, dict] = {}
 _SELF_WITNESSES: dict[tuple, dict] = {}
 
 # Largest (A, B) orbit _canonicalize builds: every orbit at (13, 2) fits (the
-# largest seen holds 1,192,464 pairs, ~230 MB peak), while (11, 3), (13, 3) and
+# largest seen holds 1,192,464 pairs, ~150 MB peak), while (11, 3), (13, 3) and
 # (17, 2) orbits run from 4,356,000 pairs up and are refused.
 ORBIT_SIZE_CAP = 2_000_000
 
@@ -530,6 +531,24 @@ def _self_witnesses(p: int, n: int, canon: tuple) -> tuple[tuple, ...]:
     return _SELF_WITNESSES[p, n][canon]
 
 
+def _b_orbit_min(p: int, n: int, u: tuple, v: tuple) -> tuple[tuple, tuple]:
+    """The least pair in the det +-1 orbit of the independent pair (u, v) of
+    degree-n coefficient tuples, in closed form.
+
+    Every pair of the orbit spans the plane of (u, v), and its wedge is that
+    of (u, v) times the mix's determinant, +-1.  Let s1, s2 be the plane's
+    rref rows, with pivots a < b (see gfp.wedge_span_key), and delta the
+    minor of (u, v) at (a, b), its first nonzero one.  The least nonzero
+    vector of the plane is s2, and a partner y = alpha*s1 + beta*s2 of s2
+    has minor -alpha at (a, b), so alpha = +-delta; the least such y takes
+    beta = 0 and alpha = min(delta, p - delta)."""
+    w = wedge(u, v, p)
+    s1, s2 = wedge_span_key(w, n + 1, p)
+    delta = next(x for x in w if x)
+    c = min(delta, p - delta)
+    return s2, tuple([c * x % p for x in s1])
+
+
 def _canonicalize(p: int, n: int, key: tuple) -> tuple[tuple, tuple]:
     """Orbit minimum of a k-coefficient pair under the (A, B) action, plus a
     substitution A0 carrying this pair onto the minimum.
@@ -539,14 +558,16 @@ def _canonicalize(p: int, n: int, key: tuple) -> tuple[tuple, tuple]:
     refused with CapacityError before any of it is built.
     Substitution and mix commute, so the orbit is the union over A in GL2 of
     the B-orbits of the transported pair key.A.  One pass over GL2 in
-    row-major order (the p^4 entry tuples, singular ones skipped) fills
-    reach, which maps each orbit member to the first A whose B-orbit holds
-    it: a transported pair already in reach lies in a B-orbit already
-    enumerated, otherwise all its det +-1 mixes (read off a table of the p^2
-    combinations c*u + d*v) map to A.  Every member's answer is cached at
-    once, and witnesses compose as A_key->x ^-1 * A_key->min.  The same walk
-    gives the minimum's self-witnesses, Stab(min) = A0^-1 * Stab(key) * A0,
-    which are recorded for _self_witnesses.
+    row-major order (the p^4 entry tuples, singular ones skipped) keys each
+    transported pair by the least member of its B-orbit (_b_orbit_min):
+    equal keys mean the same B-orbit, so the first A per key stands for its
+    B-orbit, the canonical form is the least key and a_canon its A.  Then
+    each B-orbit's members, its det +-1 mixes (index pairs into the p^2
+    combinations c*u + d*v), are written once into the store, all with
+    entry (canon, A^-1 * a_canon): witnesses compose as
+    A_key->x ^-1 * A_key->min.  The same walk gives the minimum's
+    self-witnesses, Stab(min) = A0^-1 * Stab(key) * A0, which are recorded
+    for _self_witnesses.
     """
     got = _ORBITS.get((p, n), {}).get(key)
     if got is not None:
@@ -560,27 +581,27 @@ def _canonicalize(p: int, n: int, key: tuple) -> tuple[tuple, tuple]:
         )
     cache = _ORBITS.setdefault((p, n), {})
     x1, x2 = key
-    gl2 = [A for A in itertools.product(range(p), repeat=4) if (A[0] * A[3] - A[1] * A[2]) % p]
-    mixes = [b for b in gl2 if (b[0] * b[3] - b[1] * b[2]) % p in (1, p - 1)]
-    reach: dict[tuple, tuple] = {}
-    for A in gl2:
-        M = substitution_matrix(p, n, A)
-        u = apply_matrix(M, x1, p)
-        v = apply_matrix(M, x2, p)
-        if (u, v) in reach:
-            continue
-        lin = {
-            (c, d): tuple((c * x + d * y) % p for x, y in zip(u, v))
-            for c in range(p)
-            for d in range(p)
-        }
-        for b in mixes:
-            reach[lin[b[0], b[1]], lin[b[2], b[3]]] = A
-    canon = min(reach)
-    a_canon = reach[canon]
-    entry = {A: (canon, mat2_mul(mat2_inv(A, p), a_canon, p)) for A in set(reach.values())}
-    for pair, A in reach.items():
-        cache[pair] = entry[A]
+    first: dict[tuple, tuple] = {}  # B-orbit minimum -> (its first A, key.A)
+    for A in itertools.product(range(p), repeat=4):
+        if (A[0] * A[3] - A[1] * A[2]) % p:
+            M = substitution_matrix(p, n, A)
+            u = apply_matrix(M, x1, p)
+            v = apply_matrix(M, x2, p)
+            first.setdefault(_b_orbit_min(p, n, u, v), (A, u, v))
+    canon = min(first)
+    a_canon = first[canon][0]
+    mixes = [
+        (c * p + d, e * p + f)
+        for c, d, e, f in itertools.product(range(p), repeat=4)
+        if (c * f - d * e) % p in (1, p - 1)
+    ]
+    for A, u, v in first.values():
+        entry = (canon, mat2_mul(mat2_inv(A, p), a_canon, p))
+        lin = [
+            tuple([(c * x + d * y) % p for x, y in zip(u, v)]) for c in range(p) for d in range(p)
+        ]
+        for i, j in mixes:
+            cache[lin[i], lin[j]] = entry
     a0 = cache[key][1]
     a0_inv = mat2_inv(a0, p)
     _SELF_WITNESSES.setdefault((p, n), {})[canon] = tuple(

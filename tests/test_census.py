@@ -175,6 +175,59 @@ def test_sampled_census_p5_n3_bytes(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "p, n, seed, digest",
+    [
+        (3, 2, 2, "cf7bbb01e57cf92e0489c2e36cab9a16c87d77e08fc3ba20c7732fa614dd3403"),
+        (7, 2, 1, "0bc6dd5abfb316c9454c0cf47487f75025e691d9ed40e5eb105aa95f061ff679"),
+    ],
+)
+def test_sampled_census_bytes(tmp_path, p, n, seed, digest):
+    """Samples of 1,000 whose draws reject words >= p at other widths than
+    (5, 3), pinned as `census p n --sample 1000 --seed S` wrote them when
+    each coordinate came from random.Random.randrange."""
+    assert _ndjson_sha256(run_census(p, n, sample=1000, seed=seed), tmp_path) == digest
+
+
+# oracle: the seeded draw as census._draw ran it before it read each
+# coordinate off a getrandbits word: one randrange(p) call per coordinate.
+
+def _oracle_draw(p, n, sample, seed):
+    rng = random.Random(seed)
+    seen = set()
+    attempts = 0
+    while len(seen) < sample:
+        attempts += 1
+        if attempts > 10_000 * sample:
+            raise CapacityError("sampling failed to find enough free spaces")
+        R = tuple(rng.randrange(p) for _ in range(2 * n))
+        Q = tuple(rng.randrange(p) for _ in range(2 * n))
+        if (R, Q) in seen or not census._free_by_planes(R, Q, p, n):
+            continue
+        seen.add((R, Q))
+        yield R, Q
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (5, 3), (7, 2), (13, 2), (17, 2), (31, 2), (11, 4)])
+def test_draw_is_the_randrange_stream(p, n):
+    """Words of 2 to 5 bits, with the heaviest rejection (15 of 32) at p = 17;
+    at (3, 2) a sample of 200 from 1,344 free spaces also redraws repeats."""
+    for seed in range(5):
+        assert list(census._draw(p, n, 200, seed)) == list(_oracle_draw(p, n, 200, seed))
+
+
+def test_draw_refuses_after_ten_thousand_attempts_per_space(monkeypatch):
+    """With no free draw, both draws test the same 20,000 pairs for a sample
+    of 2 and refuse the next attempt."""
+    tested = []
+    monkeypatch.setattr(census, "_free_by_planes", lambda R, Q, p, n: tested.append((R, Q)) or False)
+    for draw in (census._draw, _oracle_draw):
+        with pytest.raises(CapacityError, match="sampling failed"):
+            next(draw(5, 2, 2, 4))
+    assert len(tested) == 40_000
+    assert tested[:20_000] == tested[20_000:]
+
+
 @pytest.mark.parametrize("sample", [None, 200])
 def test_census_builds_no_rotation_data(monkeypatch, sample):
     """The scan and the draw hand plain (R, Q) tuples to the grouping step."""

@@ -51,6 +51,7 @@ from lenspp.gfp import (
     is_quadratic_residue,
     mat2_inv,
     mat2_mul,
+    wedge,
 )
 from lenspp.pontrjagin import total_pontrjagin, total_pontrjagin_raw
 from lenspp.quotient_ring import ring_model
@@ -1538,6 +1539,67 @@ def _seeded_keys(p, n, count, seed):
 def test_canonicalize_matches_the_orbit_pass_on_seeded_keys(monkeypatch, p, n, count):
     monkeypatch.setattr(classify, "_ORBITS", {})
     _check_against_orbit_pass(p, n, _seeded_keys(p, n, count, 30 * p + n))
+
+
+# ---------------------------------------------------------------------------
+# oracle: the least member of the enumerated det +-1 orbit, against the
+# closed form that keys the orbit pass
+
+def _enumerated_b_orbit_min(p, u, v):
+    lin = [tuple((c * x + d * y) % p for x, y in zip(u, v)) for c in range(p) for d in range(p)]
+    return min(
+        (lin[c * p + d], lin[e * p + f])
+        for c, d, e, f in gl2_elements(p)
+        if (c * f - d * e) % p in (1, p - 1)
+    )
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_b_orbit_min_is_the_enumerated_minimum_on_every_pair(p):
+    vectors = list(itertools.product(range(p), repeat=3))
+    pairs = [(u, v) for u in vectors for v in vectors if any(wedge(u, v, p))]
+    assert len(pairs) == (p**3 - 1) * (p**3 - p)
+    for u, v in pairs:
+        assert classify._b_orbit_min(p, 2, u, v) == _enumerated_b_orbit_min(p, u, v), (u, v)
+
+
+@pytest.mark.parametrize("p,n,count", [(7, 3, 200), (13, 2, 100), (31, 2, 10)])
+def test_b_orbit_min_is_the_enumerated_minimum_on_seeded_pairs(p, n, count):
+    rng = random.Random(100 * p + n)
+    done = 0
+    while done < count:
+        u, v = (tuple(rng.randrange(p) for _ in range(n + 1)) for _ in range(2))
+        if any(wedge(u, v, p)):
+            assert classify._b_orbit_min(p, n, u, v) == _enumerated_b_orbit_min(p, u, v), (u, v)
+            done += 1
+
+
+class _CountingStore(dict):
+    """An orbit store that counts the writes of each pair."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = Counter()
+
+    def __setitem__(self, pair, entry):
+        self.writes[pair] += 1
+        super().__setitem__(pair, entry)
+
+
+@pytest.mark.parametrize(
+    "p,n,seed,size", [(5, 2, 0, 2400), (5, 3, 0, 4800), (7, 2, 1, 56448), (7, 3, 2, 112896)]
+)
+def test_orbit_pass_writes_every_member_once(monkeypatch, p, n, seed, size):
+    store = _CountingStore()
+    monkeypatch.setattr(classify, "_ORBITS", {(p, n): store})
+    monkeypatch.setattr(classify, "_SELF_WITNESSES", {})
+    key = _seeded_keys(p, n, 1, seed)[0]
+    canon, _ = classify._canonicalize(p, n, key)
+    stabiliser = _matching_substitutions(p, n, key, key)
+    assert set(store.writes.values()) == {1}
+    assert len(store) == classify._orbit_size(p, len(stabiliser)) == size
+    assert min(store) == canon
+    assert {e[0] for e in store.values()} == {canon}
 
 
 @pytest.mark.parametrize("p,n,count", [(5, 2, 12), (7, 2, 6), (5, 3, 6), (7, 3, 3)])
