@@ -7,12 +7,12 @@ fingerprint: the least transported reduced total class over all witnesses
 onto the canonical form.  Two spaces land in the same refined cell iff they
 are homeomorphic in the classifier's sense, because the transported classes
 of a space form one orbit under the canonical form's self-witnesses and
-orbits are equal or disjoint.  Those self-witnesses come from the one
-stabiliser walk that sized the class's orbit when it was built (see
-classify._canonicalize), so each new homotopy class costs one walk.  Every
-transport of a class along a substitution goes through
-classify._transport_class, the helper behind the homeomorphism decider's
-class check.
+orbits are equal or disjoint.  Those self-witnesses are read from the
+class record classify._canonicalize returns, built with the class's orbit
+from the one stabiliser walk that sized it, so each new homotopy class
+costs one walk.  Every transport of a class along a substitution goes
+through classify._transport_class, the helper behind the homeomorphism
+decider's class check.
 
 The scan (or the seeded draw) hands plain (R, Q) tuples to the grouping
 step; RotationData is built only where a caller sees the spaces, in
@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .actions import RotationData, _free_by_planes, _rank2, product_of_lens_spaces
-from .classify import _canonicalize, _self_witnesses, _transport_class, homeomorphic
+from .classify import _canonicalize, _transport_class, homeomorphic
 from .errors import CapacityError, HypothesisViolation, InvalidDimension
 # product_of_linear_forms and total_pontrjagin_raw are the form-valued
 # counterparts of k_pair and pontrjagin_coeffs, and apply_matrix runs inside
@@ -212,10 +212,11 @@ def enumerate_free(
 @lru_cache(maxsize=2**20)
 def _min_fingerprint(p: int, n: int, canon: tuple, t0: tuple) -> tuple:
     """Least transported class: minimize the reduced coefficient tuples t0
-    over the canonical form's self-witness substitutions, recorded by the
-    walk that built its orbit."""
+    over the canonical form's self-witness substitutions, read from the
+    class record.  They include the identity, which carries the reduced t0
+    to itself."""
     model = ring_model(p, n, canon)
-    return min([t0, *(_transport_class(model, g, t0) for g in _self_witnesses(p, n, canon))])
+    return min(_transport_class(model, g, t0) for g in _canonicalize(p, n, canon)[2])
 
 
 def _classify_item(p: int, n: int, R: tuple, Q: tuple) -> tuple[tuple, tuple]:
@@ -248,7 +249,7 @@ def _classify_plane(p: int, n: int, plane: tuple) -> tuple[tuple, tuple]:
     tuples and the cohomological degrees 4k are attached once, at the end:
     they sit at the same place in every candidate, so they move no minimum."""
     R, Q = plane
-    canon, a0 = _canonicalize(p, n, k_pair(p, n, R, Q))
+    canon, a0, _ = _canonicalize(p, n, k_pair(p, n, R, Q))
     raw = pontrjagin_coeffs(p, zip(R, Q), n - 1)
     t0 = _transport_class(ring_model(p, n, canon), a0, raw)
     return canon, tuple((4 * k, c) for k, c in enumerate(_min_fingerprint(p, n, canon, t0), 1))
@@ -308,9 +309,8 @@ def run_census(
         for key, (cnt, R, Q) in chunk.items():
             _add(groups, key, cnt, R, Q)
     reps = tuple(
-        ClassRepresentative(R=tuple(rq[1]), Q=tuple(rq[2]), canonical=key[0],
-                            fingerprint=key[1], count=rq[0])
-        for key, rq in sorted(groups.items(), key=lambda kv: (kv[0], kv[1][1], kv[1][2]))
+        ClassRepresentative(R, Q, canonical, fingerprint, count)
+        for (canonical, fingerprint), (count, R, Q) in sorted(groups.items())
     )
     return CensusRecord(
         p=p,

@@ -28,7 +28,9 @@ Before that pass, one walk lists the pair's self-witnesses, its stabiliser
 in GL2.  It sizes the orbit by orbit-stabiliser, so an orbit above
 ORBIT_SIZE_CAP pairs is refused before it is built, and, conjugated by the
 witness onto the minimum, it gives the canonical form's self-witnesses,
-which the census fingerprint minimises over.
+which the census fingerprint minimises over.  Every orbit member is stored
+with one record for its whole class: the canonical form, a witness onto it
+and the canonical form's self-witnesses.
 The classical one-lens-space criteria are provided as baselines for
 cross-checks.
 """
@@ -506,9 +508,8 @@ def _matching_substitutions(p, n, kx_pair, ky_pair) -> tuple[tuple, ...]:
 # ---------------------------------------------------------------------------
 # canonical forms: orbit of the k-invariant pair under (A, B)
 
+# (p, n) -> {orbit member: (canonical pair, a0, Stab(canonical pair))}
 _ORBITS: dict[tuple, dict] = {}
-# (p, n) -> {canonical pair: its self-witnesses}, one entry per orbit in _ORBITS
-_SELF_WITNESSES: dict[tuple, dict] = {}
 
 # Largest (A, B) orbit _canonicalize builds: every orbit at (13, 2) fits (the
 # largest seen holds 1,192,464 pairs, ~150 MB peak), while (11, 3), (13, 3) and
@@ -522,13 +523,6 @@ def _orbit_size(p: int, stabiliser: int) -> int:
     stabiliser (each self-witness has exactly one mix, since the transported
     pair is independent)."""
     return (p * p - 1) * (p * p - p) * 2 * p * (p * p - 1) // stabiliser
-
-
-def _self_witnesses(p: int, n: int, canon: tuple) -> tuple[tuple, ...]:
-    """The substitutions A, in row-major order, with a det +-1 mix carrying
-    the canonical pair canon onto itself: _matching_substitutions(p, n,
-    canon, canon), recorded by _canonicalize when it built canon's orbit."""
-    return _SELF_WITNESSES[p, n][canon]
 
 
 def _b_orbit_min(p: int, n: int, u: tuple, v: tuple) -> tuple[tuple, tuple]:
@@ -549,9 +543,11 @@ def _b_orbit_min(p: int, n: int, u: tuple, v: tuple) -> tuple[tuple, tuple]:
     return s2, tuple([c * x % p for x in s1])
 
 
-def _canonicalize(p: int, n: int, key: tuple) -> tuple[tuple, tuple]:
-    """Orbit minimum of a k-coefficient pair under the (A, B) action, plus a
-    substitution A0 carrying this pair onto the minimum.
+def _canonicalize(p: int, n: int, key: tuple) -> tuple[tuple, tuple, tuple[tuple, ...]]:
+    """The class record of a k-coefficient pair under the (A, B) action:
+    (canon, a0, stab), with canon the orbit minimum, a0 a substitution
+    carrying this pair onto it, and stab = Stab(canon), the substitutions
+    A, in row-major order, with a det +-1 mix carrying canon onto itself.
 
     A cache miss walks once for the self-witnesses of key, Stab(key), which
     size the orbit (see _orbit_size): one above ORBIT_SIZE_CAP pairs is
@@ -561,13 +557,12 @@ def _canonicalize(p: int, n: int, key: tuple) -> tuple[tuple, tuple]:
     row-major order (the p^4 entry tuples, singular ones skipped) keys each
     transported pair by the least member of its B-orbit (_b_orbit_min):
     equal keys mean the same B-orbit, so the first A per key stands for its
-    B-orbit, the canonical form is the least key and a_canon its A.  Then
-    each B-orbit's members, its det +-1 mixes (index pairs into the p^2
-    combinations c*u + d*v), are written once into the store, all with
-    entry (canon, A^-1 * a_canon): witnesses compose as
-    A_key->x ^-1 * A_key->min.  The same walk gives the minimum's
-    self-witnesses, Stab(min) = A0^-1 * Stab(key) * A0, which are recorded
-    for _self_witnesses.
+    B-orbit, the canonical form is the least key and a_canon its A.
+    a_canon carries key onto canon, so stab = a_canon^-1 * Stab(key) *
+    a_canon, sorted.  Then each B-orbit's members, its det +-1 mixes (index
+    pairs into the p^2 combinations c*u + d*v), are written once into the
+    store, all with record (canon, A^-1 * a_canon, stab), one stab tuple per
+    class: witnesses compose as A_key->x ^-1 * A_key->min.
     """
     got = _ORBITS.get((p, n), {}).get(key)
     if got is not None:
@@ -590,23 +585,20 @@ def _canonicalize(p: int, n: int, key: tuple) -> tuple[tuple, tuple]:
             first.setdefault(_b_orbit_min(p, n, u, v), (A, u, v))
     canon = min(first)
     a_canon = first[canon][0]
+    a_inv = mat2_inv(a_canon, p)
+    stab = tuple(sorted(mat2_mul(mat2_mul(a_inv, g, p), a_canon, p) for g in stabiliser))
     mixes = [
         (c * p + d, e * p + f)
         for c, d, e, f in itertools.product(range(p), repeat=4)
         if (c * f - d * e) % p in (1, p - 1)
     ]
     for A, u, v in first.values():
-        entry = (canon, mat2_mul(mat2_inv(A, p), a_canon, p))
+        entry = (canon, mat2_mul(mat2_inv(A, p), a_canon, p), stab)
         lin = [
             tuple([(c * x + d * y) % p for x, y in zip(u, v)]) for c in range(p) for d in range(p)
         ]
         for i, j in mixes:
             cache[lin[i], lin[j]] = entry
-    a0 = cache[key][1]
-    a0_inv = mat2_inv(a0, p)
-    _SELF_WITNESSES.setdefault((p, n), {})[canon] = tuple(
-        sorted(mat2_mul(mat2_mul(a0_inv, g, p), a0, p) for g in stabiliser)
-    )
     return cache[key]
 
 
@@ -616,7 +608,7 @@ def canonical_form(X: RotationData) -> tuple[HomogeneousForm, HomogeneousForm]:
     equivalence, so this is the census grouping key.  X must be free."""
     _require_hypotheses(X.p, X.n)
     _require_free(X)
-    canon, _ = _canonicalize(X.p, X.n, k_pair(X.p, X.n, X.R, X.Q))
+    canon = _canonicalize(X.p, X.n, k_pair(X.p, X.n, X.R, X.Q))[0]
     return (HomogeneousForm(X.p, canon[0]), HomogeneousForm(X.p, canon[1]))
 
 

@@ -176,17 +176,23 @@ def test_sampled_census_p5_n3_bytes(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "p, n, seed, digest",
+    "p, n, seed, digest, sample",
     [
-        (3, 2, 2, "cf7bbb01e57cf92e0489c2e36cab9a16c87d77e08fc3ba20c7732fa614dd3403"),
-        (7, 2, 1, "0bc6dd5abfb316c9454c0cf47487f75025e691d9ed40e5eb105aa95f061ff679"),
+        (3, 2, 2, "cf7bbb01e57cf92e0489c2e36cab9a16c87d77e08fc3ba20c7732fa614dd3403", 1000),
+        (7, 2, 1, "0bc6dd5abfb316c9454c0cf47487f75025e691d9ed40e5eb105aa95f061ff679", 1000),
+        (7, 3, 0, "f8058054604fc5561fc291e991a583c7d0054893c053eddf8f6b84fb83279dda", 40),
     ],
 )
-def test_sampled_census_bytes(tmp_path, p, n, seed, digest):
-    """Samples of 1,000 whose draws reject words >= p at other widths than
-    (5, 3), pinned as `census p n --sample 1000 --seed S` wrote them when
-    each coordinate came from random.Random.randrange."""
-    assert _ndjson_sha256(run_census(p, n, sample=1000, seed=seed), tmp_path) == digest
+def test_sampled_census_bytes(tmp_path, p, n, seed, digest, sample):
+    """Samples whose draws reject words >= p at other widths than (5, 3),
+    pinned as `census p n --sample K --seed S` wrote them: the samples of
+    1,000 when each coordinate came from random.Random.randrange, and the
+    (7, 3) sample, whose 20 homotopy classes each build one class record at
+    n = 3."""
+    try:
+        assert _ndjson_sha256(run_census(p, n, sample=sample, seed=seed), tmp_path) == digest
+    finally:
+        classify._ORBITS.pop((7, 3), None)  # its 20 orbits hold ~280 MB
 
 
 # oracle: the seeded draw as census._draw ran it before it read each
@@ -658,7 +664,7 @@ def _classify_with_forms(d, memo):
     canonical form, total_pontrjagin_raw, substitute and
     CohomRingModel.reduce, minimized over the canonical form's self-witnesses."""
     p, n = d.p, d.n
-    canon, a0 = classify._canonicalize(p, n, k_invariant(d).coeff_pair())
+    canon, a0, _ = classify._canonicalize(p, n, k_invariant(d).coeff_pair())
     if p > 3 and p > n + 1:
         assert tuple(f.coeffs for f in canonical_form(d)) == canon
     model = CohomRingModel(p, n, HomogeneousForm(p, canon[0]), HomogeneousForm(p, canon[1]))

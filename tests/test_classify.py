@@ -707,7 +707,7 @@ def _check_profile_of_canonical_pairs(monkeypatch, p, n, keys):
     keys = set(keys)
     monkeypatch.setattr(classify, "_ORBITS", {(p, n): _KeysOnly(keys)})
     for key in keys:
-        canon, _ = classify._canonicalize(p, n, key)
+        canon, _, _ = classify._canonicalize(p, n, key)
         assert classify._pencil(p, n, *canon)[2] == classify._pencil(p, n, *key)[2], key
     assert classify._ORBITS[(p, n)].keys() == keys
 
@@ -1440,7 +1440,7 @@ def _check_against_bfs(p, n, keys):
         _oracle_canonicalize(oracle, p, n, key)
     cache = classify._ORBITS[(p, n)]
     assert cache.keys() == oracle.keys()
-    for pair, (canon, a0) in cache.items():
+    for pair, (canon, a0, _) in cache.items():
         assert canon == oracle[pair][0], pair
         assert _carries(p, n, pair, a0, canon), pair
 
@@ -1469,7 +1469,7 @@ def test_one_new_orbit_transports_once_per_gl2_element(monkeypatch):
     monkeypatch.setattr(classify, "_ORBITS", {})
     p, n = 5, 3
     key = k_invariant(_random_free(random.Random(53), p, n)).coeff_pair()
-    canon, _ = classify._canonicalize(p, n, key)
+    canon, _, _ = classify._canonicalize(p, n, key)
     made = len(calls)
     assert made <= 2 * len(gl2_elements(p))  # 960; the generator BFS made ~28,800
     classify._canonicalize(p, n, canon)
@@ -1516,13 +1516,14 @@ def _oracle_orbit_pass(orbits, p, n, key):
 def _check_against_orbit_pass(p, n, keys):
     oracle = {}
     for key in keys:
-        assert classify._canonicalize(p, n, key) == _oracle_orbit_pass(oracle, p, n, key)
+        assert classify._canonicalize(p, n, key)[:2] == _oracle_orbit_pass(oracle, p, n, key)
         canon = oracle[key][0]
-        stabiliser = classify._self_witnesses(p, n, canon)
+        stabiliser = classify._canonicalize(p, n, canon)[2]
         assert classify._orbit_size(p, len(stabiliser)) == sum(
             e[0] == canon for e in oracle.values()
         )
-    assert classify._ORBITS[(p, n)] == oracle  # same keys, canonical pairs and a0
+    # same keys, canonical pairs and a0; test_class_record_is_whole checks Stab
+    assert {pair: e[:2] for pair, e in classify._ORBITS[(p, n)].items()} == oracle
 
 
 def test_canonicalize_matches_the_orbit_pass_on_every_free_space_p3(monkeypatch):
@@ -1592,9 +1593,8 @@ class _CountingStore(dict):
 def test_orbit_pass_writes_every_member_once(monkeypatch, p, n, seed, size):
     store = _CountingStore()
     monkeypatch.setattr(classify, "_ORBITS", {(p, n): store})
-    monkeypatch.setattr(classify, "_SELF_WITNESSES", {})
     key = _seeded_keys(p, n, 1, seed)[0]
-    canon, _ = classify._canonicalize(p, n, key)
+    canon, _, _ = classify._canonicalize(p, n, key)
     stabiliser = _matching_substitutions(p, n, key, key)
     assert set(store.writes.values()) == {1}
     assert len(store) == classify._orbit_size(p, len(stabiliser)) == size
@@ -1607,10 +1607,9 @@ def test_recorded_self_witnesses_match_the_walk_on_the_canonical_form(monkeypatc
     """Stab(canon) = a0^-1 * Stab(key) * a0, sorted, is the list the walk
     finds on the canonical pair itself, in the same row-major order."""
     monkeypatch.setattr(classify, "_ORBITS", {})
-    monkeypatch.setattr(classify, "_SELF_WITNESSES", {})
     for key in _seeded_keys(p, n, count, 70 * p + n):
-        canon, _ = classify._canonicalize(p, n, key)
-        assert classify._self_witnesses(p, n, canon) == _matching_substitutions(p, n, canon, canon)
+        canon, _, stab = classify._canonicalize(p, n, key)
+        assert stab == _matching_substitutions(p, n, canon, canon)
 
 
 def _count_walks(monkeypatch):
@@ -1629,13 +1628,12 @@ def test_one_walk_per_orbit_built(monkeypatch):
     """A sampled census walks once per homotopy class it builds, and a
     canonical_form miss once; a hit walks not at all."""
     monkeypatch.setattr(classify, "_ORBITS", {})
-    monkeypatch.setattr(classify, "_SELF_WITNESSES", {})
     census._classify_wedge.cache_clear()
     census._classify_plane.cache_clear()
     census._min_fingerprint.cache_clear()
     walks = _count_walks(monkeypatch)
     rec = census.run_census(5, 3, sample=3000, seed=0)
-    built = {canon for canon, _ in classify._ORBITS[(5, 3)].values()}
+    built = {entry[0] for entry in classify._ORBITS[(5, 3)].values()}
     assert len(walks) == len(built) == rec.homotopy_classes == 10
     walks.clear()
     X = _random_free(random.Random(72), 7, 2)
@@ -1644,6 +1642,30 @@ def test_one_walk_per_orbit_built(monkeypatch):
     canonical_form(X)
     assert len(walks) == 1
 
+
+def test_class_record_is_whole(monkeypatch):
+    """After the census 5 2 (4 classes) and the seed-0 sample at (5, 3) (10
+    classes), every stored member of a class carries one and the same Stab
+    tuple, the walk's own list on the canonical pair, whose orbit size is
+    the number of members stored with that canonical pair."""
+    monkeypatch.setattr(classify, "_ORBITS", {})
+    census._classify_wedge.cache_clear()
+    census._classify_plane.cache_clear()
+    census._min_fingerprint.cache_clear()
+    for (p, n), rec, classes in [
+        ((5, 2), census.run_census(5, 2), 4),
+        ((5, 3), census.run_census(5, 3, sample=3000, seed=0), 10),
+    ]:
+        assert rec.homotopy_classes == classes
+        stabs = {}
+        members = Counter()
+        for canon, _, stab in classify._ORBITS[(p, n)].values():
+            assert stabs.setdefault(canon, stab) is stab, canon
+            members[canon] += 1
+        assert len(stabs) == classes
+        for canon, stab in stabs.items():
+            assert stab == _matching_substitutions(p, n, canon, canon), canon
+            assert classify._orbit_size(p, len(stab)) == members[canon], canon
 
 def test_orbit_cap_admits_p13_and_refuses_larger_orbits():
     """Sizing walks only: every seeded (13, 2) orbit fits under the cap, and
