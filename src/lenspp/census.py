@@ -10,9 +10,10 @@ of a space form one orbit under the canonical form's self-witnesses and
 orbits are equal or disjoint.  Those self-witnesses are read from the
 class record classify._canonicalize returns, built with the class's orbit
 from the one stabiliser walk that sized it, so each new homotopy class
-costs one walk.  Every transport of a class along a substitution goes
-through classify._transport_class, the helper behind the homeomorphism
-decider's class check.
+costs one walk.  A space's own class is moved onto the canonical form by
+relabelling its columns (forms.substitute_columns), as the homeomorphism
+decider's class check moves it; a reduced class has no columns, and is
+moved along the self-witnesses by classify._transport_class.
 
 The scan (or the seeded draw) hands plain (R, Q) tuples to the grouping
 step; RotationData is built only where a caller sees the spaces, in
@@ -49,7 +50,7 @@ from .errors import CapacityError, HypothesisViolation, InvalidDimension
 # counterparts of k_pair and pontrjagin_coeffs, and apply_matrix runs inside
 # classify._transport_class; the per-space kernel below does not call them,
 # but perfbench/tracing.py wraps them under these names.
-from .forms import apply_matrix, k_pair, product_of_linear_forms
+from .forms import apply_matrix, k_pair, product_of_linear_forms, substitute_columns
 from .gfp import inv, is_quadratic_residue, require_odd_prime, wedge, wedge_span_key
 from .pontrjagin import pontrjagin_coeffs, total_pontrjagin_raw
 from .quotient_ring import ring_model
@@ -123,7 +124,8 @@ def _draw(p: int, n: int, sample: int, seed: int) -> Iterator[tuple[tuple, tuple
     """sample distinct free (R, Q), drawn from a seeded RNG in draw order;
     the request is checked by the caller (see _require_census).  A free pair
     has rank 2 (a nonzero cross-block minor makes R and Q independent), so
-    freeness is the only test.
+    freeness is the only test, run before the seen-set lookup because most
+    draws are not free.
 
     Each coordinate is a getrandbits word of p's bit length, words >= p
     rejected: the stream random.Random.randrange(p) draws, R's 2n
@@ -138,7 +140,7 @@ def _draw(p: int, n: int, sample: int, seed: int) -> Iterator[tuple[tuple, tuple
             raise CapacityError("sampling failed to find enough free spaces")
         R = tuple(itertools.islice(coords, 2 * n))
         Q = tuple(itertools.islice(coords, 2 * n))
-        if (R, Q) in seen or not _free_by_planes(R, Q, p, n):
+        if not _free_by_planes(R, Q, p, n) or (R, Q) in seen:
             continue
         seen.add((R, Q))
         yield R, Q
@@ -241,6 +243,9 @@ def _classify_plane(p: int, n: int, plane: tuple) -> tuple[tuple, tuple]:
     """The census key of the free space whose rows are the two rref rows of
     plane, on coefficient tuples throughout.
 
+    The class moved onto the canonical form by the record's witness a0 is
+    that of the columns relabelled by a0 (forms.substitute_columns), reduced
+    by the canonical form's ring model: no substitution matrix is built.
     Another basis of the plane relabels the two group generators, which
     moves the k-pair and the Pontrjagin class by one and the same linear
     substitution: the canonical form stays, and the transported class moves
@@ -250,8 +255,11 @@ def _classify_plane(p: int, n: int, plane: tuple) -> tuple[tuple, tuple]:
     they sit at the same place in every candidate, so they move no minimum."""
     R, Q = plane
     canon, a0, _ = _canonicalize(p, n, k_pair(p, n, R, Q))
-    raw = pontrjagin_coeffs(p, zip(R, Q), n - 1)
-    t0 = _transport_class(ring_model(p, n, canon), a0, raw)
+    model = ring_model(p, n, canon)
+    t0 = tuple(
+        model.reduce_coeffs(c)
+        for c in pontrjagin_coeffs(p, substitute_columns(p, a0, zip(R, Q)), n - 1)
+    )
     return canon, tuple((4 * k, c) for k, c in enumerate(_min_fingerprint(p, n, canon, t0), 1))
 
 

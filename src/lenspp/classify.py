@@ -20,10 +20,12 @@ it transports (those it solves for from the pencils' zeros, row by row).
 
 The canonical form, the census grouping key, is the least pair in the
 k-invariant pair's (A, B) orbit.  Substitution and mix commute, so the orbit
-is a union of B-orbits, one per transported pair: one pass over GL2 in
-row-major order transports the pair once per A and keys it by the least
-member of its B-orbit, in closed form; the least key is the canonical form,
-and each B-orbit's members are mixed by the det +-1 group and stored once.
+is a union of B-orbits, one per transported pair: one pass over the PGL2
+representatives in row-major order transports the pair once per
+representative A and keys the B-orbit of every scalar multiple lam * A by
+its least member, all in closed form (lam * A scales the transported pair by
+lam^n); the least key is the canonical form, and each B-orbit's members are
+mixed by the det +-1 group and stored once.
 Before that pass, one walk lists the pair's self-witnesses, its stabiliser
 in GL2.  It sizes the orbit by orbit-stabiliser, so an orbit above
 ORBIT_SIZE_CAP pairs is refused before it is built, and, conjugated by the
@@ -51,6 +53,7 @@ from .forms import (
     apply_matrix,
     k_pair,
     substitute,
+    substitute_columns,
     substitution_matrix,
 )
 from .gfp import (
@@ -454,31 +457,32 @@ def homeomorphic(X: RotationData, Y: RotationData, marked: bool = False) -> Verd
     if not _same_setting(X, Y):
         return Verdict(False, None, 0, LEVEL_HOMEO)
     p, n = X.p, X.n
-    classes = []  # Y's model, X's class, Y's reduced class: built on the first check
+    classes = []  # Y's model and reduced class: built on the first check
+
+    def reduced_class(model, pairs):
+        return tuple(model.reduce_coeffs(c) for c in pontrjagin_coeffs(p, pairs, n - 1))
 
     def class_check(A: tuple, ky: tuple) -> bool:
         # lazily, so _span_matches refuses above the GL2 cap and prunes by
         # pencil profile before any ring model is built; ky is Y's k-pair,
-        # which _decide has already computed
+        # which _decide has already computed.  X's class moved by A is the
+        # class of X's columns relabelled by A (forms.substitute_columns);
+        # reduction is linear and idempotent, so reduce(moved - cls_y)
+        # vanishes iff reduce(moved) equals the reduced class of Y
         if not classes:
             model = ring_model(p, n, ky)
-            cls_y = pontrjagin_coeffs(p, Y.rotation_pairs(), n - 1)
-            # reduction is linear and idempotent, so reduce(moved - cls_y)
-            # vanishes iff reduce(moved) equals the reduced class of Y
-            classes[:] = (
-                model,
-                pontrjagin_coeffs(p, X.rotation_pairs(), n - 1),
-                tuple(model.reduce_coeffs(c) for c in cls_y),
-            )
-        model_y, cls_x, cls_y = classes
-        return _transport_class(model_y, A, cls_x) == cls_y
+            classes[:] = model, reduced_class(model, Y.rotation_pairs())
+        model_y, cls_y = classes
+        return reduced_class(model_y, substitute_columns(p, A, X.rotation_pairs())) == cls_y
 
     return _decide(X, Y, LEVEL_HOMEO, marked, class_check)
 
 
 def _transport_class(model, A: tuple, comps) -> tuple[tuple[int, ...], ...]:
     """The graded class comps (coefficient tuples of polynomial degree 2k,
-    k = 1, 2, ...) carried along the substitution A and reduced by model."""
+    k = 1, 2, ...) carried along the substitution A and reduced by model.
+    The census moves reduced classes with it, which have no columns; a
+    space's own class moves with its columns (forms.substitute_columns)."""
     p = model.p
     return tuple(
         model.reduce_coeffs(apply_matrix(substitution_matrix(p, 2 * k, A), c, p))
@@ -553,16 +557,27 @@ def _canonicalize(p: int, n: int, key: tuple) -> tuple[tuple, tuple, tuple[tuple
     size the orbit (see _orbit_size): one above ORBIT_SIZE_CAP pairs is
     refused with CapacityError before any of it is built.
     Substitution and mix commute, so the orbit is the union over A in GL2 of
-    the B-orbits of the transported pair key.A.  One pass over GL2 in
-    row-major order (the p^4 entry tuples, singular ones skipped) keys each
-    transported pair by the least member of its B-orbit (_b_orbit_min):
-    equal keys mean the same B-orbit, so the first A per key stands for its
-    B-orbit, the canonical form is the least key and a_canon its A.
+    the B-orbits of the transported pair key.A, each keyed by its least
+    member: equal keys mean the same B-orbit, so the least A per key stands
+    for its B-orbit, the canonical form is the least key and a_canon its A.
+    Every A in GL2 is lam * A' for one unit lam and one PGL2 representative
+    A', whose first nonzero entry is 1, and key.(lam * A') = lam^n * key.A'.
+    So one pass transports key by the p(p^2 - 1) representatives alone, in
+    row-major order (singular ones skipped), and keys each lam * A' in
+    closed form: if _b_orbit_min gives (s2, y) for key.A', y = c * s1, then
+    scaling by lam^n multiplies the wedge by h = lam^2n, so the key of
+    lam^n * key.A' is (s2, r * y) with r = +-h, the sign putting r * c in
+    1 .. (p - 1) / 2.  The key depends on lam only through +-h, and the
+    least lam gives the least lam * A' (lam is its first nonzero entry), so
+    each representative is keyed once per class of units with equal
+    +-lam^2n, at the least lam of the class.  Each key keeps its least A,
+    with the vectors lam^n * key.A'.
     a_canon carries key onto canon, so stab = a_canon^-1 * Stab(key) *
-    a_canon, sorted.  Then each B-orbit's members, its det +-1 mixes (index
-    pairs into the p^2 combinations c*u + d*v), are written once into the
-    store, all with record (canon, A^-1 * a_canon, stab), one stab tuple per
-    class: witnesses compose as A_key->x ^-1 * A_key->min.
+    a_canon, sorted.  Then, in row-major order of their A, each B-orbit's
+    members, its det +-1 mixes (index pairs into the p^2 combinations
+    c*u + d*v), are written once into the store, all with record (canon,
+    A^-1 * a_canon, stab), one stab tuple per class: witnesses compose as
+    A_key->x ^-1 * A_key->min.
     """
     got = _ORBITS.get((p, n), {}).get(key)
     if got is not None:
@@ -576,13 +591,29 @@ def _canonicalize(p: int, n: int, key: tuple) -> tuple[tuple, tuple, tuple[tuple
         )
     cache = _ORBITS.setdefault((p, n), {})
     x1, x2 = key
-    first: dict[tuple, tuple] = {}  # B-orbit minimum -> (its first A, key.A)
-    for A in itertools.product(range(p), repeat=4):
-        if (A[0] * A[3] - A[1] * A[2]) % p:
-            M = substitution_matrix(p, n, A)
-            u = apply_matrix(M, x1, p)
-            v = apply_matrix(M, x2, p)
-            first.setdefault(_b_orbit_min(p, n, u, v), (A, u, v))
+    # (lam, lam^n, lam^2n): the least unit lam of each class {lam : lam^2n = +-h}
+    scalars = []
+    for lam in range(1, p):
+        h = pow(lam, 2 * n, p)
+        if all(h not in (g, p - g) for _, _, g in scalars):
+            scalars.append((lam, pow(lam, n, p), h))
+    first: dict[tuple, tuple] = {}  # B-orbit minimum -> (its least A, lam^n, key.(A / lam))
+    for a, b in [(0, 1)] + [(1, b) for b in range(p)]:
+        for c, d in itertools.product(range(p), repeat=2):
+            if (a * d - b * c) % p:
+                A = (a, b, c, d)
+                M = substitution_matrix(p, n, A)
+                u = apply_matrix(M, x1, p)
+                v = apply_matrix(M, x2, p)
+                s2, y = _b_orbit_min(p, n, u, v)
+                lead = next(x for x in y if x)
+                for lam, t, h in scalars:
+                    r = h if 2 * (lead * h % p) < p else p - h
+                    b_min = (s2, tuple([r * x % p for x in y]))
+                    lam_a = tuple([lam * x % p for x in A])
+                    got = first.get(b_min)
+                    if got is None or lam_a < got[0]:
+                        first[b_min] = (lam_a, t, u, v)
     canon = min(first)
     a_canon = first[canon][0]
     a_inv = mat2_inv(a_canon, p)
@@ -592,7 +623,8 @@ def _canonicalize(p: int, n: int, key: tuple) -> tuple[tuple, tuple, tuple[tuple
         for c, d, e, f in itertools.product(range(p), repeat=4)
         if (c * f - d * e) % p in (1, p - 1)
     ]
-    for A, u, v in first.values():
+    for A, t, u, v in sorted(first.values()):
+        u, v = (tuple([t * x % p for x in w]) for w in (u, v))
         entry = (canon, mat2_mul(mat2_inv(A, p), a_canon, p), stab)
         lin = [
             tuple([(c * x + d * y) % p for x, y in zip(u, v)]) for c in range(p) for d in range(p)

@@ -126,6 +126,16 @@ def substitution_matrix(p: int, deg: int, entries: tuple[int, int, int, int]) ->
     return tuple(tuple(cols[k][r] for k in range(deg + 1)) for r in range(deg + 1))
 
 
+def substitute_columns(p: int, A: tuple[int, int, int, int], pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The columns (r, q) relabelled so that each linear form r*a + q*b
+    becomes its substitution by A = (e11, e12, e21, e22): the columns
+    (r*e11 + q*e21, r*e12 + q*e22), [R; Q] multiplied by A transposed.  A
+    product over the columns, such as a k-invariant or a Pontrjagin class,
+    is then substituted by A with no substitution matrix.  Unchecked."""
+    e11, e12, e21, e22 = A
+    return [((r * e11 + q * e21) % p, (r * e12 + q * e22) % p) for r, q in pairs]
+
+
 def apply_matrix(M: Sequence[Sequence[int]], vec: Sequence[int], p: int) -> tuple[int, ...]:
     return tuple(sum(map(mul, row, vec)) % p for row in M)
 

@@ -181,18 +181,22 @@ def test_sampled_census_p5_n3_bytes(tmp_path):
         (3, 2, 2, "cf7bbb01e57cf92e0489c2e36cab9a16c87d77e08fc3ba20c7732fa614dd3403", 1000),
         (7, 2, 1, "0bc6dd5abfb316c9454c0cf47487f75025e691d9ed40e5eb105aa95f061ff679", 1000),
         (7, 3, 0, "f8058054604fc5561fc291e991a583c7d0054893c053eddf8f6b84fb83279dda", 40),
+        (11, 2, 0, "57d0250cc2a025b4771f33c05df3780ddad5aaa67f8a0c281106c4f25d36eabb", 300),
     ],
 )
 def test_sampled_census_bytes(tmp_path, p, n, seed, digest, sample):
     """Samples whose draws reject words >= p at other widths than (5, 3),
     pinned as `census p n --sample K --seed S` wrote them: the samples of
-    1,000 when each coordinate came from random.Random.randrange, and the
+    1,000 when each coordinate came from random.Random.randrange, the
     (7, 3) sample, whose 20 homotopy classes each build one class record at
-    n = 3."""
+    n = 3, and the (11, 2) sample (2 homotopy and 12 homeomorphism classes),
+    where lam^4 takes the values 1, 3, 4, 5 and 9, none of them -1, so the
+    orbit pass's scalar fold moves keys."""
     try:
         assert _ndjson_sha256(run_census(p, n, sample=sample, seed=seed), tmp_path) == digest
     finally:
         classify._ORBITS.pop((7, 3), None)  # its 20 orbits hold ~280 MB
+        classify._ORBITS.pop((11, 2), None)  # its 2 orbits hold ~200 MB
 
 
 # oracle: the seeded draw as census._draw ran it before it read each

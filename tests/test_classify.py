@@ -1269,11 +1269,12 @@ def test_gl2_capacity_guard(monkeypatch, entry):
     assert calls == [] and pencils == []
 
 
-def test_gl2_enumeration_is_row_major_and_exact(monkeypatch):
-    """The orbit pass of _canonicalize substitutes every element of GL2
-    once, in row-major order."""
+def test_pgl2_enumeration_is_row_major_and_exact(monkeypatch):
+    """The orbit pass of _canonicalize substitutes each PGL2 representative
+    once, in row-major order: the elements of GL2 whose first nonzero entry
+    is 1, p(p^2 - 1) of them (120 at p = 5, 336 at p = 7)."""
     real = classify.substitution_matrix
-    for p in (5, 7):
+    for p, count in ((5, 120), (7, 336)):
         monkeypatch.setattr(classify, "_ORBITS", {})
         walked = []
 
@@ -1283,7 +1284,8 @@ def test_gl2_enumeration_is_row_major_and_exact(monkeypatch):
 
         monkeypatch.setattr(classify, "substitution_matrix", recording)
         classify._canonicalize(p, 2, k_invariant(lens(p, 1, 2)).coeff_pair())
-        assert walked == list(gl2_elements(p))
+        assert walked == [A for A in gl2_elements(p) if next(x for x in A if x) == 1]
+        assert len(walked) == count
 
 
 def test_refusals_and_prunes_transport_nothing_and_marked_calls_transport_once(monkeypatch):
@@ -1457,7 +1459,7 @@ def test_canonicalize_matches_the_bfs_oracle_on_seeded_keys(monkeypatch, p, n, c
     _check_against_bfs(p, n, [k_invariant(_random_free(rng, p, n)).coeff_pair() for _ in range(count)])
 
 
-def test_one_new_orbit_transports_once_per_gl2_element(monkeypatch):
+def test_one_new_orbit_transports_once_per_pgl2_representative(monkeypatch):
     calls = []
     real = classify.apply_matrix
 
@@ -1471,7 +1473,7 @@ def test_one_new_orbit_transports_once_per_gl2_element(monkeypatch):
     key = k_invariant(_random_free(random.Random(53), p, n)).coeff_pair()
     canon, _, _ = classify._canonicalize(p, n, key)
     made = len(calls)
-    assert made <= 2 * len(gl2_elements(p))  # 960; the generator BFS made ~28,800
+    assert made == 2 * p * (p * p - 1) == 240  # |GL2| = 480; the generator BFS made ~28,800
     classify._canonicalize(p, n, canon)
     assert len(calls) == made  # a cached orbit member transports nothing
 
@@ -1536,8 +1538,10 @@ def _seeded_keys(p, n, count, seed):
     return [k_invariant(_random_free(rng, p, n)).coeff_pair() for _ in range(count)]
 
 
-@pytest.mark.parametrize("p,n,count", [(5, 2, 8), (5, 3, 3), (7, 2, 2), (7, 3, 3)])
+@pytest.mark.parametrize("p,n,count", [(5, 2, 8), (5, 3, 3), (7, 2, 4), (7, 3, 3), (11, 2, 1)])
 def test_canonicalize_matches_the_orbit_pass_on_seeded_keys(monkeypatch, p, n, count):
+    """At (7, 2) and (11, 2) p - 1 does not divide 4n, so some lam^2n is not
+    +-1 and a scalar lam*A carries key into another B-orbit than A does."""
     monkeypatch.setattr(classify, "_ORBITS", {})
     _check_against_orbit_pass(p, n, _seeded_keys(p, n, count, 30 * p + n))
 

@@ -1,17 +1,24 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import form_strategy, invertible_mat_strategy
+from conftest import form_strategy, gl2_elements, invertible_mat_strategy
 from lenspp.actions import RotationData, product_of_lens_spaces, validate
 from lenspp.errors import HypothesisViolation
 from lenspp.forms import (
     HomogeneousForm,
+    apply_matrix,
     k_invariant,
+    k_pair,
     product_of_linear_forms,
     substitute,
+    substitute_columns,
+    substitution_matrix,
 )
 from lenspp.gfp import Mat2
+from lenspp.pontrjagin import pontrjagin_coeffs
 
 
 def test_form_degree_and_length():
@@ -137,3 +144,36 @@ def test_form_json_roundtrip():
     doc = f.to_json()
     assert doc == {"deg": 2, "coeffs": [2, 3, 1]}
     assert HomogeneousForm(5, tuple(doc["coeffs"])) == f
+
+
+def _check_substituted_columns(p, n, R, Q, A):
+    """Relabelling the columns by A substitutes A into each product over
+    them: the k-pair and the Pontrjagin components e_1 .. e_(n-1)."""
+    cols = substitute_columns(p, A, zip(R, Q))
+    R2, Q2 = (tuple(c[i] for c in cols) for i in (0, 1))
+    assert k_pair(p, n, R2, Q2) == tuple(
+        apply_matrix(substitution_matrix(p, n, A), x, p) for x in k_pair(p, n, R, Q)
+    ), (R, Q, A)
+    raw = pontrjagin_coeffs(p, zip(R, Q), n - 1)
+    assert pontrjagin_coeffs(p, cols, n - 1) == [
+        apply_matrix(substitution_matrix(p, 2 * k, A), c, p) for k, c in enumerate(raw, 1)
+    ], (R, Q, A)
+
+
+def test_substituted_columns_substitute_every_gl2_element_p3():
+    rng = random.Random(3)
+    for _ in range(4):
+        R, Q = (tuple(rng.randrange(3) for _ in range(4)) for _ in range(2))
+        for A in gl2_elements(3):
+            _check_substituted_columns(3, 2, R, Q, A)
+
+
+@pytest.mark.parametrize("p, n", [(5, 3), (7, 3), (13, 2), (31, 4)])
+def test_substituted_columns_substitute_seeded_elements(p, n):
+    rng = random.Random(100 * p + n)
+    for _ in range(40):
+        R, Q = (tuple(rng.randrange(p) for _ in range(2 * n)) for _ in range(2))
+        A = (0, 0, 0, 0)
+        while not (A[0] * A[3] - A[1] * A[2]) % p:
+            A = tuple(rng.randrange(p) for _ in range(4))
+        _check_substituted_columns(p, n, R, Q, A)
