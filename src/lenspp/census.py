@@ -17,7 +17,12 @@ moved along the self-witnesses by classify._transport_class.
 
 The scan (or the seeded draw) hands plain (R, Q) tuples to the grouping
 step; RotationData is built only where a caller sees the spaces, in
-enumerate_free.
+enumerate_free.  The draw decides freeness by the n^2 cross-block minors
+(actions._free_by_planes).  The scan decides it with one AND per pair: a
+minor is zero exactly when a column of one block is zero or gives the same
+point of P^1 as a column of the other, so each block's points are a
+bitmask read from a table over the p^n half-vectors (_point_masks), built
+once per scan.
 
 Relabelling the two group generators multiplies [R; Q] on the left by
 GL2(F_p) and leaves both keys unchanged, so each space is keyed by its 2x2
@@ -106,18 +111,52 @@ class CensusRecord:
         }
 
 
+def _point_masks(p: int, n: int) -> list[list[int]]:
+    """masks[a][b]: the points of P^1 = GF(p) u {inf} given by the block of
+    n columns (r, q) read off the a-th and b-th of the p^n half-vectors, in
+    lex order, as bits: bit q/r for r != 0, bit p (inf) for (0, q), and all
+    p + 1 bits for a zero column, which is dependent on every column.
+
+    The cross-block minor of a block-1 column and a block-2 column is zero
+    exactly when one of them is zero or both give the same point, so
+    (R, Q) is free iff the masks of its two blocks share no bit."""
+    full = (1 << (p + 1)) - 1
+    bit = [[full] + [1 << p] * (p - 1)]
+    bit += [[1 << (q * inv(r, p) % p) for q in range(p)] for r in range(1, p)]
+    halves = list(itertools.product(range(p), repeat=n))
+    masks = []
+    for Rh in halves:
+        row = []
+        for Qh in halves:
+            m = 0
+            for r, q in zip(Rh, Qh):
+                m |= bit[r][q]
+            row.append(m)
+        masks.append(row)
+    return masks
+
+
 def _scan(p: int, n: int, start: int, stop: int) -> Iterator[tuple[tuple, tuple]]:
     """Every free (R, Q) whose R has lex index in [start, stop) among the
     p^(2n) vectors, in lex order of (R, Q): the one enumeration of an
-    exhaustive census.  Each pair with R != 0 is tested for rank 2, each
-    rank-2 pair for freeness."""
+    exhaustive census.  Each pair with R != 0 is tested for rank 2, and
+    each rank-2 pair for freeness by the P^1 masks of its two blocks
+    (_point_masks): Q = Qa + Qb is free with R = Ra + Rb iff
+    masks[Ra][Qa] & masks[Rb][Qb] == 0, the same answer as
+    _free_by_planes's n^2 cross-block minors with one AND."""
     vectors = list(itertools.product(range(p), repeat=2 * n))
-    for R in vectors[start:stop]:
+    h = p**n
+    rows = [vectors[a * h : (a + 1) * h] for a in range(h)]
+    masks = _point_masks(p, n)
+    for k in range(start, stop):
+        R = vectors[k]
         if not any(R):
             continue
-        for Q in vectors:
-            if _rank2(R, Q, p) and _free_by_planes(R, Q, p, n):
-                yield R, Q
+        block2 = masks[k % h]
+        for m1, row in zip(masks[k // h], rows):
+            for m2, Q in zip(block2, row):
+                if _rank2(R, Q, p) and not m1 & m2:
+                    yield R, Q
 
 
 def _draw(p: int, n: int, sample: int, seed: int) -> Iterator[tuple[tuple, tuple]]:

@@ -1,4 +1,5 @@
 import concurrent.futures
+import functools
 import hashlib
 import itertools
 import json
@@ -389,8 +390,9 @@ def _record_calls(monkeypatch, names):
 @pytest.mark.parametrize("workers", [1, 3])
 def test_census_scan_work_matches_the_record(monkeypatch, workers):
     """The scan tests each pair with R != 0 for rank 2 (81 * 80 at p = 3),
-    each rank-2 pair for freeness (total_pairs, in closed form) and
-    classifies each free space once (free_count), for any worker count."""
+    decides freeness by the blocks' P^1 masks with no _free_by_planes call,
+    and classifies each free space once (free_count), for any worker
+    count."""
     sizes = []
     monkeypatch.setattr(
         concurrent.futures, "ProcessPoolExecutor", lambda max_workers: _InlinePool(sizes, max_workers)
@@ -402,9 +404,60 @@ def test_census_scan_work_matches_the_record(monkeypatch, workers):
     assert (rec.total_pairs, rec.free_count) == (6240, 1344)
     assert calls == {
         "_rank2": 81 * 80,
-        "_free_by_planes": rec.total_pairs,
+        "_free_by_planes": 0,
         "_classify_item": rec.free_count,
     }
+
+
+@functools.lru_cache(maxsize=None)
+def _minor_filter(p, n, start, stop):
+    """The scan's oracle: every (R, Q) with R's lex index in [start, stop),
+    in lex order, kept iff _rank2 and then the n^2 cross-block minors of
+    _free_by_planes pass."""
+    vectors = list(itertools.product(range(p), repeat=2 * n))
+    return [
+        (R, Q)
+        for R in vectors[start:stop]
+        if any(R)
+        for Q in vectors
+        if actions._rank2(R, Q, p) and actions._free_by_planes(R, Q, p, n)
+    ]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_scan_equals_the_minor_filter_exhaustive(p):
+    """390,625 pairs at p = 5, as one ordered sequence."""
+    size = p**4
+    assert list(census._scan(p, 2, 0, size)) == _minor_filter(p, 2, 0, size)
+
+
+@pytest.mark.parametrize("p, n, width", [(7, 2, 30), (3, 3, 20), (5, 3, 4)])
+def test_scan_equals_the_minor_filter_on_seeded_slices(p, n, width):
+    """The first and last R-slices (R = 0 and the top half-vectors) and
+    three seeded ones; n = 3 has masks of three columns per block."""
+    size = p ** (2 * n)
+    rng = random.Random(p * n)
+    starts = [0, size - width, *(rng.randrange(size - width) for _ in range(3))]
+    for start in starts:
+        got = list(census._scan(p, n, start, start + width))
+        assert got == _minor_filter(p, n, start, start + width), start
+
+
+@pytest.mark.parametrize("workers", [2, 3, 5])
+def test_scan_chunks_of_the_pool_split_concatenate_to_the_minor_filter(monkeypatch, workers):
+    """The R-slices run_census hands its workers at p = 5 (uneven for 3:
+    0/208/416/625) scan, in order, to the exhaustive oracle."""
+    chunks = []
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", lambda max_workers: _InlinePool([], max_workers)
+    )
+    monkeypatch.setattr(census.os, "cpu_count", lambda: workers)
+    monkeypatch.setattr(census, "_census_chunk", lambda args: chunks.append(args) or {})
+    run_census(5, 2, workers=workers)
+    starts, stops = [c[2] for c in chunks], [c[3] for c in chunks]
+    assert len(chunks) == workers and starts == [0, *stops[:-1]] and stops[-1] == 625
+    scanned = [pair for p, n, start, stop in chunks for pair in census._scan(p, n, start, stop)]
+    assert scanned == _minor_filter(5, 2, 0, 625)
 
 
 def test_sampled_census_counts_each_draw_once(monkeypatch):
