@@ -172,8 +172,15 @@ def product_of_lens_spaces(
     n = len(r)
     if n < 2 or len(rprime) != n:
         raise InvalidDimension("need len(r) = len(rprime) = n >= 2")
-    r = tuple(int(x) % p for x in r)
-    rp = tuple(int(x) % p for x in rprime)
-    if any(x == 0 for x in r) or any(x == 0 for x in rp):
+    units = _lens_rotations(p, (*r, *rprime))
+    # reduced and unit, so no validate: unit blocks in disjoint columns have rank 2
+    return RotationData(p, n, units[:n] + (0,) * n, (0,) * n + units[n:])
+
+
+def _lens_rotations(p: int, rotations: Sequence[int]) -> tuple[int, ...]:
+    """Lens-space rotation numbers reduced mod p, refused unless all are
+    units.  p is checked by the caller, before any other refusal."""
+    reduced = tuple(int(x) % p for x in rotations)
+    if 0 in reduced:
         raise InvalidRotation("lens-space rotation numbers must be nonzero mod p")
-    return validate(RotationData(p, n, r + (0,) * n, (0,) * n + rp))
+    return reduced

@@ -57,7 +57,7 @@ from .errors import CapacityError, HypothesisViolation, InvalidDimension
 # but perfbench/tracing.py wraps them under these names.
 from .forms import apply_matrix, k_pair, product_of_linear_forms, substitute_columns
 from .gfp import inv, is_quadratic_residue, require_odd_prime, wedge, wedge_span_key
-from .pontrjagin import pontrjagin_coeffs, total_pontrjagin_raw
+from .pontrjagin import reduced_class, total_pontrjagin_raw
 from .quotient_ring import ring_model
 
 CENSUS_PRIME_CAP = 7
@@ -284,7 +284,9 @@ def _classify_plane(p: int, n: int, plane: tuple) -> tuple[tuple, tuple]:
 
     The class moved onto the canonical form by the record's witness a0 is
     that of the columns relabelled by a0 (forms.substitute_columns), reduced
-    by the canonical form's ring model: no substitution matrix is built.
+    by the canonical form's ring model with pontrjagin.reduced_class, as the
+    homeomorphism decider reduces its classes: no substitution matrix is
+    built.
     Another basis of the plane relabels the two group generators, which
     moves the k-pair and the Pontrjagin class by one and the same linear
     substitution: the canonical form stays, and the transported class moves
@@ -294,11 +296,7 @@ def _classify_plane(p: int, n: int, plane: tuple) -> tuple[tuple, tuple]:
     they sit at the same place in every candidate, so they move no minimum."""
     R, Q = plane
     canon, a0, _ = _canonicalize(p, n, k_pair(p, n, R, Q))
-    model = ring_model(p, n, canon)
-    t0 = tuple(
-        model.reduce_coeffs(c)
-        for c in pontrjagin_coeffs(p, substitute_columns(p, a0, zip(R, Q)), n - 1)
-    )
+    t0 = reduced_class(ring_model(p, n, canon), substitute_columns(p, a0, zip(R, Q)), n - 1)
     return canon, tuple((4 * k, c) for k, c in enumerate(_min_fingerprint(p, n, canon, t0), 1))
 
 

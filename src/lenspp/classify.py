@@ -45,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .actions import RotationData, is_free
+from .actions import RotationData, _lens_rotations, is_free
 from .errors import CapacityError, HypothesisViolation, InvalidDimension, InvalidRotation
 from .forms import (
     HomogeneousForm,
@@ -68,7 +68,7 @@ from .gfp import (
 )
 # total_pontrjagin_raw is the form-valued counterpart of pontrjagin_coeffs;
 # the deciders do not call it, but perfbench/tracing.py wraps it under this name.
-from .pontrjagin import pontrjagin_coeffs, total_pontrjagin_raw
+from .pontrjagin import reduced_class, total_pontrjagin_raw
 from .quotient_ring import ring_model
 
 LEVEL_HOMOTOPY = "homotopy"
@@ -165,7 +165,7 @@ def _values(p, x, A=_IDENT):
 
 
 @lru_cache(maxsize=2**18)
-def _transported(p, deg, A, x1, x2):
+def _transported(p, A, x1, x2):
     """Value coordinates of the k-pair (x1, x2) substituted by A."""
     return _values(p, x1, A), _values(p, x2, A)
 
@@ -191,7 +191,7 @@ def _point(k, p):
 
 
 @lru_cache(maxsize=2**12)
-def _pencil(p, n, x1, x2):
+def _pencil(p, x1, x2):
     """The incidence of the pencil s*x1 + t*x2 of a free space's k-pair with
     P^1(GF(p)): (member, zeros, profile, targets, probes), where member[k]
     is the index of the one member vanishing at the k-th point of P^1 (see
@@ -368,8 +368,8 @@ def _span_matches(p, n, kx_pair, ky_pair, marked=False):
             raise CapacityError(
                 f"GL2 enumeration over GF({p}) has {(p*p-1)*(p*p-p)} elements; capped at p <= {GL2_PRIME_CAP}"
             )
-        pencil_x = _pencil(p, n, x1, x2)
-        *_, profile_y, _, probes = _pencil(p, n, y1, y2)
+        pencil_x = _pencil(p, x1, x2)
+        *_, profile_y, _, probes = _pencil(p, y1, y2)
         if pencil_x[2] != profile_y:
             return
     W, i0, j0, rest = _target_plane(p, y1, y2)
@@ -382,7 +382,7 @@ def _span_matches(p, n, kx_pair, ky_pair, marked=False):
         return True
 
     if marked:
-        u, v = _transported(p, n, _IDENT, x1, x2)
+        u, v = _transported(p, _IDENT, x1, x2)
         if in_plane(u, v):
             yield _IDENT, _mix_solver(u, v, W, i0, j0, p)
         return
@@ -394,7 +394,7 @@ def _span_matches(p, n, kx_pair, ky_pair, marked=False):
                 got = matched[a, b] = []
                 for c, d in _row_solutions(p, a, b, pencil_x, probes):
                     A = (a, b, c, d)
-                    u, v = _transported(p, n, A, x1, x2)
+                    u, v = _transported(p, A, x1, x2)
                     if in_plane(u, v):
                         got.append((A, _mix_solver(u, v, W, i0, j0, p)))
                         yield got[-1]
@@ -453,14 +453,13 @@ def simple_homotopy_equivalent(
 
 def homeomorphic(X: RotationData, Y: RotationData, marked: bool = False) -> Verdict:
     """Search all k-matching witnesses for one whose substitution also carries
-    the total Pontrjagin class of X onto Y's, modulo Y's cohomology ideal."""
+    the total Pontrjagin class of X onto Y's, modulo Y's cohomology ideal.
+    Both classes are pontrjagin.reduced_class in Y's ring model, the
+    function the census fingerprint reduces with."""
     if not _same_setting(X, Y):
         return Verdict(False, None, 0, LEVEL_HOMEO)
     p, n = X.p, X.n
     classes = []  # Y's model and reduced class: built on the first check
-
-    def reduced_class(model, pairs):
-        return tuple(model.reduce_coeffs(c) for c in pontrjagin_coeffs(p, pairs, n - 1))
 
     def class_check(A: tuple, ky: tuple) -> bool:
         # lazily, so _span_matches refuses above the GL2 cap and prunes by
@@ -471,9 +470,9 @@ def homeomorphic(X: RotationData, Y: RotationData, marked: bool = False) -> Verd
         # vanishes iff reduce(moved) equals the reduced class of Y
         if not classes:
             model = ring_model(p, n, ky)
-            classes[:] = model, reduced_class(model, Y.rotation_pairs())
+            classes[:] = model, reduced_class(model, Y.rotation_pairs(), n - 1)
         model_y, cls_y = classes
-        return reduced_class(model_y, substitute_columns(p, A, X.rotation_pairs())) == cls_y
+        return reduced_class(model_y, substitute_columns(p, A, X.rotation_pairs()), n - 1) == cls_y
 
     return _decide(X, Y, LEVEL_HOMEO, marked, class_check)
 
@@ -653,11 +652,8 @@ def _validate_lens(p, n, r, rprime):
         raise InvalidDimension(f"lens spaces need n >= 1 rotation numbers, got {n}")
     if len(r) != n or len(rprime) != n:
         raise InvalidRotation(f"rotation tuples must have length n = {n}")
-    r = tuple(int(x) % p for x in r)
-    rp = tuple(int(x) % p for x in rprime)
-    if any(x == 0 for x in r + rp):
-        raise InvalidRotation("lens-space rotation numbers must be nonzero mod p")
-    return r, rp
+    units = _lens_rotations(p, (*r, *rprime))
+    return units[:n], units[n:]
 
 
 def lens_homotopy_equivalent(p: int, n: int, r, rprime) -> bool:

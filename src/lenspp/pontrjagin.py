@@ -6,17 +6,21 @@ at polynomial degree 2n - 1 (cohomological degree 4n - 2); the graded pieces
 live in degrees 4k and are compared modulo the ideal generated by the
 k-invariant.  For a single lens space L(p; r_1..r_m) the same product with
 one variable, prod_i (1 + r_i^2 a^2), is truncated by a^m = 0.
+
+reduced_class is the one reduction of a column list's class used to decide:
+the homeomorphism decider compares it and the census fingerprints it.
+total_pontrjagin reduces on its own, so a check of a verdict built on it
+does not run through the decider's reduction.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .actions import RotationData
-from .errors import InvalidRotation
+from .actions import RotationData, _lens_rotations
 from .forms import HomogeneousForm, k_invariant
 from .gfp import require_odd_prime
-from .quotient_ring import TotalClass, ring_model
+from .quotient_ring import CohomRingModel, TotalClass, ring_model
 
 
 def pontrjagin_coeffs(p: int, pairs: Iterable[tuple[int, int]], top: int) -> list[tuple[int, ...]]:
@@ -34,6 +38,15 @@ def pontrjagin_coeffs(p: int, pairs: Iterable[tuple[int, int]], top: int) -> lis
                     cur[t + 1] += c * s1
                     cur[t + 2] += c * s2
     return [tuple(c % p for c in coeffs) for coeffs in e[1:]]
+
+
+def reduced_class(
+    model: CohomRingModel, pairs: Iterable[tuple[int, int]], top: int
+) -> tuple[tuple[int, ...], ...]:
+    """Coefficient tuples of e_1 .. e_top of the columns pairs, each reduced
+    by the ring model: the class the homeomorphism decider compares and the
+    census fingerprints.  Unchecked."""
+    return tuple(model.reduce_coeffs(c) for c in pontrjagin_coeffs(model.p, pairs, top))
 
 
 def total_pontrjagin_raw(data: RotationData) -> dict[int, HomogeneousForm]:
@@ -61,9 +74,7 @@ def lens_total_pontrjagin(p: int, rotations: Sequence[int]) -> TotalClass:
     computed in GF(p)[a]/(a^m), m = len(rotations); single-variable forms
     are returned as binary forms with all b-coefficients zero."""
     require_odd_prime(p)
-    rotations = tuple(int(x) % p for x in rotations)
-    if any(x == 0 for x in rotations):
-        raise InvalidRotation("lens-space rotation numbers must be nonzero mod p")
+    rotations = _lens_rotations(p, rotations)
     truncation = max(len(rotations) - 1, 0)
     comps = pontrjagin_coeffs(p, [(r, 0) for r in rotations], truncation // 2)
     return TotalClass(

@@ -152,6 +152,26 @@ def test_product_of_lens_spaces_rejects_zero_rotation():
         product_of_lens_spaces(5, (1, 0), (1, 1))
 
 
+@pytest.mark.parametrize("r, rprime", [((1,), (1,)), ((), ()), ((1, 2), (1,)), ((1, 2), (1, 2, 3))])
+def test_product_of_lens_spaces_rejects_bad_block_lengths(r, rprime):
+    with pytest.raises(InvalidDimension, match=r"need len\(r\) = len\(rprime\) = n >= 2"):
+        product_of_lens_spaces(5, r, rprime)
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (5, 3), (7, 2)])
+def test_product_of_lens_spaces_is_already_validated(p, n):
+    """product_of_lens_spaces builds its data without validate: the entries
+    are reduced and the unit blocks sit in disjoint columns, so validate
+    returns the same data, also from unreduced and negative inputs."""
+    rng = random.Random(p * 10 + n)
+    for _ in range(50):
+        r = tuple(rng.choice([-1, 1]) * (rng.randrange(1, p) + p * rng.randrange(3)) for _ in range(n))
+        rp = tuple(rng.choice([-1, 1]) * (rng.randrange(1, p) + p * rng.randrange(3)) for _ in range(n))
+        d = product_of_lens_spaces(p, r, rp)
+        assert validate(d) == d
+        assert d == validate(RotationData(p, n, r + (0,) * n, (0,) * n + rp)), (r, rp)
+
+
 def test_json_roundtrip():
     d = validate(RotationData(5, 2, (1, 2, 0, 0), (0, 0, 1, 3)))
     assert from_json(to_json(d)) == d

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -26,8 +27,13 @@ from lenspp.census import (
     write_census,
 )
 from conftest import gl2_elements, span_key
-from lenspp import actions, census, classify, forms, gfp
-from lenspp.classify import canonical_form, homeomorphic, homotopy_equivalent
+from lenspp import actions, census, classify, cli, forms, gfp
+from lenspp.classify import (
+    canonical_form,
+    homeomorphic,
+    homotopy_equivalent,
+    lens_homotopy_equivalent,
+)
 from lenspp.errors import CapacityError, HypothesisViolation, InvalidDimension, InvalidSpan
 from lenspp.forms import HomogeneousForm, k_invariant, substitute
 from lenspp.gfp import Mat2, inv, is_quadratic_residue, wedge
@@ -697,6 +703,56 @@ def test_verify_application_report_matches_the_residue_test(p):
         "necessity_discrepancies": [],
         "ok": True,
     }
+
+
+def _flip_verdicts(monkeypatch, flips):
+    """Make census.homeomorphic answer the opposite on the quadruples flips,
+    each (r1, r2, q1, q2) naming L(p;1,r1) x L(p;1,r2) vs L(p;1,q1) x L(p;1,q2)."""
+    real = census.homeomorphic
+
+    def flipped(X, Y, marked=False):
+        verdict = real(X, Y, marked)
+        if (X.R[1], X.Q[3], Y.R[1], Y.Q[3]) in flips:
+            return dataclasses.replace(verdict, equivalent=not verdict.equivalent)
+        return verdict
+
+    monkeypatch.setattr(census, "homeomorphic", flipped)
+
+
+# at p = 5: 1*1/(1*1) = 1 is a square, and +-1*1/(1*2) = 3, 2 are not
+_POSITIVE, _NEGATIVE = (1, 1, 1, 1), (1, 1, 1, 2)
+
+
+def test_verify_application_lists_the_quadruples_the_classifier_disputes(monkeypatch):
+    _flip_verdicts(monkeypatch, {_POSITIVE, _NEGATIVE})
+    report = verify_application(5)
+    assert report.sufficiency_discrepancies == (_POSITIVE,)
+    assert report.necessity_discrepancies == (_NEGATIVE,)
+    assert not report.ok
+    assert (report.quadruples, report.criterion_true) == (256, 128)
+    doc = report.to_json()
+    assert doc["ok"] is False
+    assert doc["sufficiency_discrepancies"] == [list(_POSITIVE)]
+    assert doc["necessity_discrepancies"] == [list(_NEGATIVE)]
+
+
+def test_verify_application_command_exits_1_on_a_discrepancy(monkeypatch, capsys):
+    _flip_verdicts(monkeypatch, {_POSITIVE, _NEGATIVE})
+    assert cli.main(["verify-application", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["ok"] is False
+    assert err.strip() == "p=5: 1 sufficiency and 1 necessity discrepancies"
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_application_criterion_is_the_lens_homotopy_baseline(p):
+    """verify_application's criterion, +-r1*r2/(q1*q2) a square, is
+    L(p;r1,r2) ~ L(p;q1,q2) by the lens baseline, which asks whether
+    +-q1*q2/(r1*r2) is a square: x is a square iff 1/x is."""
+    for r1, r2, q1, q2 in itertools.product(range(1, p), repeat=4):
+        ratio = r1 * r2 * inv(q1 * q2, p)
+        criterion = is_quadratic_residue(ratio, p) or is_quadratic_residue(-ratio, p)
+        assert criterion == lens_homotopy_equivalent(p, 2, (r1, r2), (q1, q2)), (r1, r2, q1, q2)
 
 
 def test_verify_application_guard():

@@ -34,6 +34,7 @@ from lenspp.errors import (
     CapacityError,
     HypothesisViolation,
     InvalidDimension,
+    InvalidPrime,
     InvalidRotation,
 )
 from lenspp.forms import (
@@ -53,7 +54,7 @@ from lenspp.gfp import (
     mat2_mul,
     wedge,
 )
-from lenspp.pontrjagin import total_pontrjagin, total_pontrjagin_raw
+from lenspp.pontrjagin import lens_total_pontrjagin, total_pontrjagin, total_pontrjagin_raw
 from lenspp.quotient_ring import ring_model
 
 
@@ -337,6 +338,64 @@ def test_lens_guards():
     assert lens_simple_homotopy_equivalent(5, 9, (1,) * 9, (1,) * 9)
     assert lens_simple_homotopy_equivalent(5, 9, (1,) * 8 + (2,), (3,) * 8 + (1,))
     assert not lens_simple_homotopy_equivalent(5, 9, (1,) * 8 + (2,), (1,) * 9)
+
+
+@pytest.mark.parametrize("baseline", [lens_homotopy_equivalent, lens_simple_homotopy_equivalent])
+@pytest.mark.parametrize("r, rprime", [((1, 2), (1,)), ((1,), (1, 2)), ((1, 2, 3), (1, 2, 3))])
+def test_lens_baselines_refuse_tuples_of_the_wrong_length(baseline, r, rprime):
+    with pytest.raises(InvalidRotation, match="rotation tuples must have length n = 2"):
+        baseline(5, 2, r, rprime)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: product_of_lens_spaces(p, (1,), (0,)),
+        lambda p: lens_homotopy_equivalent(p, 0, (0,), ()),
+        lambda p: lens_simple_homotopy_equivalent(p, 2, (0,), (1, 1, 1)),
+        lambda p: lens_total_pontrjagin(p, (0,)),
+    ],
+)
+def test_lens_entry_points_refuse_a_bad_prime_first(call):
+    """Each call also has a zero rotation, and all but the last a bad
+    dimension or tuple length."""
+    with pytest.raises(InvalidPrime):
+        call(9)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: product_of_lens_spaces(5, (1, 2), (5, 1)),
+        lambda: lens_homotopy_equivalent(5, 2, (1, -10), (1, 1)),
+        lambda: lens_simple_homotopy_equivalent(5, 2, (1, 1), (0, 1)),
+        lambda: lens_total_pontrjagin(5, (2, 15)),
+    ],
+)
+def test_lens_entry_points_share_the_rotation_refusal(call):
+    with pytest.raises(InvalidRotation, match="^lens-space rotation numbers must be nonzero mod p$"):
+        call()
+
+
+def test_matching_substitutions_across_settings_is_empty():
+    X = product_of_lens_spaces(7, (1, 2), (1, 3))
+    for Y in (product_of_lens_spaces(5, (1, 2), (1, 3)), product_of_lens_spaces(7, (1, 2, 3), (1, 2, 3))):
+        assert matching_substitutions(X, Y) == ()
+        assert matching_substitutions(Y, X) == ()
+
+
+@pytest.mark.parametrize(
+    "A, B, message",
+    [
+        ((1, 2, 2, 4), (1, 0, 0, 1), "witness substitution A must be invertible"),
+        ((0, 0, 0, 0), (1, 0, 0, 1), "witness substitution A must be invertible"),
+        ((1, 0, 0, 1), (2, 0, 0, 1), "witness coefficient matrix B must have det \\+-1"),
+        ((1, 0, 0, 1), (1, 1, 1, 1), "witness coefficient matrix B must have det \\+-1"),
+    ],
+)
+def test_equivalence_witness_refuses_bad_matrices(A, B, message):
+    with pytest.raises(ValueError, match=message):
+        EquivalenceWitness(Mat2(5, A), Mat2(5, B), LEVEL_HOMOTOPY)
 
 
 # oracles: the scans over every unit t (resp. k) mod p that the lens
@@ -666,7 +725,7 @@ def test_negative_at_the_gl2_cap_keeps_no_gl2_table():
 # the deciders compare before the transport walk
 
 def _profile(X):
-    return classify._pencil(X.p, X.n, *k_invariant(X).coeff_pair())[2]
+    return classify._pencil(X.p, *k_invariant(X).coeff_pair())[2]
 
 
 @pytest.mark.parametrize("p,n", [(5, 2), (7, 2), (7, 3), (11, 2), (13, 2)])
@@ -678,7 +737,7 @@ def test_pencil_profile_is_invariant_under_substitution_and_mix(p, n):
     for _ in range(40):
         X = _random_free(rng, p, n)
         x1, x2 = k_invariant(X).coeff_pair()
-        want = classify._pencil(p, n, x1, x2)[2]
+        want = classify._pencil(p, x1, x2)[2]
         if n == 2:  # a member with one zero is a square: the walk tests' count
             assert want.count(1) * (p - 1) == _pencil_squares(X)
         M = substitution_matrix(p, n, rng.choice(gl2))
@@ -686,7 +745,7 @@ def test_pencil_profile_is_invariant_under_substitution_and_mix(p, n):
         c, d, e, f = rng.choice(mixes)
         y1 = tuple((c * a + d * b) % p for a, b in zip(u, v))
         y2 = tuple((e * a + f * b) % p for a, b in zip(u, v))
-        assert classify._pencil(p, n, y1, y2)[2] == want, (X, y1, y2)
+        assert classify._pencil(p, y1, y2)[2] == want, (X, y1, y2)
         assert _profile(_relabelled(rng, X)) == want, X
 
 
@@ -708,7 +767,7 @@ def _check_profile_of_canonical_pairs(monkeypatch, p, n, keys):
     monkeypatch.setattr(classify, "_ORBITS", {(p, n): _KeysOnly(keys)})
     for key in keys:
         canon, _, _ = classify._canonicalize(p, n, key)
-        assert classify._pencil(p, n, *canon)[2] == classify._pencil(p, n, *key)[2], key
+        assert classify._pencil(p, *canon)[2] == classify._pencil(p, *key)[2], key
     assert classify._ORBITS[(p, n)].keys() == keys
 
 
@@ -866,9 +925,9 @@ def _full_walk(monkeypatch, p, n, kx, ky):
     transported = []
     real = classify._transported
 
-    def recording(p, deg, A, x1, x2):
+    def recording(p, A, x1, x2):
         transported.append(A)
-        return real(p, deg, A, x1, x2)
+        return real(p, A, x1, x2)
 
     monkeypatch.setattr(classify, "_transported", recording)
     try:
@@ -953,7 +1012,7 @@ def _probe_pairs(p, n, ky):
     """The walk's probes, read off member and zeros of k(Y)'s pencil: the
     first two zeros of the first member with the most zeros z, then those
     of the first other member with at least two, each with its zero count."""
-    member, zeros = classify._pencil(p, n, *ky)[:2]
+    member, zeros = classify._pencil(p, *ky)[:2]
     roots = [[k for k, m in enumerate(member) if m == j] for j in range(p + 1)]
     first = zeros.index(max(zeros))
     later = [(r[:2], len(r)) for j, r in enumerate(roots) if j != first and len(r) >= 2]
@@ -964,7 +1023,7 @@ def _oracle_incident(p, n, kx, ky):
     """Brute force over PGL2: the representatives A for which, for each
     probe pair (P, P') with zero count zz, the member of span k(X) vanishing
     at phi_A(P) also vanishes at phi_A(P') and has zz zeros."""
-    member, zeros = classify._pencil(p, n, *kx)[:2]
+    member, zeros = classify._pencil(p, *kx)[:2]
     probes = _probe_pairs(p, n, ky)
 
     def image(A, k):
@@ -1006,7 +1065,7 @@ def test_prefilter_transports_exactly_the_incident_representatives(monkeypatch, 
             X = _random_free(rng, p, n)
             Y = _relabelled(rng, X)
             kx, ky = k_invariant(X).coeff_pair(), k_invariant(Y).coeff_pair()
-            zeros = classify._pencil(p, n, *kx)[1]
+            zeros = classify._pencil(p, *kx)[1]
             assert sorted(zeros) == list(_profile(X)) == list(_profile(Y))
             z = max(zeros)
             if z < 2:
@@ -1061,7 +1120,7 @@ def _check_row_solutions(p, n, kx, probe_sets):
     loop passes, in the same order.  Returns the cases hit: 'z<=1' (probes
     None), 'second' and 'no second' (a second probe pair or none), and
     'end' (a row where a probe's image is (0 : 1) with some (c, d) passing)."""
-    pencil_x = classify._pencil(p, n, *kx)
+    pencil_x = classify._pencil(p, *kx)
     member, zeros = pencil_x[:2]
     z = max(zeros)
     hit = Counter()
@@ -1112,7 +1171,7 @@ def test_row_solutions_are_the_trial_loop_on_every_pencil(p, n):
     hit = Counter()
     points = [classify._point(k, p) for k in range(p + 1)]
     for kx in _planes(p, n):
-        probe_sets = [classify._pencil(p, n, *kx)[4]]
+        probe_sets = [classify._pencil(p, *kx)[4]]
         if n == 2:
             probe_sets += [_probes(p, P, Q) for P in points for Q in points if P != Q]
         hit += _check_row_solutions(p, n, kx, probe_sets)
@@ -1130,7 +1189,7 @@ def test_row_solutions_are_the_trial_loop_on_seeded_pairs(p, n):
     for _ in range(8):
         X = _random_free(rng, p, n)
         kx, ky = k_invariant(X).coeff_pair(), k_invariant(_relabelled(rng, X)).coeff_pair()
-        hit += _check_row_solutions(p, n, kx, [classify._pencil(p, n, *ky)[4]])
+        hit += _check_row_solutions(p, n, kx, [classify._pencil(p, *ky)[4]])
     assert hit["end"] > 0, hit
 
 
@@ -1147,7 +1206,7 @@ def test_mix_solver_is_the_oracle_solver(p, n):
         M = substitution_matrix(p, n, A)
         u1, u2 = apply_matrix(M, x1, p), apply_matrix(M, x2, p)
         y1, y2 = (tuple((c * x + d * y) % p for x, y in zip(u1, u2)) for c, d in (B[:2], B[2:]))
-        u, v = classify._transported(p, n, A, x1, x2)
+        u, v = classify._transported(p, A, x1, x2)
         W, i0, j0, _ = classify._target_plane(p, y1, y2)
         got = classify._mix_solver(u, v, W, i0, j0, p)
         assert got == B, (x1, x2, A, B)
@@ -1216,7 +1275,7 @@ def test_transported_values_are_the_substituted_pair_at_the_points(p, n):
             )
             for x in (x1, x2)
         )
-        assert classify._transported(p, n, A, x1, x2) == want, (x1, x2, A)
+        assert classify._transported(p, A, x1, x2) == want, (x1, x2, A)
 
 
 def _record_transports(monkeypatch):
@@ -1226,9 +1285,9 @@ def _record_transports(monkeypatch):
     calls = []
     real = classify._transported
 
-    def recording(p, deg, A, x1, x2):
+    def recording(p, A, x1, x2):
         calls.append((p, A))
-        return real(p, deg, A, x1, x2)
+        return real(p, A, x1, x2)
 
     monkeypatch.setattr(classify, "_transported", recording)
     return calls

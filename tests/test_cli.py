@@ -363,6 +363,27 @@ def test_verify_application_command(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "space, key",
+    [
+        ("p=5 n=2 R=1,1,0,0 Q=0,0,1,1 n=2", "n"),
+        ("p=5 p=7 n=2 R=1,1,0,0 Q=0,0,1,1", "p"),
+        ("lens p=5 r=1,2 rp=1,3 r=1,2", "r"),
+    ],
+)
+def test_duplicate_key_in_a_space_is_invalid(capsys, space, key):
+    code, doc, _ = run_cli(capsys, "check-free", space)
+    assert code == 2
+    assert doc == {"error": "invalid", "message": f"duplicate key {key!r}"}
+
+
+def test_lens_compare_refuses_tuples_of_different_length(capsys):
+    code, doc, err = run_cli(capsys, "lens-compare", "5", "--r", "1,2", "--rp", "1")
+    assert code == 2
+    assert doc == {"error": "invalid", "message": "rotation tuples must have length n = 2"}
+    assert "rotation tuples must have length n = 2" in err
+
+
 def test_lens_compare_command(capsys):
     code, doc, _ = run_cli(capsys, "lens-compare", "7", "--r", "1,1", "--rp", "1,2")
     assert code == 0
@@ -454,7 +475,7 @@ def test_oversized_sample_refuses_within_budget(tmp_path):
 
 def _profile(text):
     d = parse_space(text)
-    return _pencil(d.p, d.n, *k_pair(d.p, d.n, d.R, d.Q))[2]
+    return _pencil(d.p, *k_pair(d.p, d.n, d.R, d.Q))[2]
 
 
 def test_compare_homeo_of_equal_spaces_beyond_gl2_cap_answers(capsys):

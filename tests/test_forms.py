@@ -75,6 +75,24 @@ def test_substitute_rejects_singular():
         substitute(f, Mat2(5, (1, 2, 2, 4)))
 
 
+@pytest.mark.parametrize(
+    "other, message",
+    [
+        (HomogeneousForm(7, (1, 0, 0)), "forms over different moduli"),
+        (HomogeneousForm(5, (1, 0)), "sum of forms of different degrees is not homogeneous"),
+        (HomogeneousForm(5, (1, 0, 0, 0)), "sum of forms of different degrees is not homogeneous"),
+    ],
+)
+def test_form_sum_refuses_another_modulus_or_degree(other, message):
+    with pytest.raises(ValueError, match=message):
+        HomogeneousForm(5, (1, 2, 3)) + other
+
+
+def test_substitute_refuses_a_matrix_of_another_modulus():
+    with pytest.raises(ValueError, match="substitution matrix modulus differs from the form's"):
+        substitute(HomogeneousForm(5, (1, 0, 0)), Mat2.identity(7))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from([3, 5, 7]), st.integers(1, 4), st.data())
 def test_substitution_composition_law(p, deg, data):

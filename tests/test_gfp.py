@@ -170,6 +170,23 @@ def test_mat2_normalizes_entries():
     assert m.entries == (1, 4, 0, 3)
 
 
+@pytest.mark.parametrize("entries", [(), (1, 0, 0), (1, 0, 0, 1, 0)])
+def test_mat2_refuses_other_than_four_entries(entries):
+    with pytest.raises(ValueError, match="Mat2 needs exactly four entries"):
+        Mat2(5, entries)
+
+
+def test_mat2_product_refuses_different_moduli():
+    with pytest.raises(ValueError, match="matrix product across different moduli"):
+        Mat2.identity(5) * Mat2.identity(7)
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]], [[1, 2], [], [3, 4]]])
+def test_rref_refuses_a_ragged_matrix(rows):
+    with pytest.raises(ValueError, match="ragged matrix"):
+        rref_with_pivots(rows, 5)
+
+
 def test_rref_examples():
     assert rref_with_pivots([[0, 0], [0, 0]], 5)[0] == ((0, 0), (0, 0))
     assert rref_with_pivots([[1, 0], [0, 1]], 5)[0] == ((1, 0), (0, 1))

@@ -51,6 +51,20 @@ def test_zero_generator_rejected():
         CohomRingModel(5, 2, HomogeneousForm(5, (0, 0, 0)), HomogeneousForm(5, (0, 0, 1)))
 
 
+@pytest.mark.parametrize(
+    "f, g, message",
+    [
+        ((7, (1, 0, 0)), (5, (0, 0, 1)), "ideal generators must live over GF\\(p\\)"),
+        ((5, (1, 0, 0)), (7, (0, 0, 1)), "ideal generators must live over GF\\(p\\)"),
+        ((5, (1, 0)), (5, (0, 0, 1)), "ideal generators must be forms of degree n"),
+        ((5, (1, 0, 0)), (5, (0, 0, 0, 1)), "ideal generators must be forms of degree n"),
+    ],
+)
+def test_ring_model_refuses_generators_of_another_modulus_or_degree(f, g, message):
+    with pytest.raises(ValueError, match=message):
+        CohomRingModel(5, 2, HomogeneousForm(*f), HomogeneousForm(*g))
+
+
 def test_ring_model_from_k_invariant():
     d = validate(RotationData(5, 2, (1, 1, 0, 0), (0, 0, 1, 1)))
     m = ring_model(5, 2, k_invariant(d).coeff_pair())
@@ -85,6 +99,12 @@ def test_total_class_validation():
         TotalClass(5, 3, ((3, HomogeneousForm(5, (1, 0))),))
     with pytest.raises(ValueError):
         TotalClass(5, 1, ((4, HomogeneousForm(5, (1, 0, 0))),))
+
+
+@pytest.mark.parametrize("degree, coeffs", [(8, (1, 0, 0)), (4, (1, 0, 0, 0, 0)), (12, (1, 0, 0))])
+def test_total_class_refuses_a_component_whose_degree_mismatches_its_label(degree, coeffs):
+    with pytest.raises(ValueError, match="component polynomial degree inconsistent with its label"):
+        TotalClass(5, 5, ((degree, HomogeneousForm(5, coeffs)),))
 
 
 def test_total_class_component_fill():
