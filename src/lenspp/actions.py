@@ -13,6 +13,7 @@ g1*R[j] + g2*Q[j] = 0 for some j >= n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import InvalidDimension, InvalidRotation, InvalidSpan
@@ -147,17 +148,49 @@ def _free_by_planes(R, Q, p, n) -> bool:
 
 
 def _rank2(R, Q, p) -> bool:
-    """R != 0 and Q is off the line of R: some a*Q[j] - b*R[j] is nonzero,
-    with (a, b) = (R[i], Q[i]) at R's first nonzero entry.  A plain loop,
-    because the census calls it on every pair it scans.  Unchecked."""
+    """R != 0 and Q is off the line of R, for tuples R, Q reduced mod p.
+
+    The multiples of R are told apart by their entry at R's pivot i (the
+    first nonzero entry), so Q is on the line exactly when it equals the
+    multiple whose i-th entry is Q[i]: one lookup in R's cached line
+    (_line).  The census scan holds R fixed for p^(2n) consecutive calls,
+    so the pivot search and the multiples are paid once per R, not per
+    pair.  Unreduced entries give wrong answers; validate reduces first.
+    Unchecked."""
+    line = _line(R, p)
+    if line is None:
+        return False
+    i, multiples = line
+    return Q != multiples[Q[i]]
+
+
+class _Multiples(dict):
+    """{c: the multiple of R whose pivot entry is c}, each computed on first
+    lookup and kept for at most 64 values of c, so an entry of _line stays
+    small at any p."""
+
+    __slots__ = ("R", "p", "unit")
+
+    def __init__(self, R, p, unit):
+        self.R, self.p, self.unit = R, p, unit
+
+    def __missing__(self, c):
+        u = c * self.unit
+        multiple = tuple(u * x % self.p for x in self.R)
+        if len(self) < 64:
+            self[c] = multiple
+        return multiple
+
+
+@lru_cache(maxsize=64)
+def _line(R, p):
+    """None for R = 0, else (i, multiples): R's pivot index and its
+    _Multiples, keyed by the pivot entry.  O(n) per R whatever p is: no
+    multiple is computed until a lookup asks for it."""
     for i, a in enumerate(R):
         if a:
-            b = Q[i]
-            for x, y in zip(R, Q):
-                if (a * y - b * x) % p:
-                    return True
-            return False
-    return False
+            return i, _Multiples(R, p, inv(a, p))
+    return None
 
 
 def product_of_lens_spaces(

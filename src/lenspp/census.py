@@ -18,7 +18,12 @@ moved along the self-witnesses by classify._transport_class.
 The scan (or the seeded draw) hands plain (R, Q) tuples to the grouping
 step; RotationData is built only where a caller sees the spaces, in
 enumerate_free.  The draw decides freeness by the n^2 cross-block minors
-(actions._free_by_planes).  The scan decides it with one AND per pair: a
+(actions._free_by_planes).  The scan first tests each pair with R != 0
+for rank 2 (actions._rank2): it holds R fixed over p^(2n) consecutive Q,
+so R's pivot and the multiples of R are cached per R (actions._line), and
+Q is on R's line exactly when it equals the multiple with Q's entry at
+R's pivot, one lookup per pair.  The scan decides freeness with one AND
+per pair: a
 minor is zero exactly when a column of one block is zero or gives the same
 point of P^1 as a column of the other, so each block's points are a
 bitmask read from a table over the p^n half-vectors (_point_masks), built
@@ -139,8 +144,9 @@ def _point_masks(p: int, n: int) -> list[list[int]]:
 def _scan(p: int, n: int, start: int, stop: int) -> Iterator[tuple[tuple, tuple]]:
     """Every free (R, Q) whose R has lex index in [start, stop) among the
     p^(2n) vectors, in lex order of (R, Q): the one enumeration of an
-    exhaustive census.  Each pair with R != 0 is tested for rank 2, and
-    each rank-2 pair for freeness by the P^1 masks of its two blocks
+    exhaustive census.  Each pair with R != 0 is tested for rank 2 by one
+    lookup in R's cached line (actions._rank2), and each rank-2 pair for
+    freeness by the P^1 masks of its two blocks
     (_point_masks): Q = Qa + Qb is free with R = Ra + Rb iff
     masks[Ra][Qa] & masks[Rb][Qb] == 0, the same answer as
     _free_by_planes's n^2 cross-block minors with one AND."""

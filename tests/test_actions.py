@@ -1,9 +1,11 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 
+from lenspp import actions
 from lenspp.actions import (
     FreenessReport,
     RotationData,
@@ -39,11 +41,13 @@ def test_validate_rejects_dependent_rows():
         validate(RotationData(5, 2, (1, 2, 0, 0), (2, 4, 0, 0)))
 
 
-@pytest.mark.parametrize("p, n", [(5, 2), (7, 2), (5, 3), (7, 3)])
+@pytest.mark.parametrize("p, n", [(5, 2), (7, 2), (5, 3), (7, 3), (1_000_000_007, 2)])
 def test_validate_rank_test_agrees_with_the_rref_oracle_on_unreduced_entries(p, n):
     """Entries drawn from [-2p, 2p), so negative and >= p, with Q a shifted
     multiple of R in a third of the pairs: validate accepts exactly the
-    pairs whose rref has two nonzero rows, and reduces what it accepts."""
+    pairs whose rref has two nonzero rows, reduces what it accepts, and
+    gives the reduced entries the same verdict (its rank test needs them
+    reduced, and reduces first)."""
     rng = random.Random(1000 * p + n)
     m = 2 * n
     accepted = refused = 0
@@ -54,15 +58,37 @@ def test_validate_rank_test_agrees_with_the_rref_oracle_on_unreduced_entries(p, 
         else:
             c = rng.randrange(p)
             Q = tuple(c * x + p * rng.randrange(-2, 2) for x in R)
+        reduced = RotationData(p, n, tuple(x % p for x in R), tuple(x % p for x in Q))
         if len(span_key([R, Q], p)) == 2:
             d = validate(RotationData(p, n, R, Q))
-            assert (d.R, d.Q) == (tuple(x % p for x in R), tuple(x % p for x in Q))
+            assert d == validate(reduced) == reduced
             accepted += 1
         else:
-            with pytest.raises(InvalidSpan):
-                validate(RotationData(p, n, R, Q))
+            for raw in (RotationData(p, n, R, Q), reduced):
+                with pytest.raises(InvalidSpan):
+                    validate(raw)
             refused += 1
     assert accepted and refused
+
+
+def test_validate_at_a_billion_answers_at_once():
+    """The rank test's cached line of R costs O(n) whatever p is: a free
+    pair and a rank-1 pair at p = 1,000,000,007 are decided within a
+    second, each lookup adding one multiple of R to the line, and no line
+    keeps more than 64 multiples."""
+    p, R = 1_000_000_007, (1, 2, 0, 0)
+    actions._line.cache_clear()
+    start = time.process_time()
+    assert validate(RotationData(p, 2, R, (0, 0, 1, 3))).R == R
+    assert actions._line(R, p) == (0, {0: (0, 0, 0, 0)})
+    with pytest.raises(InvalidSpan):
+        validate(RotationData(p, 2, R, (2, 4, 0, 0)))
+    assert actions._line(R, p) == (0, {0: (0, 0, 0, 0), 2: (2, 4, 0, 0)})
+    assert time.process_time() - start < 1
+    for c in range(3, 103):
+        with pytest.raises(InvalidSpan):
+            validate(RotationData(p, 2, R, (c, 2 * c - p, 0, p)))
+    assert len(actions._line(R, p)[1]) == 64
 
 
 def test_validate_rejects_small_n():

@@ -415,18 +415,46 @@ def test_census_scan_work_matches_the_record(monkeypatch, workers):
     }
 
 
+def _rank2_loop(R, Q, p):
+    """The oracle of actions._rank2, a plain loop with no cache: R != 0 and
+    some a*Q[j] - b*R[j] is nonzero, with (a, b) = (R[i], Q[i]) at R's
+    first nonzero entry."""
+    for i, a in enumerate(R):
+        if a:
+            b = Q[i]
+            for x, y in zip(R, Q):
+                if (a * y - b * x) % p:
+                    return True
+            return False
+    return False
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_rank2_matches_the_loop_oracle_exhaustive(p):
+    """Every pair at (p, 2), once with R fixed over each run of Q (the
+    scan's order, lines reused) and once with Q fixed over each run of R,
+    where each R comes back after p^4 - 1 other R, more than _line keeps,
+    so every call evicts a line and builds it again."""
+    vectors = list(itertools.product(range(p), repeat=4))
+    assert actions._line.cache_info().maxsize < len(vectors) - 1
+    for outer_is_R in (True, False):
+        pairs = [(u, v) if outer_is_R else (v, u) for u in vectors for v in vectors]
+        got = [actions._rank2(R, Q, p) for R, Q in pairs]
+        assert got == [_rank2_loop(R, Q, p) for R, Q in pairs], outer_is_R
+
+
 @functools.lru_cache(maxsize=None)
 def _minor_filter(p, n, start, stop):
     """The scan's oracle: every (R, Q) with R's lex index in [start, stop),
-    in lex order, kept iff _rank2 and then the n^2 cross-block minors of
-    _free_by_planes pass."""
+    in lex order, kept iff _rank2_loop and then the n^2 cross-block minors
+    of _free_by_planes pass."""
     vectors = list(itertools.product(range(p), repeat=2 * n))
     return [
         (R, Q)
         for R in vectors[start:stop]
         if any(R)
         for Q in vectors
-        if actions._rank2(R, Q, p) and actions._free_by_planes(R, Q, p, n)
+        if _rank2_loop(R, Q, p) and actions._free_by_planes(R, Q, p, n)
     ]
 
 
