@@ -8,12 +8,14 @@ second.  The action is free exactly when no nontrivial group element
 simultaneously fixes a coordinate circle on each sphere, i.e. when no
 nontrivial (g1, g2) has g1*R[i] + g2*Q[i] = 0 for some i < n and
 g1*R[j] + g2*Q[j] = 0 for some j >= n.
+
+The module holds no cache: validate, the check of raw input, decides rank 2
+by one pass over the columns, O(n) at any p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .errors import InvalidDimension, InvalidRotation, InvalidSpan
@@ -52,7 +54,9 @@ def validate(data: RotationData) -> RotationData:
     """Normalize raw integer data and check it describes a genuine 2-plane of rotations.
 
     Entries are reduced mod p; p must be an odd prime, n >= 2, and the
-    2 x 2n matrix [R; Q] must have rank 2.
+    2 x 2n matrix [R; Q] must have rank 2: R != 0 and Q off R's line, that
+    is some a*Q[j] - b*R[j] != 0 with (a, b) = (R[i], Q[i]) at R's first
+    nonzero entry i.  One early-exit pass, O(n) at any p.
     """
     require_odd_prime(data.p)
     if not isinstance(data.n, int) or data.n < 2:
@@ -63,7 +67,8 @@ def validate(data: RotationData) -> RotationData:
         raise InvalidDimension(
             f"rotation vectors must have length 2n = {2 * data.n}, got {len(R)} and {len(Q)}"
         )
-    if not _rank2(R, Q, data.p):
+    a, b = next(((x, y) for x, y in zip(R, Q) if x), (0, 0))
+    if not any((a * y - b * x) % data.p for x, y in zip(R, Q)):
         raise InvalidSpan("R and Q must span a 2-dimensional subspace of (Z/p)^(2n)")
     return RotationData(data.p, data.n, R, Q)
 
@@ -145,52 +150,6 @@ def _free_by_planes(R, Q, p, n) -> bool:
             if (ri * Q[j] - qi * R[j]) % p == 0:
                 return False
     return True
-
-
-def _rank2(R, Q, p) -> bool:
-    """R != 0 and Q is off the line of R, for tuples R, Q reduced mod p.
-
-    The multiples of R are told apart by their entry at R's pivot i (the
-    first nonzero entry), so Q is on the line exactly when it equals the
-    multiple whose i-th entry is Q[i]: one lookup in R's cached line
-    (_line).  The census scan holds R fixed for p^(2n) consecutive calls,
-    so the pivot search and the multiples are paid once per R, not per
-    pair.  Unreduced entries give wrong answers; validate reduces first.
-    Unchecked."""
-    line = _line(R, p)
-    if line is None:
-        return False
-    i, multiples = line
-    return Q != multiples[Q[i]]
-
-
-class _Multiples(dict):
-    """{c: the multiple of R whose pivot entry is c}, each computed on first
-    lookup and kept for at most 64 values of c, so an entry of _line stays
-    small at any p."""
-
-    __slots__ = ("R", "p", "unit")
-
-    def __init__(self, R, p, unit):
-        self.R, self.p, self.unit = R, p, unit
-
-    def __missing__(self, c):
-        u = c * self.unit
-        multiple = tuple(u * x % self.p for x in self.R)
-        if len(self) < 64:
-            self[c] = multiple
-        return multiple
-
-
-@lru_cache(maxsize=64)
-def _line(R, p):
-    """None for R = 0, else (i, multiples): R's pivot index and its
-    _Multiples, keyed by the pivot entry.  O(n) per R whatever p is: no
-    multiple is computed until a lookup asks for it."""
-    for i, a in enumerate(R):
-        if a:
-            return i, _Multiples(R, p, inv(a, p))
-    return None
 
 
 def product_of_lens_spaces(

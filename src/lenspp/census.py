@@ -19,11 +19,10 @@ The scan (or the seeded draw) hands plain (R, Q) tuples to the grouping
 step; RotationData is built only where a caller sees the spaces, in
 enumerate_free.  The draw decides freeness by the n^2 cross-block minors
 (actions._free_by_planes).  The scan first tests each pair with R != 0
-for rank 2 (actions._rank2): it holds R fixed over p^(2n) consecutive Q,
-so R's pivot and the multiples of R are cached per R (actions._line), and
-Q is on R's line exactly when it equals the multiple with Q's entry at
-R's pivot, one lookup per pair.  The scan decides freeness with one AND
-per pair: a
+for rank 2 (_rank2): it holds R fixed over p^(2n) consecutive Q, so R's
+pivot and all p multiples of R are cached per R (_line), and Q is on R's
+line exactly when it equals the multiple with Q's entry at R's pivot, one
+lookup per pair.  The scan decides freeness with one AND per pair: a
 minor is zero exactly when a column of one block is zero or gives the same
 point of P^1 as a column of the other, so each block's points are a
 bitmask read from a table over the p^n half-vectors (_point_masks), built
@@ -53,7 +52,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .actions import RotationData, _free_by_planes, _rank2, product_of_lens_spaces
+from .actions import RotationData, _free_by_planes, product_of_lens_spaces
 from .classify import _canonicalize, _transport_class, homeomorphic
 from .errors import CapacityError, HypothesisViolation, InvalidDimension
 # product_of_linear_forms and total_pontrjagin_raw are the form-valued
@@ -141,11 +140,40 @@ def _point_masks(p: int, n: int) -> list[list[int]]:
     return masks
 
 
+def _rank2(R, Q, p) -> bool:
+    """R != 0 and Q is off the line of R, for tuples R, Q reduced mod p.
+
+    The multiples of R are told apart by their entry at R's pivot i (the
+    first nonzero entry), so Q is on the line exactly when it equals the
+    multiple whose i-th entry is Q[i]: one lookup in R's cached line
+    (_line).  The scan holds R fixed for p^(2n) consecutive calls, so the
+    pivot search and the multiples are paid once per R, not per pair.
+    Unchecked."""
+    line = _line(R, p)
+    if line is None:
+        return False
+    i, multiples = line
+    return Q != multiples[Q[i]]
+
+
+@lru_cache(maxsize=64)
+def _line(R, p):
+    """None for R = 0, else (i, multiples): R's pivot index and the p
+    multiples of R, the c-th being the one whose pivot entry is c.  Built
+    whole, O(p * n) per R: only the exhaustive scan calls this, after
+    _require_census has capped p at CENSUS_PRIME_CAP."""
+    for i, a in enumerate(R):
+        if a:
+            u = inv(a, p)
+            return i, tuple(tuple(c * u * x % p for x in R) for c in range(p))
+    return None
+
+
 def _scan(p: int, n: int, start: int, stop: int) -> Iterator[tuple[tuple, tuple]]:
     """Every free (R, Q) whose R has lex index in [start, stop) among the
     p^(2n) vectors, in lex order of (R, Q): the one enumeration of an
     exhaustive census.  Each pair with R != 0 is tested for rank 2 by one
-    lookup in R's cached line (actions._rank2), and each rank-2 pair for
+    lookup in R's cached line (_rank2), and each rank-2 pair for
     freeness by the P^1 masks of its two blocks
     (_point_masks): Q = Qa + Qb is free with R = Ra + Rb iff
     masks[Ra][Qa] & masks[Rb][Qb] == 0, the same answer as
@@ -431,8 +459,11 @@ class ApplicationReport:
 def verify_application(p: int) -> ApplicationReport:
     """For every (r1, r2, q1, q2) in units^4 compare the classifier's
     homeomorphism verdict on L(p;1,r1) x L(p;1,r2) vs L(p;1,q1) x L(p;1,q2)
-    with the criterion: +-(r1*r2)/(q1*q2) is a quadratic residue."""
+    with the criterion: +-(r1*r2)/(q1*q2) is a quadratic residue.  p = 3
+    is outside the deciders' hypotheses (p > 3), refused as such."""
     require_odd_prime(p)
+    if p <= 3:
+        raise HypothesisViolation(f"application verification needs p > 3, got p = {p}")
     if p not in (5, 7, 11):
         raise CapacityError(f"application verification supported for p in {{5, 7, 11}}, got {p}")
     quadruples = 0

@@ -424,6 +424,8 @@ def _decide(X, Y, level, marked=False, class_check=None):
             return Verdict(True, w, checked, level)
 
     for A, (c, d, e, f) in _span_matches(p, n, kx, ky, marked):
+        if A == _IDENT and kx == ky:
+            continue  # the shortcut above has checked it
         checked += 1
         if (c * f - d * e) % p not in (1, p - 1):
             continue

@@ -416,7 +416,7 @@ def test_census_scan_work_matches_the_record(monkeypatch, workers):
 
 
 def _rank2_loop(R, Q, p):
-    """The oracle of actions._rank2, a plain loop with no cache: R != 0 and
+    """The oracle of census._rank2, a plain loop with no cache: R != 0 and
     some a*Q[j] - b*R[j] is nonzero, with (a, b) = (R[i], Q[i]) at R's
     first nonzero entry."""
     for i, a in enumerate(R):
@@ -436,10 +436,10 @@ def test_rank2_matches_the_loop_oracle_exhaustive(p):
     where each R comes back after p^4 - 1 other R, more than _line keeps,
     so every call evicts a line and builds it again."""
     vectors = list(itertools.product(range(p), repeat=4))
-    assert actions._line.cache_info().maxsize < len(vectors) - 1
+    assert census._line.cache_info().maxsize < len(vectors) - 1
     for outer_is_R in (True, False):
         pairs = [(u, v) if outer_is_R else (v, u) for u in vectors for v in vectors]
-        got = [actions._rank2(R, Q, p) for R, Q in pairs]
+        got = [census._rank2(R, Q, p) for R, Q in pairs]
         assert got == [_rank2_loop(R, Q, p) for R, Q in pairs], outer_is_R
 
 

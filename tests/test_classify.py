@@ -525,6 +525,8 @@ def _oracle_decide(X, Y, level, marked=False, class_check=None):
     substitutions = (_IDENT,) if marked else gl2_elements(p)
     class_ok = {}
     for A in substitutions:
+        if A == _IDENT and (x1, x2) == (y1, y2):
+            continue  # the shortcut above has checked the identity
         u, v, sk = _oracle_transported(p, n, A, x1, x2)
         if sk != target_span:
             continue
@@ -651,6 +653,24 @@ def test_scan_matches_the_per_substitution_oracle():
     # positives, negatives with no span match, and negatives whose span
     # matches but admit no det +-1 mix
     assert kinds >= {(True, True), (False, False), (False, True)}
+
+
+def test_equal_k_pairs_check_the_identity_once():
+    """Two spaces with one k-invariant pair whose identity fails the
+    Pontrjagin check: the shortcut checks (I, I), and the walk, which lists
+    the identity among its 96 span matches, does not check it again.  So
+    the unmarked negative checks 96 pairs, and the marked one checks its
+    one candidate once."""
+    X = validate(RotationData(7, 2, (0, 5, 3, 2), (5, 6, 1, 4)))
+    Y = validate(RotationData(7, 2, (0, 6, 3, 2), (3, 3, 1, 4)))
+    kx, ky = k_pair(7, 2, X.R, X.Q), k_pair(7, 2, Y.R, Y.Q)
+    assert kx == ky
+    walked = [A for A, _ in classify._span_matches(7, 2, kx, ky)]
+    assert len(walked) == 96 and (1, 0, 0, 1) in walked
+    for marked, checked in ((False, 96), (True, 1)):
+        got = homeomorphic(X, Y, marked)
+        assert (got.equivalent, got.checked_pairs) == (False, checked)
+        assert got.to_json() == _oracle_homeomorphic(X, Y, marked).to_json()
 
 
 def _pencil_squares(X):

@@ -359,8 +359,13 @@ def test_verify_application_command(capsys):
     assert doc["ok"] is True
     assert "256 quadruples" in err
 
-    code, doc, _ = run_cli(capsys, "verify-application", "13")
-    assert code == 3
+
+@pytest.mark.parametrize("p, code, error", [("3", 2, "invalid"), ("13", 3, "capacity")])
+def test_verify_application_refusals(capsys, p, code, error):
+    """p = 3 breaks the deciders' p > 3, so it is invalid input (exit 2);
+    p = 13 satisfies them but is past the supported primes (exit 3)."""
+    got, doc, _ = run_cli(capsys, "verify-application", p)
+    assert (got, doc["error"]) == (code, error)
 
 
 @pytest.mark.parametrize(
