@@ -29,11 +29,14 @@ bitmask read from a table over the p^n half-vectors (_point_masks), built
 once per scan.
 
 Relabelling the two group generators multiplies [R; Q] on the left by
-GL2(F_p) and leaves both keys unchanged, so each space is keyed by its 2x2
+GL2(F_p) and leaves both keys unchanged, so a space is keyed by its 2x2
 minors (the wedge R^Q, which such a relabelling multiplies by its
 determinant), the reduced basis of its row space is read off the minors
 once per wedge, and each plane (|GL2| free spaces, p - 1 wedges) is
-classified once per process.
+classified once per process.  The free Q of one R fall into a few planes
+through R, so the key is filed under every vector of the plane in a table
+held for the current R (_classify_item): the scan computes one wedge per
+(R, plane), not one per space, and each other space is one dict lookup.
 
 Outputs are deterministic byte-for-byte: the enumeration order is fixed,
 workers merge their groups by class counts and least pairs alone (sums and
@@ -297,18 +300,50 @@ def _min_fingerprint(p: int, n: int, canon: tuple, t0: tuple) -> tuple:
 def _classify_item(p: int, n: int, R: tuple, Q: tuple) -> tuple[tuple, tuple]:
     """(canonical k pair, Pontrjagin fingerprint) for the free space (R, Q).
 
-    The key depends only on the plane spanned by R and Q, so the space is
-    keyed by its 2x2 minors, the wedge R^Q, and this is one cached lookup;
-    the pair is trusted (validated, or produced by the census scan or draw)."""
-    return _classify_wedge(p, n, wedge(R, Q, p))
+    The key depends only on the plane spanned by R and Q, so each R keeps a
+    table from Q to key (_keys_by_q), and a space whose plane is filed there
+    is one dict lookup.  A miss keys the space by its 2x2 minors, the wedge
+    R^Q (_classify_wedge), and, if the table already holds a key, files the
+    key under every vector of the plane (_plane_vectors).  The scan holds R
+    fixed over p^(2n) consecutive Q, so it computes one wedge per (R, plane)
+    plus one for R's first plane; a draw's R seldom repeats, so a sampled
+    census files no plane.  The pair is trusted (validated, or produced by
+    the census scan or draw)."""
+    table = _keys_by_q(p, n, R)
+    key = table.get(Q)
+    if key is None:
+        plane, key = _classify_wedge(p, n, wedge(R, Q, p))
+        if table:
+            table.update(dict.fromkeys(_plane_vectors(p, plane), key))
+        else:
+            table[Q] = key
+    return key
+
+
+@lru_cache(maxsize=1)
+def _keys_by_q(p: int, n: int, R: tuple) -> dict[tuple, tuple]:
+    """The census keys of the spaces (R, Q) met so far, by Q: filled in by
+    _classify_item, and held for the current R only."""
+    return {}
+
+
+@lru_cache(maxsize=2**11)
+def _plane_vectors(p: int, plane: tuple) -> tuple[tuple, ...]:
+    """The p^2 vectors a*r1 + b*r2 of the plane with rref rows (r1, r2).
+    The bound exceeds the 1,548 free planes at CENSUS_PRIME_CAP, n = 2."""
+    r1, r2 = plane
+    return tuple(
+        tuple([(a * x + b * y) % p for x, y in zip(r1, r2)]) for a in range(p) for b in range(p)
+    )
 
 
 @lru_cache(maxsize=2**18)
-def _classify_wedge(p: int, n: int, w: tuple) -> tuple[tuple, tuple]:
-    """The census key of the plane with wedge w, whose rref rows are read
-    off the minors once per wedge.  The p - 1 wedges of a plane (one per
+def _classify_wedge(p: int, n: int, w: tuple) -> tuple[tuple, tuple[tuple, tuple]]:
+    """(rref rows, census key) of the plane with wedge w, the rows read off
+    the minors once per wedge.  The p - 1 wedges of a plane (one per
     determinant of a change of basis) share one _classify_plane entry."""
-    return _classify_plane(p, n, wedge_span_key(w, 2 * n, p))
+    plane = wedge_span_key(w, 2 * n, p)
+    return plane, _classify_plane(p, n, plane)
 
 
 @lru_cache(maxsize=2**16)

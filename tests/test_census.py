@@ -542,32 +542,104 @@ def _relabel(d, m):
 @pytest.mark.parametrize("p", [3, 5])
 def test_census_classifies_each_plane_once(p):
     """Each GL2 orbit of free pairs is one plane, classified once; each of
-    its p - 1 wedges is read off once, and every free space is one wedge
-    lookup."""
+    its p - 1 wedges is read off once.  The scan looks a wedge up once per
+    (R, plane), for each of the p^2 - 1 nonzero R of a free plane, plus once
+    more per R: its first Q only keys itself, and the next miss files a
+    plane.  The R met are the p^4 - (2p - 1)^2 vectors without a zero in
+    both blocks (zeros in both make a block-1 and a block-2 column (0, q),
+    which are dependent)."""
     gl2 = (p * p - 1) * (p * p - p)
     census._classify_wedge.cache_clear()
     census._classify_plane.cache_clear()
+    census._keys_by_q.cache_clear()
+    census._plane_vectors.cache_clear()
     rec = run_census(p, 2)
     planes = census._classify_plane.cache_info()
     wedges = census._classify_wedge.cache_info()
+    filed = census._plane_vectors.cache_info()
     assert planes.misses == rec.free_count // gl2 == {3: 28, 5: 336}[p]
     assert wedges.misses == (p - 1) * planes.misses == {3: 56, 5: 1344}[p]
-    assert wedges.hits + wedges.misses == rec.free_count
+    rs = p**4 - (2 * p - 1) ** 2
+    assert rs == len({R for R, _ in census._scan(p, 2, 0, p**4)}) == {3: 56, 5: 544}[p]
+    assert wedges.hits + wedges.misses == (p * p - 1) * planes.misses + rs == {3: 280, 5: 8608}[p]
+    assert (filed.misses, filed.hits + filed.misses) == (planes.misses, (p * p - 1) * planes.misses)
 
 
 def test_relabelled_spaces_share_one_plane():
     """The |GL2| bases of one plane have p - 1 wedges, one per determinant,
-    and one plane entry."""
+    and one plane entry.  gl2_elements lists the matrices in row-major
+    order, so the new R = a*R + b*Q stays fixed over the p^2 - p second rows
+    (c, e): each of the p^2 - 1 first rows (a, b) looks two wedges up, its
+    first space keying only itself and its second filing the plane."""
     p = 5
     (d,) = enumerate_free(p, 2, sample=1, seed=4)
     census._classify_wedge.cache_clear()
     census._classify_plane.cache_clear()
+    census._keys_by_q.cache_clear()
     keys = {_classify_item(p, 2, x.R, x.Q) for x in (_relabel(d, m) for m in gl2_elements(p))}
     planes = census._classify_plane.cache_info()
     wedges = census._classify_wedge.cache_info()
     assert len(keys) == 1
     assert (planes.misses, planes.hits) == (1, p - 2)
-    assert (wedges.misses, wedges.hits) == (p - 1, len(gl2_elements(p)) - (p - 1))
+    assert (wedges.misses, wedges.hits) == (p - 1, 2 * (p * p - 1) - (p - 1))
+
+
+def _assert_classify_item_is_the_wedge_path(p, n, pairs):
+    """_classify_item, through its per-R table, gives each pair the key of
+    the direct path: the plane read off the pair's own wedge."""
+    direct = {}
+    for R, Q in pairs:
+        w = wedge(R, Q, p)
+        if w not in direct:
+            direct[w] = census._classify_plane(p, n, gfp.wedge_span_key(w, 2 * n, p))
+        assert _classify_item(p, n, R, Q) == direct[w], (R, Q)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_classify_item_matches_the_wedge_path_exhaustive(p):
+    """Every free pair, first in scan order, where R's table fills plane by
+    plane, then with Q outermost, where R changes on almost every call and
+    its table is replaced each time."""
+    census._keys_by_q.cache_clear()
+    pairs = list(census._scan(p, 2, 0, p**4))
+    _assert_classify_item_is_the_wedge_path(p, 2, pairs)
+    census._keys_by_q.cache_clear()
+    by_q = sorted(pairs, key=lambda pair: (pair[1], pair[0]))
+    _assert_classify_item_is_the_wedge_path(p, 2, by_q)
+    changes = sum(a[0] != b[0] for a, b in zip(by_q, by_q[1:])) + 1
+    assert census._keys_by_q.cache_info().misses == changes > len(pairs) // 2
+
+
+def test_classify_item_matches_the_wedge_path_on_seeded_r_slices_p7():
+    rng = random.Random(7)
+    census._keys_by_q.cache_clear()
+    checked = 0
+    for k in rng.sample(range(1, 7**4), 8):
+        pairs = list(census._scan(7, 2, k, k + 1))
+        _assert_classify_item_is_the_wedge_path(7, 2, pairs)
+        checked += len(pairs)
+    assert checked > 5000
+
+
+def test_sampled_census_files_no_plane():
+    """A draw's R seldom repeats on the next draw, so a sampled census keys
+    each space by its own wedge and builds no plane's vectors; the seed-0
+    sample at (5, 3) repeats no R."""
+    census._keys_by_q.cache_clear()
+    census._plane_vectors.cache_clear()
+    run_census(5, 3, sample=3000, seed=0)
+    assert census._plane_vectors.cache_info().currsize == 0
+
+
+def test_plane_vector_cache_holds_every_free_plane_at_the_cap():
+    """An exhaustive census at CENSUS_PRIME_CAP files each of its free planes
+    p^2 - 1 times, once per nonzero R, so the plane-vector cache must hold
+    all of them; the per-R table holds one R."""
+    p = census.CENSUS_PRIME_CAP
+    planes = free_count(p, 2) // len(gl2_elements(p))
+    assert planes == 1548
+    assert census._plane_vectors.cache_parameters()["maxsize"] >= planes
+    assert census._keys_by_q.cache_parameters()["maxsize"] == 1
 
 
 @pytest.mark.parametrize("p, n", [(5, 2), (7, 3)])
