@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidDimension, InvalidRotation, InvalidSpan
-from .gfp import inv, require_odd_prime
+from .gfp import inv, reduce_ints, require_odd_prime
 
 
 @dataclass(frozen=True)
@@ -53,16 +53,17 @@ class FreenessReport:
 def validate(data: RotationData) -> RotationData:
     """Normalize raw integer data and check it describes a genuine 2-plane of rotations.
 
-    Entries are reduced mod p; p must be an odd prime, n >= 2, and the
-    2 x 2n matrix [R; Q] must have rank 2: R != 0 and Q off R's line, that
-    is some a*Q[j] - b*R[j] != 0 with (a, b) = (R[i], Q[i]) at R's first
-    nonzero entry i.  One early-exit pass, O(n) at any p.
+    Entries are reduced mod p, and one that is not an integer (a float, a
+    string) is refused with InvalidRotation; p must be an odd prime, n >= 2,
+    and the 2 x 2n matrix [R; Q] must have rank 2: R != 0 and Q off R's
+    line, that is some a*Q[j] - b*R[j] != 0 with (a, b) = (R[i], Q[i]) at
+    R's first nonzero entry i.  One early-exit pass, O(n) at any p.
     """
     require_odd_prime(data.p)
     if not isinstance(data.n, int) or data.n < 2:
         raise InvalidDimension(f"need n >= 2, got {data.n!r}")
-    R = tuple(int(x) % data.p for x in data.R)
-    Q = tuple(int(x) % data.p for x in data.Q)
+    R = reduce_ints(data.R, data.p, InvalidRotation)
+    Q = reduce_ints(data.Q, data.p, InvalidRotation)
     if len(R) != 2 * data.n or len(Q) != 2 * data.n:
         raise InvalidDimension(
             f"rotation vectors must have length 2n = {2 * data.n}, got {len(R)} and {len(Q)}"
@@ -172,7 +173,7 @@ def product_of_lens_spaces(
 def _lens_rotations(p: int, rotations: Sequence[int]) -> tuple[int, ...]:
     """Lens-space rotation numbers reduced mod p, refused unless all are
     units.  p is checked by the caller, before any other refusal."""
-    reduced = tuple(int(x) % p for x in rotations)
+    reduced = reduce_ints(rotations, p, InvalidRotation)
     if 0 in reduced:
         raise InvalidRotation("lens-space rotation numbers must be nonzero mod p")
     return reduced

@@ -38,9 +38,9 @@ through R, so the key is filed under every vector of the plane in a table
 held for the current R (_classify_item): the scan computes one wedge per
 (R, plane), not one per space, and each other space is one dict lookup.
 
-Outputs are deterministic byte-for-byte: the enumeration order is fixed,
-workers merge their groups by class counts and least pairs alone (sums and
-minima, in any order), and serialization is canonical.
+Outputs are deterministic byte-for-byte: the census runs in one process,
+the enumeration order is fixed, each cell keeps its count and least pair,
+and serialization is canonical.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -63,7 +62,7 @@ from .errors import CapacityError, HypothesisViolation, InvalidDimension
 # classify._transport_class; the per-space kernel below does not call them,
 # but perfbench/tracing.py wraps them under these names.
 from .forms import apply_matrix, k_pair, product_of_linear_forms, substitute_columns
-from .gfp import inv, is_quadratic_residue, require_odd_prime, wedge, wedge_span_key
+from .gfp import GL2_PRIME_CAP, inv, is_quadratic_residue, require_odd_prime, wedge, wedge_span_key
 from .pontrjagin import reduced_class, total_pontrjagin_raw
 from .quotient_ring import ring_model
 
@@ -245,15 +244,14 @@ def free_count(p: int, n: int) -> int:
     )
 
 
-def _require_census(p: int, n: int, sample: int | None, workers: int = 1) -> None:
-    """Refuse an invalid or oversized census request before any scan or draw."""
+def _require_census(p: int, n: int, sample: int | None) -> None:
+    """Refuse an invalid or oversized census request before any scan or draw;
+    a sample past GL2_PRIME_CAP, whose GL2 walk refuses, before free_count."""
     require_odd_prime(p)
-    if n < 2:
-        raise InvalidDimension(f"census needs n >= 2, got {n}")
+    if not isinstance(n, int) or n < 2:
+        raise InvalidDimension(f"census needs n >= 2, got {n!r}")
     if p <= n:
         raise HypothesisViolation(f"census needs p > n, got p = {p}, n = {n}")
-    if workers < 1:
-        raise ValueError(f"worker count must be at least 1, got {workers}")
     if sample is None:
         if p > CENSUS_PRIME_CAP or n != 2:
             raise CapacityError(
@@ -261,8 +259,13 @@ def _require_census(p: int, n: int, sample: int | None, workers: int = 1) -> Non
                 f"({p ** (2 * n)}^2 raw pairs here); pass a sample size instead"
             )
         return
-    if sample < 1:
-        raise ValueError(f"sample size must be at least 1, got {sample}")
+    # type(sample) is int: bool is an int subclass, but True is no sample size
+    if type(sample) is not int or sample < 1:
+        raise ValueError(f"sample size must be an integer of at least 1, got {sample!r}")
+    if p > GL2_PRIME_CAP:
+        raise CapacityError(
+            f"sampled census canonicalises through the GL2 walk, capped at p <= {GL2_PRIME_CAP}"
+        )
     population = free_count(p, n)
     if sample > population:
         raise CapacityError(
@@ -277,9 +280,9 @@ def enumerate_free(
 
     Exhaustive mode is _scan over all p^(4n) raw pairs, guarded at p <= 7,
     n = 2; pass sample=k, 1 <= k <= free_count(p, n), to draw k distinct
-    free spaces from a seeded RNG instead (any p > n: the k-invariant and
-    the witness walk need it, and p <= n is refused with
-    HypothesisViolation).  n < 2 is refused as invalid.
+    free spaces from a seeded RNG instead (n < p <= GL2_PRIME_CAP: p <= n is
+    refused with HypothesisViolation, a p past the GL2 walk's cap with
+    CapacityError).  n < 2 or a non-integer n is refused as invalid.
     """
     _require_census(p, n, sample)
     pairs = _scan(p, n, 0, p ** (2 * n)) if sample is None else _draw(p, n, sample, seed)
@@ -369,59 +372,38 @@ def _classify_plane(p: int, n: int, plane: tuple) -> tuple[tuple, tuple]:
     return canon, tuple((4 * k, c) for k, c in enumerate(_min_fingerprint(p, n, canon, t0), 1))
 
 
-def _add(groups: dict, key: tuple, count: int, R: tuple, Q: tuple) -> None:
-    """Merge count members with least pair (R, Q) into the cell at key."""
-    got = groups.get(key)
-    if got is None:
-        groups[key] = [count, R, Q]
-    else:
-        got[0] += count
-        if (R, Q) < (got[1], got[2]):
-            got[1], got[2] = R, Q
-
-
 def _group(p: int, n: int, pairs: Iterable[tuple[tuple, tuple]]) -> dict[tuple, list]:
-    """{(canonical, fingerprint): [count, min R, min Q]} over the free pairs."""
+    """{(canonical, fingerprint): [count, min R, min Q]} over the free pairs.
+    The least pair is kept by comparison: a draw is not in lex order."""
     groups: dict[tuple, list] = {}
     for R, Q in pairs:
-        _add(groups, _classify_item(p, n, R, Q), 1, R, Q)
+        key = _classify_item(p, n, R, Q)
+        got = groups.get(key)
+        if got is None:
+            groups[key] = [1, R, Q]
+        else:
+            got[0] += 1
+            if (R, Q) < (got[1], got[2]):
+                got[1], got[2] = R, Q
     return groups
 
 
-def _census_chunk(args: tuple) -> dict[tuple, list]:
-    """The groups of the free spaces whose R-index lies in [start, stop)."""
-    p, n, start, stop = args
-    return _group(p, n, _scan(p, n, start, stop))
+def _census_chunk(p: int, n: int) -> dict[tuple, list]:
+    """The groups of every free space: the exhaustive census's one scan."""
+    return _group(p, n, _scan(p, n, 0, p ** (2 * n)))
 
 
-def run_census(
-    p: int, n: int, workers: int = 1, sample: int | None = None, seed: int = 0
-) -> CensusRecord:
-    """Full (or sampled) census; identical results for any worker count.
+def run_census(p: int, n: int, *, sample: int | None = None, seed: int = 0) -> CensusRecord:
+    """Full (or sampled) census, in one process.
 
-    Each worker (at most one per CPU) groups one slice of the R-indices, a
-    sample is grouped as one slice, and the slices' groups are merged.
     free_count sums the class counts; total_pairs counts the rank-2 pairs
     tested for freeness, (p^(2n) - 1)(p^(2n) - p), or the sample size."""
-    _require_census(p, n, sample, workers)
+    _require_census(p, n, sample)
     size = p ** (2 * n)
-    if sample is not None:
-        results = [_group(p, n, _draw(p, n, sample, seed))]
+    if sample is None:
+        groups = _census_chunk(p, n)
     else:
-        workers = min(int(workers), size, os.cpu_count() or 1)
-        chunks = [(p, n, size * w // workers, size * (w + 1) // workers) for w in range(workers)]
-        if workers == 1:
-            results = map(_census_chunk, chunks)
-        else:
-            # imported here, so that lenspp loads no process pool until one is used
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_census_chunk, chunks))
-    groups: dict[tuple, list] = {}
-    for chunk in results:
-        for key, (cnt, R, Q) in chunk.items():
-            _add(groups, key, cnt, R, Q)
+        groups = _group(p, n, _draw(p, n, sample, seed))
     reps = tuple(
         ClassRepresentative(R, Q, canonical, fingerprint, count)
         for (canonical, fingerprint), (count, R, Q) in sorted(groups.items())

@@ -155,7 +155,9 @@ def _cmd_census(args: argparse.Namespace) -> int:
     workers, seed = _int("--workers", args.workers), _int("--seed", args.seed)
     sample = None if args.sample is None else _int("--sample", args.sample)
     # refuse the request, then an unusable --out, before the census runs
-    _require_census(p, n, sample, workers)
+    if workers < 1:
+        raise ValueError(f"worker count must be at least 1, got {workers}")
+    _require_census(p, n, sample)
     out = Path(args.out)
     made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     try:
@@ -163,7 +165,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise ValueError(f"--out {args.out!r} is not a usable directory: {exc}") from exc
     try:
-        record = run_census(p, n, workers=workers, sample=sample, seed=seed)
+        record = run_census(p, n, sample=sample, seed=seed)
     except BaseException:
         # a census refused or interrupted mid-run leaves no empty --out behind
         for d in made:
@@ -261,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_census.add_argument("--out", required=True, help="output directory")
     p_census.add_argument(
         "--workers", default="1",
-        help="worker processes, capped at the CPU count; results are identical for any count",
+        help="accepted for compatibility; the census runs in one process",
     )
     p_census.add_argument(
         "--sample", default=None,

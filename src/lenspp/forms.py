@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .actions import RotationData
 from .errors import HypothesisViolation
-from .gfp import Mat2, require_odd_prime
+from .gfp import Mat2, reduce_ints, require_odd_prime
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class HomogeneousForm:
         require_odd_prime(self.p)
         if len(self.coeffs) == 0:
             raise ValueError("a form needs at least the degree-0 coefficient")
-        object.__setattr__(self, "coeffs", tuple(int(c) % self.p for c in self.coeffs))
+        object.__setattr__(self, "coeffs", reduce_ints(self.coeffs, self.p))
 
     @property
     def deg(self) -> int:
@@ -109,7 +109,7 @@ def k_pair(p: int, n: int, R: Sequence[int], Q: Sequence[int]) -> tuple[tuple[in
 def product_of_linear_forms(p: int, pairs: Iterable[tuple[int, int]]) -> HomogeneousForm:
     """The form prod_i (r_i * a + q_i * b); the empty product is 1."""
     require_odd_prime(p)
-    return HomogeneousForm(p, linear_product(p, ((int(r) % p, int(q) % p) for r, q in pairs)))
+    return HomogeneousForm(p, linear_product(p, (reduce_ints((r, q), p) for r, q in pairs)))
 
 
 @lru_cache(maxsize=2**18)

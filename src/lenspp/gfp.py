@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 from typing import Iterable
 
 from .errors import CapacityError, InvalidPrime
@@ -65,6 +66,15 @@ def require_odd_prime(p: int) -> int:
     return p
 
 
+def reduce_ints(values: Iterable[int], p: int, error: type[ValueError] = ValueError) -> tuple[int, ...]:
+    """values reduced mod p; a float or a string, which int() would truncate
+    into another value, is refused with error (operator.index)."""
+    try:
+        return tuple(index(x) % p for x in values)
+    except TypeError as exc:
+        raise error(f"entries must be integers: {exc}") from None
+
+
 def inv(x: int, p: int) -> int:
     """Multiplicative inverse in GF(p); zero has none."""
     x %= p
@@ -109,7 +119,7 @@ class Mat2:
         require_odd_prime(self.p)
         if len(self.entries) != 4:
             raise ValueError("Mat2 needs exactly four entries")
-        object.__setattr__(self, "entries", tuple(int(e) % self.p for e in self.entries))
+        object.__setattr__(self, "entries", reduce_ints(self.entries, self.p))
 
     @classmethod
     def identity(cls, p: int) -> "Mat2":

@@ -36,6 +36,13 @@ def test_validate_reduces_entries():
     assert d.R == (1, 2, 0, 0)
 
 
+@pytest.mark.parametrize("R, Q", [((1, 0, 0, 0), (0, 0, 1, 1.5)), ((1, 0, 0, "2"), (0, 0, 1, 1))])
+def test_validate_refuses_non_integer_entries(R, Q):
+    """int() would truncate 1.5 to 1, a different space."""
+    with pytest.raises(InvalidRotation, match="entries must be integers"):
+        validate(RotationData(5, 2, R, Q))
+
+
 def test_validate_rejects_dependent_rows():
     with pytest.raises(InvalidSpan):
         validate(RotationData(5, 2, (1, 2, 0, 0), (2, 4, 0, 0)))
@@ -186,6 +193,8 @@ def test_product_of_lens_spaces_always_free():
 def test_product_of_lens_spaces_rejects_zero_rotation():
     with pytest.raises(InvalidRotation):
         product_of_lens_spaces(5, (1, 0), (1, 1))
+    with pytest.raises(InvalidRotation, match="entries must be integers"):
+        product_of_lens_spaces(5, (1, 2.5), (1, 1))
 
 
 @pytest.mark.parametrize("r, rprime", [((1,), (1,)), ((), ()), ((1, 2), (1,)), ((1, 2), (1, 2, 3))])

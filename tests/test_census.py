@@ -1,4 +1,3 @@
-import concurrent.futures
 import dataclasses
 import functools
 import hashlib
@@ -87,6 +86,13 @@ def test_enumerate_free_capacity_guard():
         (5, 0, None, InvalidDimension),
         (5, 2, -5, ValueError),
         (5, 2, 0, ValueError),
+        (5, 2.0, None, InvalidDimension),
+        (5, 2.0, 3, InvalidDimension),
+        (5, 2, 2.5, ValueError),
+        (5, 2, 5.0, ValueError),
+        (5, 2, True, ValueError),
+        (37, 2, 1, CapacityError),
+        (1_000_003, 300, 1, CapacityError),
         (11, 2, None, CapacityError),
         (5, 3, None, CapacityError),
         (3, 2, 1345, CapacityError),
@@ -299,18 +305,12 @@ def test_census_known_class_memberships():
     assert a[0] != c[0]
 
 
-def test_census_workers_merge_identically():
-    solo = run_census(3, 2, workers=1)
-    multi = run_census(3, 2, workers=4)
-    assert solo == multi
-
-
 def test_import_loads_no_process_pool():
-    """The pool modules load only when run_census is given workers > 1.  Run
-    in a fresh interpreter: this module imports concurrent.futures itself."""
+    """Neither importing lenspp nor running a census loads a process pool.
+    Run in a fresh interpreter: pytest may have imported the pool modules."""
     src = str(Path(census.__file__).resolve().parents[1])
     script = (
-        "import sys, lenspp, lenspp.cli; "
+        "import sys, lenspp, lenspp.cli; lenspp.census.run_census(3, 2); "
         "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
     )
     proc = subprocess.run(
@@ -354,33 +354,6 @@ def test_rank2_matches_the_rref_oracle_on_seeded_pairs(p, n):
             assert census._rank2(R, Q, p) == _independent(R, Q, p), (R, Q)
 
 
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps inline."""
-
-    def __init__(self, sizes, max_workers):
-        sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-@pytest.mark.parametrize("cpus, pools", [(3, [3]), (None, [])])
-def test_census_workers_capped_at_cpu_count(monkeypatch, cpus, pools):
-    sizes = []
-    monkeypatch.setattr(
-        concurrent.futures, "ProcessPoolExecutor", lambda max_workers: _InlinePool(sizes, max_workers)
-    )
-    monkeypatch.setattr(census.os, "cpu_count", lambda: cpus)
-    assert run_census(3, 2, workers=1000) == run_census(3, 2)
-    assert sizes == pools
-
-
 def _record_calls(monkeypatch, names):
     """Count the calls census makes to each of names, through its globals."""
     calls = dict.fromkeys(names, 0)
@@ -393,20 +366,12 @@ def _record_calls(monkeypatch, names):
     return calls
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_census_scan_work_matches_the_record(monkeypatch, workers):
+def test_census_scan_work_matches_the_record(monkeypatch):
     """The scan tests each pair with R != 0 for rank 2 (81 * 80 at p = 3),
     decides freeness by the blocks' P^1 masks with no _free_by_planes call,
-    and classifies each free space once (free_count), for any worker
-    count."""
-    sizes = []
-    monkeypatch.setattr(
-        concurrent.futures, "ProcessPoolExecutor", lambda max_workers: _InlinePool(sizes, max_workers)
-    )
-    monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
+    and classifies each free space once (free_count)."""
     calls = _record_calls(monkeypatch, ["_rank2", "_free_by_planes", "_classify_item"])
-    rec = run_census(3, 2, workers=workers)
-    assert sizes == ([workers] if workers > 1 else [])
+    rec = run_census(3, 2)
     assert (rec.total_pairs, rec.free_count) == (6240, 1344)
     assert calls == {
         "_rank2": 81 * 80,
@@ -477,23 +442,6 @@ def test_scan_equals_the_minor_filter_on_seeded_slices(p, n, width):
         assert got == _minor_filter(p, n, start, start + width), start
 
 
-@pytest.mark.parametrize("workers", [2, 3, 5])
-def test_scan_chunks_of_the_pool_split_concatenate_to_the_minor_filter(monkeypatch, workers):
-    """The R-slices run_census hands its workers at p = 5 (uneven for 3:
-    0/208/416/625) scan, in order, to the exhaustive oracle."""
-    chunks = []
-    monkeypatch.setattr(
-        concurrent.futures, "ProcessPoolExecutor", lambda max_workers: _InlinePool([], max_workers)
-    )
-    monkeypatch.setattr(census.os, "cpu_count", lambda: workers)
-    monkeypatch.setattr(census, "_census_chunk", lambda args: chunks.append(args) or {})
-    run_census(5, 2, workers=workers)
-    starts, stops = [c[2] for c in chunks], [c[3] for c in chunks]
-    assert len(chunks) == workers and starts == [0, *stops[:-1]] and stops[-1] == 625
-    scanned = [pair for p, n, start, stop in chunks for pair in census._scan(p, n, start, stop)]
-    assert scanned == _minor_filter(5, 2, 0, 625)
-
-
 def test_sampled_census_counts_each_draw_once(monkeypatch):
     """Each distinct free draw is classified once.  A free pair has rank 2,
     so the draw makes no rank test, only one freeness test per pair."""
@@ -504,17 +452,6 @@ def test_sampled_census_counts_each_draw_once(monkeypatch):
     assert sum(r.count for r in rec.representatives) == 200
     assert calls["_rank2"] == 0
     assert calls["_free_by_planes"] > 200
-
-
-@pytest.mark.parametrize("workers", [0, -3])
-def test_run_census_refuses_workers_below_one_before_the_scan(monkeypatch, workers):
-    def forbidden(*args):
-        raise AssertionError("scan started before the refusal")
-
-    monkeypatch.setattr(census, "_scan", forbidden)
-    with pytest.raises(ValueError) as info:
-        run_census(3, 2, workers=workers)
-    assert type(info.value) is ValueError
 
 
 def test_census_reversed_order_recount():
@@ -764,7 +701,7 @@ def test_write_census_files_and_stability(tmp_path):
     d1 = tmp_path / "a"
     d2 = tmp_path / "b"
     p1 = write_census(rec, d1)
-    p2 = write_census(run_census(3, 2, workers=2), d2)
+    p2 = write_census(run_census(3, 2), d2)
     assert [q.name for q in p1] == ["census_p3_n2.ndjson", "summary.csv"]
     assert p1[0].read_bytes() == p2[0].read_bytes()
     assert p1[1].read_bytes() == p2[1].read_bytes()

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -260,6 +261,27 @@ def test_census_capacity_exit(tmp_path, capsys):
     code, doc, _ = run_cli(capsys, "census", "11", "2", "--out", str(tmp_path))
     assert code == 3
     assert doc["error"] == "capacity"
+
+
+def test_census_workers_is_a_no_op(tmp_path, capsys):
+    """--workers K is accepted and ignored: the census runs in one process."""
+    runs = []
+    for name, extra in (("one", []), ("four", ["--workers", "4"])):
+        code, _, _ = run_cli(capsys, "census", "3", "2", "--out", str(tmp_path / name), *extra)
+        assert code == 0
+        runs.append([(tmp_path / name / f).read_bytes() for f in ("census_p3_n2.ndjson", "summary.csv")])
+    assert runs[0] == runs[1]
+
+
+def test_sampled_census_past_the_gl2_cap_is_refused_at_once(tmp_path, capsys):
+    """Refused before free_count's sum of big binomials, which takes tens of
+    seconds at n = 300."""
+    out = tmp_path / "census"
+    start = time.process_time()
+    code, doc, _ = run_cli(capsys, "census", "1000003", "300", "--sample", "1", "--out", str(out))
+    assert time.process_time() - start < 1
+    assert (code, doc["error"]) == (3, "capacity")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["5", "1", "--sample", "3"], ["5", "2", "--sample", "-5"]])

@@ -32,6 +32,14 @@ def test_form_reduces_coefficients():
     assert HomogeneousForm(5, (6, -1, 10)).coeffs == (1, 4, 0)
 
 
+def test_form_refuses_non_integer_coefficients():
+    """int() would truncate them to the form (1, 2)."""
+    with pytest.raises(ValueError, match="entries must be integers"):
+        HomogeneousForm(5, (1.5, 2.9))
+    with pytest.raises(ValueError, match="entries must be integers"):
+        product_of_linear_forms(5, [(1.5, 2.7)])
+
+
 def test_empty_product_is_one():
     assert product_of_linear_forms(5, []) == HomogeneousForm(5, (1,))
     assert product_of_linear_forms(5, []).deg == 0

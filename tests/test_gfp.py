@@ -170,6 +170,12 @@ def test_mat2_normalizes_entries():
     assert m.entries == (1, 4, 0, 3)
 
 
+def test_mat2_refuses_non_integer_entries():
+    """int() would truncate (1.7, 0, 0, 1) to the identity."""
+    with pytest.raises(ValueError, match="entries must be integers"):
+        Mat2(5, (1.7, 0, 0, 1))
+
+
 @pytest.mark.parametrize("entries", [(), (1, 0, 0), (1, 0, 0, 1, 0)])
 def test_mat2_refuses_other_than_four_entries(entries):
     with pytest.raises(ValueError, match="Mat2 needs exactly four entries"):
