@@ -19,10 +19,10 @@ The scan (or the seeded draw) hands plain (R, Q) tuples to the grouping
 step; RotationData is built only where a caller sees the spaces, in
 enumerate_free.  The draw decides freeness by the n^2 cross-block minors
 (actions._free_by_planes).  The scan first tests each pair with R != 0
-for rank 2 (_rank2): it holds R fixed over p^(2n) consecutive Q, so R's
-pivot and all p multiples of R are cached per R (_line), and Q is on R's
-line exactly when it equals the multiple with Q's entry at R's pivot, one
-lookup per pair.  The scan decides freeness with one AND per pair: a
+for rank 2 (_rank2): it holds R fixed over p^(2n) consecutive Q, so it
+builds R's pivot and all p multiples of R once per R (_line), and Q is on
+R's line exactly when it equals the multiple with Q's entry at R's pivot,
+one lookup per pair.  The scan decides freeness with one AND per pair: a
 minor is zero exactly when a column of one block is zero or gives the same
 point of P^1 as a column of the other, so each block's points are a
 bitmask read from a table over the p^n half-vectors (_point_masks), built
@@ -35,12 +35,14 @@ determinant), the reduced basis of its row space is read off the minors
 once per wedge, and each plane (|GL2| free spaces, p - 1 wedges) is
 classified once per process.  The free Q of one R fall into a few planes
 through R, so the key is filed under every vector of the plane in a table
-held for the current R (_classify_item): the scan computes one wedge per
-(R, plane), not one per space, and each other space is one dict lookup.
+held for the current R (_classify_item, _keys_by_q): the scan computes one
+wedge per (R, plane), not one per space, and each other space is one dict
+lookup.
 
 Outputs are deterministic byte-for-byte: the census runs in one process,
-the enumeration order is fixed, each cell keeps its count and least pair,
-and serialization is canonical.
+both enumerations reach the grouping step in lex order of (R, Q) (the scan
+by construction, the draw sorted), so each cell keeps its count and its
+first pair, which is its least, and serialization is canonical.
 """
 
 from __future__ import annotations
@@ -142,28 +144,23 @@ def _point_masks(p: int, n: int) -> list[list[int]]:
     return masks
 
 
-def _rank2(R, Q, p) -> bool:
-    """R != 0 and Q is off the line of R, for tuples R, Q reduced mod p.
+def _rank2(line, Q) -> bool:
+    """Q is off the line of R, given line = _line(R, p) for R != 0 and Q a
+    tuple reduced mod p.
 
     The multiples of R are told apart by their entry at R's pivot i (the
     first nonzero entry), so Q is on the line exactly when it equals the
-    multiple whose i-th entry is Q[i]: one lookup in R's cached line
-    (_line).  The scan holds R fixed for p^(2n) consecutive calls, so the
-    pivot search and the multiples are paid once per R, not per pair.
-    Unchecked."""
-    line = _line(R, p)
-    if line is None:
-        return False
+    multiple whose i-th entry is Q[i]: one lookup.  The scan builds R's line
+    once and holds it over p^(2n) consecutive calls.  Unchecked."""
     i, multiples = line
     return Q != multiples[Q[i]]
 
 
-@lru_cache(maxsize=64)
 def _line(R, p):
     """None for R = 0, else (i, multiples): R's pivot index and the p
     multiples of R, the c-th being the one whose pivot entry is c.  Built
-    whole, O(p * n) per R: only the exhaustive scan calls this, after
-    _require_census has capped p at CENSUS_PRIME_CAP."""
+    whole, O(p * n), once per R by the exhaustive scan, which runs only
+    after _require_census has capped p at CENSUS_PRIME_CAP."""
     for i, a in enumerate(R):
         if a:
             u = inv(a, p)
@@ -175,7 +172,7 @@ def _scan(p: int, n: int, start: int, stop: int) -> Iterator[tuple[tuple, tuple]
     """Every free (R, Q) whose R has lex index in [start, stop) among the
     p^(2n) vectors, in lex order of (R, Q): the one enumeration of an
     exhaustive census.  Each pair with R != 0 is tested for rank 2 by one
-    lookup in R's cached line (_rank2), and each rank-2 pair for
+    lookup in R's line (_rank2), built once per R, and each rank-2 pair for
     freeness by the P^1 masks of its two blocks
     (_point_masks): Q = Qa + Qb is free with R = Ra + Rb iff
     masks[Ra][Qa] & masks[Rb][Qb] == 0, the same answer as
@@ -186,12 +183,13 @@ def _scan(p: int, n: int, start: int, stop: int) -> Iterator[tuple[tuple, tuple]
     masks = _point_masks(p, n)
     for k in range(start, stop):
         R = vectors[k]
-        if not any(R):
+        line = _line(R, p)
+        if line is None:
             continue
         block2 = masks[k % h]
         for m1, row in zip(masks[k // h], rows):
             for m2, Q in zip(block2, row):
-                if _rank2(R, Q, p) and not m1 & m2:
+                if _rank2(line, Q) and not m1 & m2:
                     yield R, Q
 
 
@@ -303,16 +301,22 @@ def _min_fingerprint(p: int, n: int, canon: tuple, t0: tuple) -> tuple:
 def _classify_item(p: int, n: int, R: tuple, Q: tuple) -> tuple[tuple, tuple]:
     """(canonical k pair, Pontrjagin fingerprint) for the free space (R, Q).
 
-    The key depends only on the plane spanned by R and Q, so each R keeps a
-    table from Q to key (_keys_by_q), and a space whose plane is filed there
-    is one dict lookup.  A miss keys the space by its 2x2 minors, the wedge
-    R^Q (_classify_wedge), and, if the table already holds a key, files the
-    key under every vector of the plane (_plane_vectors).  The scan holds R
-    fixed over p^(2n) consecutive Q, so it computes one wedge per (R, plane)
-    plus one for R's first plane; a draw's R seldom repeats, so a sampled
-    census files no plane.  The pair is trusted (validated, or produced by
-    the census scan or draw)."""
-    table = _keys_by_q(p, n, R)
+    The key depends only on the plane spanned by R and Q, so the current R
+    keeps a table from Q to key (_keys_by_q), and a space whose plane is
+    filed there is one dict lookup.  The table is checked against (p, R)
+    with two comparisons and replaced when either changes.  A miss keys the
+    space by its 2x2 minors, the wedge R^Q (_classify_wedge), and, if the
+    table already holds a key, files the key under every vector of the
+    plane (_plane_vectors).  Both enumerations arrive in lex order, so R is
+    held over all of its pairs: the scan computes one wedge per (R, plane)
+    plus one for R's first plane, and a sample files a plane only for an R
+    drawn more than once.  The pair is trusted (validated, or produced by
+    the census scan or draw), so R's length fixes n."""
+    global _keys_by_q
+    held_p, held_R, table = _keys_by_q
+    if R != held_R or p != held_p:
+        table = {}
+        _keys_by_q = (p, R, table)
     key = table.get(Q)
     if key is None:
         plane, key = _classify_wedge(p, n, wedge(R, Q, p))
@@ -323,21 +327,31 @@ def _classify_item(p: int, n: int, R: tuple, Q: tuple) -> tuple[tuple, tuple]:
     return key
 
 
-@lru_cache(maxsize=1)
-def _keys_by_q(p: int, n: int, R: tuple) -> dict[tuple, tuple]:
-    """The census keys of the spaces (R, Q) met so far, by Q: filled in by
-    _classify_item, and held for the current R only."""
-    return {}
+# (p, R, table): the census keys of the spaces (R, Q) met so far, by Q, for
+# the one (p, R) that _classify_item met last.  It fills the table and
+# replaces the whole tuple when p or R changes, so a reader always gets the
+# table of the (p, R) it read with it.
+_keys_by_q: tuple = (None, None, {})
 
 
 @lru_cache(maxsize=2**11)
 def _plane_vectors(p: int, plane: tuple) -> tuple[tuple, ...]:
-    """The p^2 vectors a*r1 + b*r2 of the plane with rref rows (r1, r2).
-    The bound exceeds the 1,548 free planes at CENSUS_PRIME_CAP, n = 2."""
+    """The p^2 vectors a*r1 + b*r2 of the plane with rref rows (r1, r2), in
+    lex order of (a, b), zipped from one column per coordinate
+    (_plane_column).  The bound exceeds the 1,548 free planes at
+    CENSUS_PRIME_CAP, n = 2."""
     r1, r2 = plane
-    return tuple(
-        tuple([(a * x + b * y) % p for x, y in zip(r1, r2)]) for a in range(p) for b in range(p)
-    )
+    return tuple(zip(*[_plane_column(p, x, y) for x, y in zip(r1, r2)]))
+
+
+@lru_cache(maxsize=2**10)
+def _plane_column(p: int, x: int, y: int) -> tuple[int, ...]:
+    """a*x + b*y mod p over the p^2 pairs (a, b) in lex order: one
+    coordinate of the vectors of every plane whose rows hold x and y there.
+    A sample files planes of many R, so their vectors are built from these
+    p^2 shared columns; the bound holds all columns of one p up to
+    GL2_PRIME_CAP, about 7 MB at p = 31."""
+    return tuple([(a * x + b * y) % p for a in range(p) for b in range(p)])
 
 
 @lru_cache(maxsize=2**18)
@@ -373,8 +387,9 @@ def _classify_plane(p: int, n: int, plane: tuple) -> tuple[tuple, tuple]:
 
 
 def _group(p: int, n: int, pairs: Iterable[tuple[tuple, tuple]]) -> dict[tuple, list]:
-    """{(canonical, fingerprint): [count, min R, min Q]} over the free pairs.
-    The least pair is kept by comparison: a draw is not in lex order."""
+    """{(canonical, fingerprint): [count, first R, first Q]} over the free
+    pairs.  The first pair of a key is its least because the pairs arrive in
+    lex order: the scan's by construction, the draw's sorted by run_census."""
     groups: dict[tuple, list] = {}
     for R, Q in pairs:
         key = _classify_item(p, n, R, Q)
@@ -383,8 +398,6 @@ def _group(p: int, n: int, pairs: Iterable[tuple[tuple, tuple]]) -> dict[tuple, 
             groups[key] = [1, R, Q]
         else:
             got[0] += 1
-            if (R, Q) < (got[1], got[2]):
-                got[1], got[2] = R, Q
     return groups
 
 
@@ -403,7 +416,7 @@ def run_census(p: int, n: int, *, sample: int | None = None, seed: int = 0) -> C
     if sample is None:
         groups = _census_chunk(p, n)
     else:
-        groups = _group(p, n, _draw(p, n, sample, seed))
+        groups = _group(p, n, sorted(_draw(p, n, sample, seed)))
     reps = tuple(
         ClassRepresentative(R, Q, canonical, fingerprint, count)
         for (canonical, fingerprint), (count, R, Q) in sorted(groups.items())

@@ -153,9 +153,10 @@ def rref_with_pivots(
     Returns (matrix, pivot_columns); the output shape matches the input
     (zero rows sink to the bottom), pivots are 1 with zeros elsewhere in
     their columns, so the row reduction is canonical for the row space.
+    An entry that is not an integer is refused with ValueError (reduce_ints).
     """
     require_odd_prime(p)
-    m = [[int(x) % p for x in row] for row in rows]
+    m = [list(reduce_ints(row, p)) for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     if any(len(row) != ncols for row in m):

@@ -96,7 +96,7 @@ def test_validate_at_a_billion_answers_at_once():
     cache changes size."""
     p, R = 1_000_000_007, (1, 2, 0, 0)
     before = _cache_sizes()
-    assert "lenspp.census._line" in before
+    assert "lenspp.census._classify_wedge" in before
     start = time.process_time()
     assert validate(RotationData(p, 2, R, (0, 0, 1, 3))).R == R
     with pytest.raises(InvalidSpan):

@@ -192,6 +192,7 @@ def test_sampled_census_p5_n3_bytes(tmp_path):
     "p, n, seed, digest, sample",
     [
         (3, 2, 2, "cf7bbb01e57cf92e0489c2e36cab9a16c87d77e08fc3ba20c7732fa614dd3403", 1000),
+        (5, 2, 1, "a36a6ca907cf7f09be17f7a89a92c30a50b24e823198bf422caee593122a5f33", 20000),
         (7, 2, 1, "0bc6dd5abfb316c9454c0cf47487f75025e691d9ed40e5eb105aa95f061ff679", 1000),
         (7, 3, 0, "f8058054604fc5561fc291e991a583c7d0054893c053eddf8f6b84fb83279dda", 40),
         (11, 2, 0, "57d0250cc2a025b4771f33c05df3780ddad5aaa67f8a0c281106c4f25d36eabb", 300),
@@ -329,11 +330,19 @@ def _independent(R, Q, p):
     return len(span_key([R, Q], p)) == 2
 
 
+def _scan_rank2(line, Q):
+    """The scan's rank test on R's line (census._line): None exactly for
+    R = 0, which the scan skips, else one census._rank2 lookup."""
+    return line is not None and census._rank2(line, Q)
+
+
 def test_rank2_matches_the_rref_oracle_exhaustive_p3():
     vectors = list(itertools.product(range(3), repeat=4))
     for R in vectors:
+        line = census._line(R, 3)
+        assert (line is None) == (not any(R)), R
         for Q in vectors:
-            assert census._rank2(R, Q, 3) == _independent(R, Q, 3), (R, Q)
+            assert _scan_rank2(line, Q) == _independent(R, Q, 3), (R, Q)
 
 
 @pytest.mark.parametrize("p, n", [(5, 2), (7, 2), (5, 3), (7, 3)])
@@ -351,7 +360,7 @@ def test_rank2_matches_the_rref_oracle_on_seeded_pairs(p, n):
             for j in range(m)
         ]
         for Q in [tuple(rng.randrange(p) for _ in range(m)), *multiples, *moved]:
-            assert census._rank2(R, Q, p) == _independent(R, Q, p), (R, Q)
+            assert _scan_rank2(census._line(R, p), Q) == _independent(R, Q, p), (R, Q)
 
 
 def _record_calls(monkeypatch, names):
@@ -367,17 +376,17 @@ def _record_calls(monkeypatch, names):
 
 
 def test_census_scan_work_matches_the_record(monkeypatch):
-    """The scan tests each pair with R != 0 for rank 2 (81 * 80 at p = 3),
-    decides freeness by the blocks' P^1 masks with no _free_by_planes call,
-    and classifies each free space once (free_count)."""
-    calls = _record_calls(monkeypatch, ["_rank2", "_free_by_planes", "_classify_item"])
-    rec = run_census(3, 2)
-    assert (rec.total_pairs, rec.free_count) == (6240, 1344)
-    assert calls == {
-        "_rank2": 81 * 80,
-        "_free_by_planes": 0,
-        "_classify_item": rec.free_count,
-    }
+    """The scan tests each pair with R != 0 for rank 2 (81 * 80 at p = 3,
+    625 * 624 at p = 5), decides freeness by the blocks' P^1 masks with no
+    _free_by_planes call, and classifies each free space once (free_count).
+    The p = 5 counts are the ones perfbench/expected.json gates for
+    census_p5 (census.rank2.calls, census.classify_item.calls)."""
+    for p, total, free, rank2 in [(3, 6240, 1344, 6480), (5, 386880, 161280, 390000)]:
+        calls = _record_calls(monkeypatch, ["_rank2", "_free_by_planes", "_classify_item"])
+        rec = run_census(p, 2)
+        monkeypatch.undo()
+        assert (rec.total_pairs, rec.free_count) == (total, free)
+        assert calls == {"_rank2": rank2, "_free_by_planes": 0, "_classify_item": free}, p
 
 
 def _rank2_loop(R, Q, p):
@@ -397,14 +406,13 @@ def _rank2_loop(R, Q, p):
 @pytest.mark.parametrize("p", [3, 5])
 def test_rank2_matches_the_loop_oracle_exhaustive(p):
     """Every pair at (p, 2), once with R fixed over each run of Q (the
-    scan's order, lines reused) and once with Q fixed over each run of R,
-    where each R comes back after p^4 - 1 other R, more than _line keeps,
-    so every call evicts a line and builds it again."""
+    scan's order) and once with Q fixed over each run of R, each R's line
+    built once and held for the whole pass."""
     vectors = list(itertools.product(range(p), repeat=4))
-    assert census._line.cache_info().maxsize < len(vectors) - 1
+    lines = {R: census._line(R, p) for R in vectors}
     for outer_is_R in (True, False):
         pairs = [(u, v) if outer_is_R else (v, u) for u in vectors for v in vectors]
-        got = [census._rank2(R, Q, p) for R, Q in pairs]
+        got = [_scan_rank2(lines[R], Q) for R, Q in pairs]
         assert got == [_rank2_loop(R, Q, p) for R, Q in pairs], outer_is_R
 
 
@@ -468,6 +476,36 @@ def test_census_reversed_order_recount():
         assert min(members) == (by_key[key].R, by_key[key].Q)
 
 
+def _group_by_least_pair(p, n, pairs):
+    """The grouping oracle: {key: [count, least R, least Q]}, the pairs taken
+    in the order given and each key's least pair kept by comparison."""
+    groups = {}
+    for R, Q in pairs:
+        key = _classify_item(p, n, R, Q)
+        got = groups.setdefault(key, [0, R, Q])
+        got[0] += 1
+        if (R, Q) < (got[1], got[2]):
+            got[1], got[2] = R, Q
+    return groups
+
+
+@pytest.mark.parametrize("p, sample, repeats", [(5, 20000, 46), (7, 2000, 1)])
+def test_sampled_census_keeps_each_class_least_pair(p, sample, repeats):
+    """census._group keeps each key's first pair, the least only because
+    run_census sorts the draw.  At these samples no class's first draw is
+    its least pair, so grouping in draw order keeps other pairs in every
+    class; the (5, 2) draw also repeats R on 46 consecutive draws, which
+    hold R's table in draw order too."""
+    drawn = list(census._draw(p, 2, sample, 1))
+    assert sum(a[0] == b[0] for a, b in zip(drawn, drawn[1:])) == repeats
+    least = _group_by_least_pair(p, 2, drawn)
+    first = census._group(p, 2, drawn)
+    assert first.keys() == least.keys()
+    assert all(first[key][0] == got[0] and first[key][1:] != got[1:] for key, got in least.items())
+    rec = run_census(p, 2, sample=sample, seed=1)
+    assert {(r.canonical, r.fingerprint): [r.count, r.R, r.Q] for r in rec.representatives} == least
+
+
 def _relabel(d, m):
     """d with the group generators changed by m: same homotopy class."""
     a, b, c, e = m
@@ -476,8 +514,13 @@ def _relabel(d, m):
     return validate(RotationData(d.p, d.n, R, Q))
 
 
+def _fresh_keys_by_q(monkeypatch):
+    """Start _classify_item from an empty per-R table."""
+    monkeypatch.setattr(census, "_keys_by_q", (None, None, {}))
+
+
 @pytest.mark.parametrize("p", [3, 5])
-def test_census_classifies_each_plane_once(p):
+def test_census_classifies_each_plane_once(monkeypatch, p):
     """Each GL2 orbit of free pairs is one plane, classified once; each of
     its p - 1 wedges is read off once.  The scan looks a wedge up once per
     (R, plane), for each of the p^2 - 1 nonzero R of a free plane, plus once
@@ -488,7 +531,7 @@ def test_census_classifies_each_plane_once(p):
     gl2 = (p * p - 1) * (p * p - p)
     census._classify_wedge.cache_clear()
     census._classify_plane.cache_clear()
-    census._keys_by_q.cache_clear()
+    _fresh_keys_by_q(monkeypatch)
     census._plane_vectors.cache_clear()
     rec = run_census(p, 2)
     planes = census._classify_plane.cache_info()
@@ -502,7 +545,7 @@ def test_census_classifies_each_plane_once(p):
     assert (filed.misses, filed.hits + filed.misses) == (planes.misses, (p * p - 1) * planes.misses)
 
 
-def test_relabelled_spaces_share_one_plane():
+def test_relabelled_spaces_share_one_plane(monkeypatch):
     """The |GL2| bases of one plane have p - 1 wedges, one per determinant,
     and one plane entry.  gl2_elements lists the matrices in row-major
     order, so the new R = a*R + b*Q stays fixed over the p^2 - p second rows
@@ -512,7 +555,7 @@ def test_relabelled_spaces_share_one_plane():
     (d,) = enumerate_free(p, 2, sample=1, seed=4)
     census._classify_wedge.cache_clear()
     census._classify_plane.cache_clear()
-    census._keys_by_q.cache_clear()
+    _fresh_keys_by_q(monkeypatch)
     keys = {_classify_item(p, 2, x.R, x.Q) for x in (_relabel(d, m) for m in gl2_elements(p))}
     planes = census._classify_plane.cache_info()
     wedges = census._classify_wedge.cache_info()
@@ -523,33 +566,40 @@ def test_relabelled_spaces_share_one_plane():
 
 def _assert_classify_item_is_the_wedge_path(p, n, pairs):
     """_classify_item, through its per-R table, gives each pair the key of
-    the direct path: the plane read off the pair's own wedge."""
+    the direct path: the plane read off the pair's own wedge.  Returns the
+    per-R table each call left held, the empty one before the first call
+    included."""
     direct = {}
+    tables = [census._keys_by_q[2]]
     for R, Q in pairs:
         w = wedge(R, Q, p)
         if w not in direct:
             direct[w] = census._classify_plane(p, n, gfp.wedge_span_key(w, 2 * n, p))
         assert _classify_item(p, n, R, Q) == direct[w], (R, Q)
+        tables.append(census._keys_by_q[2])
+    return tables
 
 
 @pytest.mark.parametrize("p", [3, 5])
-def test_classify_item_matches_the_wedge_path_exhaustive(p):
+def test_classify_item_matches_the_wedge_path_exhaustive(monkeypatch, p):
     """Every free pair, first in scan order, where R's table fills plane by
-    plane, then with Q outermost, where R changes on almost every call and
-    its table is replaced each time."""
-    census._keys_by_q.cache_clear()
+    plane, then with Q outermost, where R changes on almost every call.  In
+    both orders the table is replaced exactly when R changes, the first
+    call included."""
     pairs = list(census._scan(p, 2, 0, p**4))
-    _assert_classify_item_is_the_wedge_path(p, 2, pairs)
-    census._keys_by_q.cache_clear()
     by_q = sorted(pairs, key=lambda pair: (pair[1], pair[0]))
-    _assert_classify_item_is_the_wedge_path(p, 2, by_q)
-    changes = sum(a[0] != b[0] for a, b in zip(by_q, by_q[1:])) + 1
-    assert census._keys_by_q.cache_info().misses == changes > len(pairs) // 2
+    for order in (pairs, by_q):
+        _fresh_keys_by_q(monkeypatch)
+        tables = _assert_classify_item_is_the_wedge_path(p, 2, order)
+        rs = [None] + [R for R, _ in order]
+        replaced = [a is not b for a, b in zip(tables, tables[1:])]
+        assert replaced == [a != b for a, b in zip(rs, rs[1:])]
+    assert sum(replaced) > len(pairs) // 2
 
 
-def test_classify_item_matches_the_wedge_path_on_seeded_r_slices_p7():
+def test_classify_item_matches_the_wedge_path_on_seeded_r_slices_p7(monkeypatch):
     rng = random.Random(7)
-    census._keys_by_q.cache_clear()
+    _fresh_keys_by_q(monkeypatch)
     checked = 0
     for k in rng.sample(range(1, 7**4), 8):
         pairs = list(census._scan(7, 2, k, k + 1))
@@ -558,25 +608,58 @@ def test_classify_item_matches_the_wedge_path_on_seeded_r_slices_p7():
     assert checked > 5000
 
 
-def test_sampled_census_files_no_plane():
-    """A draw's R seldom repeats on the next draw, so a sampled census keys
-    each space by its own wedge and builds no plane's vectors; the seed-0
-    sample at (5, 3) repeats no R."""
-    census._keys_by_q.cache_clear()
+def test_sampled_census_files_a_plane_only_for_a_repeated_r(monkeypatch):
+    """run_census classifies a sample in lex order, so an R drawn k times is
+    held over its k pairs: its first Q keys only itself, and each later Q
+    off the planes filed so far files its own, so each draw of an R after
+    its first files at most one plane.  The seed-0 sample at (5, 3) draws
+    2,640 distinct R in 3,000 draws, and its 360 repeats file 360 planes
+    (359 distinct)."""
+    drawn = sorted(census._draw(5, 3, 3000, 0))
+    filings = 0
+    for R, group in itertools.groupby(drawn, key=lambda pair: pair[0]):
+        planes = [span_key([R, Q], 5) for _, Q in group]
+        filings += len(set(planes[1:]))
+    repeats = len(drawn) - len({R for R, _ in drawn})
+    assert filings == repeats == 360
+    _fresh_keys_by_q(monkeypatch)
     census._plane_vectors.cache_clear()
     run_census(5, 3, sample=3000, seed=0)
-    assert census._plane_vectors.cache_info().currsize == 0
+    filed = census._plane_vectors.cache_info()
+    assert (filed.hits + filed.misses, filed.misses) == (filings, 359)
 
 
-def test_plane_vector_cache_holds_every_free_plane_at_the_cap():
+def test_plane_vector_cache_holds_every_free_plane_at_the_cap(monkeypatch):
     """An exhaustive census at CENSUS_PRIME_CAP files each of its free planes
     p^2 - 1 times, once per nonzero R, so the plane-vector cache must hold
-    all of them; the per-R table holds one R."""
+    all of them; the per-R table holds one R, so an R met again after
+    another starts from an empty table and looks its wedge up again."""
     p = census.CENSUS_PRIME_CAP
     planes = free_count(p, 2) // len(gl2_elements(p))
     assert planes == 1548
     assert census._plane_vectors.cache_parameters()["maxsize"] >= planes
-    assert census._keys_by_q.cache_parameters()["maxsize"] == 1
+    assert census._plane_column.cache_parameters()["maxsize"] >= gfp.GL2_PRIME_CAP**2
+    (R1, Q1), (R2, Q2) = [next(census._scan(p, 2, k, k + 1)) for k in (1000, 2000)]
+    _fresh_keys_by_q(monkeypatch)
+    lookups = []
+    for R, Q in [(R1, Q1), (R1, Q1), (R2, Q2), (R1, Q1)]:
+        _classify_item(p, 2, R, Q)
+        info = census._classify_wedge.cache_info()
+        lookups.append(info.hits + info.misses)
+        held_p, held_R, table = census._keys_by_q
+        assert (held_p, held_R, list(table)) == (p, R, [Q])
+    assert [b - a for a, b in zip(lookups, lookups[1:])] == [0, 1, 1]
+
+
+@pytest.mark.parametrize("p, n", [(5, 2), (7, 3), (31, 2)])
+def test_plane_vectors_are_the_combinations_of_the_rows(p, n):
+    """The column-wise build gives every a*r1 + b*r2 in lex order of (a, b)."""
+    for d in enumerate_free(p, n, sample=20, seed=p + n):
+        r1, r2 = span_key([d.R, d.Q], p)
+        want = tuple(
+            tuple((a * x + b * y) % p for x, y in zip(r1, r2)) for a in range(p) for b in range(p)
+        )
+        assert census._plane_vectors(p, (r1, r2)) == want, (r1, r2)
 
 
 @pytest.mark.parametrize("p, n", [(5, 2), (7, 3)])

@@ -193,6 +193,14 @@ def test_rref_refuses_a_ragged_matrix(rows):
         rref_with_pivots(rows, 5)
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, "2"])
+def test_rref_refuses_a_float_or_a_string(bad):
+    """int() would truncate 1.5 into 1, and so reduce [[1.5, 2], [0, 1]] to
+    the identity; each non-integer entry is refused instead."""
+    with pytest.raises(ValueError, match="entries must be integers"):
+        rref_with_pivots([[bad, 2], [0, 1]], 5)
+
+
 def test_rref_examples():
     assert rref_with_pivots([[0, 0], [0, 0]], 5)[0] == ((0, 0), (0, 0))
     assert rref_with_pivots([[1, 0], [0, 1]], 5)[0] == ((1, 0), (0, 1))
