@@ -64,7 +64,15 @@ from .errors import CapacityError, HypothesisViolation, InvalidDimension
 # classify._transport_class; the per-space kernel below does not call them,
 # but perfbench/tracing.py wraps them under these names.
 from .forms import apply_matrix, k_pair, product_of_linear_forms, substitute_columns
-from .gfp import GL2_PRIME_CAP, inv, is_quadratic_residue, require_odd_prime, wedge, wedge_span_key
+from .gfp import (
+    GL2_PRIME_CAP,
+    inv,
+    is_quadratic_residue,
+    plane_column,
+    require_odd_prime,
+    wedge,
+    wedge_span_key,
+)
 from .pontrjagin import reduced_class, total_pontrjagin_raw
 from .quotient_ring import ring_model
 
@@ -200,11 +208,26 @@ def _draw(p: int, n: int, sample: int, seed: int) -> Iterator[tuple[tuple, tuple
     freeness is the only test, run before the seen-set lookup because most
     draws are not free.
 
-    Each coordinate is a getrandbits word of p's bit length, words >= p
-    rejected: the stream random.Random.randrange(p) draws, R's 2n
-    coordinates first, then Q's."""
+    The coordinates are the stream random.Random.randrange(p) draws, R's 2n
+    coordinates first, then Q's: the top k bits of one 32-bit Mersenne
+    output each, k = p.bit_length(), values >= p rejected.  They are read
+    _DRAW_WORDS outputs at a time: getrandbits(32 * _DRAW_WORDS) holds that
+    many consecutive outputs, the i-th in bits 32i to 32i + 31, so byte
+    4i + 3 of its little-endian bytes is the top byte of output i, and one
+    translate of those bytes shifts each to its top k bits (k <= 5, since
+    the caller caps p at GL2_PRIME_CAP) and deletes the rejected ones.  The
+    RNG is this draw's own, so outputs left unread after the last draw
+    change nothing."""
     rng = random.Random(seed)
-    coords = filter(p.__gt__, map(rng.getrandbits, itertools.repeat(p.bit_length())))
+    shift = 8 - p.bit_length()
+    top = bytes([b >> shift for b in range(256)])
+    rejected = bytes([b for b in range(256) if b >> shift >= p])
+
+    def chunk() -> bytes:
+        outputs = rng.getrandbits(32 * _DRAW_WORDS).to_bytes(4 * _DRAW_WORDS, "little")
+        return outputs[3::4].translate(top, rejected)
+
+    coords = itertools.chain.from_iterable(iter(chunk, None))
     seen: set[tuple] = set()
     attempts = 0
     while len(seen) < sample:
@@ -217,6 +240,10 @@ def _draw(p: int, n: int, sample: int, seed: int) -> Iterator[tuple[tuple, tuple
             continue
         seen.add((R, Q))
         yield R, Q
+
+
+# 32-bit outputs _draw reads from its RNG at a time: a 16 KB buffer.
+_DRAW_WORDS = 4096
 
 
 def free_count(p: int, n: int) -> int:
@@ -338,20 +365,11 @@ _keys_by_q: tuple = (None, None, {})
 def _plane_vectors(p: int, plane: tuple) -> tuple[tuple, ...]:
     """The p^2 vectors a*r1 + b*r2 of the plane with rref rows (r1, r2), in
     lex order of (a, b), zipped from one column per coordinate
-    (_plane_column).  The bound exceeds the 1,548 free planes at
+    (gfp.plane_column), the columns classify._canonicalize builds each
+    B-orbit's members from.  The bound exceeds the 1,548 free planes at
     CENSUS_PRIME_CAP, n = 2."""
     r1, r2 = plane
-    return tuple(zip(*[_plane_column(p, x, y) for x, y in zip(r1, r2)]))
-
-
-@lru_cache(maxsize=2**10)
-def _plane_column(p: int, x: int, y: int) -> tuple[int, ...]:
-    """a*x + b*y mod p over the p^2 pairs (a, b) in lex order: one
-    coordinate of the vectors of every plane whose rows hold x and y there.
-    A sample files planes of many R, so their vectors are built from these
-    p^2 shared columns; the bound holds all columns of one p up to
-    GL2_PRIME_CAP, about 7 MB at p = 31."""
-    return tuple([(a * x + b * y) % p for a in range(p) for b in range(p)])
+    return tuple(zip(*[plane_column(p, x, y) for x, y in zip(r1, r2)]))
 
 
 @lru_cache(maxsize=2**18)

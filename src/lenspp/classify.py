@@ -62,6 +62,7 @@ from .gfp import (
     inv,
     mat2_inv,
     mat2_mul,
+    plane_column,
     require_odd_prime,
     wedge,
     wedge_span_key,
@@ -576,8 +577,9 @@ def _canonicalize(p: int, n: int, key: tuple) -> tuple[tuple, tuple, tuple[tuple
     a_canon carries key onto canon, so stab = a_canon^-1 * Stab(key) *
     a_canon, sorted.  Then, in row-major order of their A, each B-orbit's
     members, its det +-1 mixes (index pairs into the p^2 combinations
-    c*u + d*v), are written once into the store, all with record (canon,
-    A^-1 * a_canon, stab), one stab tuple per class: witnesses compose as
+    c*u + d*v, zipped from one shared gfp.plane_column per coordinate), are
+    written once into the store, all with record (canon, A^-1 * a_canon,
+    stab), one stab tuple per class: witnesses compose as
     A_key->x ^-1 * A_key->min.
     """
     got = _ORBITS.get((p, n), {}).get(key)
@@ -627,9 +629,7 @@ def _canonicalize(p: int, n: int, key: tuple) -> tuple[tuple, tuple, tuple[tuple
     for A, t, u, v in sorted(first.values()):
         u, v = (tuple([t * x % p for x in w]) for w in (u, v))
         entry = (canon, mat2_mul(mat2_inv(A, p), a_canon, p), stab)
-        lin = [
-            tuple([(c * x + d * y) % p for x, y in zip(u, v)]) for c in range(p) for d in range(p)
-        ]
+        lin = list(zip(*[plane_column(p, x, y) for x, y in zip(u, v)]))
         for i, j in mixes:
             cache[lin[i], lin[j]] = entry
     return cache[key]

@@ -21,6 +21,7 @@ from . import actions
 from .actions import RotationData, product_of_lens_spaces, validate
 from .census import _require_census, run_census, verify_application, write_census
 from .classify import (
+    ORBIT_SIZE_CAP,
     homeomorphic,
     homotopy_equivalent,
     lens_homotopy_equivalent,
@@ -29,6 +30,7 @@ from .classify import (
 )
 from .errors import CapacityError
 from .forms import k_invariant
+from .gfp import GL2_PRIME_CAP
 from .pontrjagin import total_pontrjagin
 
 EXIT_OK = 0
@@ -267,7 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_census.add_argument(
         "--sample", default=None,
-        help="classify this many distinct free spaces drawn at random instead of all (any p)",
+        help=(
+            "classify this many distinct free spaces drawn at random instead of all "
+            f"(n < p <= {GL2_PRIME_CAP}; exit 3 on a homotopy class whose orbit "
+            f"exceeds {ORBIT_SIZE_CAP:,} pairs, as at p = 17, n = 2)"
+        ),
     )
     p_census.add_argument("--seed", default="0", help="seed of the --sample draw")
     p_census.set_defaults(func=_cmd_census)

@@ -231,3 +231,15 @@ def wedge_span_key(w: tuple[int, ...], m: int, p: int) -> tuple[tuple[int, ...],
         tuple([sign * w[k] * s % p for k, sign in columns[b]]),
         tuple([-sign * w[k] * s % p for k, sign in columns[a]]),
     )
+
+
+@lru_cache(maxsize=2**10)
+def plane_column(p: int, x: int, y: int) -> tuple[int, ...]:
+    """a*x + b*y mod p over the p^2 pairs (a, b) in lex order: one
+    coordinate of the p^2 combinations a*u + b*v of every pair of vectors
+    (u, v) holding x and y there.  Zipping one column per coordinate lists
+    the combinations, so the vectors of a plane and the members of a
+    B-orbit are built from columns shared across all planes and orbits of
+    one p; the bound holds every column of one p up to GL2_PRIME_CAP, about
+    7 MB at p = 31."""
+    return tuple([(a * x + b * y) % p for a in range(p) for b in range(p)])

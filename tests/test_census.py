@@ -213,11 +213,11 @@ def test_sampled_census_bytes(tmp_path, p, n, seed, digest, sample):
         classify._ORBITS.pop((11, 2), None)  # its 2 orbits hold ~200 MB
 
 
-# oracle: the seeded draw as census._draw ran it before it read each
-# coordinate off a getrandbits word: one randrange(p) call per coordinate.
+# oracle: the seeded draw as census._draw ran it before it read the
+# coordinates off whole Mersenne words: one randrange(p) call per coordinate.
 
-def _oracle_draw(p, n, sample, seed):
-    rng = random.Random(seed)
+def _oracle_draw(p, n, sample, seed, rng=None):
+    rng = random.Random(seed) if rng is None else rng
     seen = set()
     attempts = 0
     while len(seen) < sample:
@@ -238,6 +238,37 @@ def test_draw_is_the_randrange_stream(p, n):
     at (3, 2) a sample of 200 from 1,344 free spaces also redraws repeats."""
     for seed in range(5):
         assert list(census._draw(p, n, 200, seed)) == list(_oracle_draw(p, n, 200, seed))
+
+
+class _CountingRandom(random.Random):
+    """random.Random counting the 32-bit outputs getrandbits reads."""
+
+    outputs = 0
+
+    def getrandbits(self, k):
+        self.outputs += -(-k // 32)
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("p, n, sample, seed", [(5, 3, 3000, 0), (3, 2, 1344, 1)])
+def test_draw_is_the_randrange_stream_across_chunks(p, n, sample, seed):
+    """_draw reads census._DRAW_WORDS outputs at a time.  The pinned seed-0
+    sample at (5, 3) and the whole population at (3, 2) read dozens of
+    chunks, and both equal the oracle exactly."""
+    rng = _CountingRandom(seed)
+    want = list(_oracle_draw(p, n, sample, seed, rng))
+    assert list(census._draw(p, n, sample, seed)) == want
+    assert len(set(want)) == sample
+    assert sample < free_count(p, n) or sorted(want) == list(census._scan(p, n, 0, p ** (2 * n)))
+    assert rng.outputs > 50 * census._DRAW_WORDS
+
+
+@pytest.mark.parametrize("words", [1, 3, 5])
+def test_draw_is_the_randrange_stream_in_small_chunks(monkeypatch, words):
+    """Chunks of 1 to 5 outputs, most shorter than one (R, Q) of 12
+    coordinates and some emptied by rejection, give the same stream."""
+    monkeypatch.setattr(census, "_DRAW_WORDS", words)
+    assert list(census._draw(5, 3, 300, words)) == list(_oracle_draw(5, 3, 300, words))
 
 
 def test_draw_refuses_after_ten_thousand_attempts_per_space(monkeypatch):
@@ -638,7 +669,7 @@ def test_plane_vector_cache_holds_every_free_plane_at_the_cap(monkeypatch):
     planes = free_count(p, 2) // len(gl2_elements(p))
     assert planes == 1548
     assert census._plane_vectors.cache_parameters()["maxsize"] >= planes
-    assert census._plane_column.cache_parameters()["maxsize"] >= gfp.GL2_PRIME_CAP**2
+    assert gfp.plane_column.cache_parameters()["maxsize"] >= gfp.GL2_PRIME_CAP**2
     (R1, Q1), (R2, Q2) = [next(census._scan(p, 2, k, k + 1)) for k in (1000, 2000)]
     _fresh_keys_by_q(monkeypatch)
     lookups = []

@@ -10,9 +10,10 @@ import pytest
 import lenspp
 from lenspp import actions, cli
 from lenspp.actions import product_of_lens_spaces
-from lenspp.classify import _pencil
+from lenspp.classify import ORBIT_SIZE_CAP, _pencil
 from lenspp.cli import main, parse_space
 from lenspp.forms import k_pair
+from lenspp.gfp import GL2_PRIME_CAP
 
 
 def run_cli(capsys, *argv):
@@ -339,6 +340,21 @@ def test_census_with_p_at_most_n_is_invalid_before_the_census_runs(
     assert captured.out.count("\n") == 1
     assert json.loads(captured.out)["error"] == "invalid"
     assert not out.exists()
+
+
+def test_census_help_names_the_sample_caps(capsys, tmp_path):
+    """--sample's help gives the GL2 cap and the orbit cap, both read from
+    the code, and a sample at p = 37, the next prime past the GL2 cap,
+    exits 3."""
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"n < p <= {GL2_PRIME_CAP};" in text
+    assert f"exceeds {ORBIT_SIZE_CAP:,} pairs" in text
+    assert "any p" not in text
+    code, doc, _ = run_cli(capsys, "census", "37", "2", "--out", str(tmp_path / "c"), "--sample", "1")
+    assert (code, doc["error"]) == (3, "capacity")
 
 
 @pytest.mark.parametrize("p, n", [("11", "3"), ("17", "2")])
