@@ -15,32 +15,41 @@ by one pass over the columns, O(n) at any p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import Record
 from .errors import InvalidDimension, InvalidRotation, InvalidSpan
 from .gfp import inv, reduce_ints, require_odd_prime
 
 
-@dataclass(frozen=True)
-class RotationData:
+class RotationData(Record):
     """One quotient space, as (p, n) plus the two rotation vectors of length 2n."""
 
-    p: int
-    n: int
-    R: tuple[int, ...]
-    Q: tuple[int, ...]
+    __slots__ = ("p", "n", "R", "Q")
+
+    def __init__(self, p: int, n: int, R: tuple[int, ...], Q: tuple[int, ...]):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "Q", Q)
 
     def rotation_pairs(self) -> tuple[tuple[int, int], ...]:
         """Columns (R[i], Q[i]) for i = 0..2n-1."""
         return tuple(zip(self.R, self.Q))
 
 
-@dataclass(frozen=True)
-class FreenessReport:
-    free: bool
-    violating_element: tuple[int, int] | None
-    violating_pair: tuple[int, int] | None
+class FreenessReport(Record):
+    __slots__ = ("free", "violating_element", "violating_pair")
+
+    def __init__(
+        self,
+        free: bool,
+        violating_element: tuple[int, int] | None,
+        violating_pair: tuple[int, int] | None,
+    ):
+        object.__setattr__(self, "free", free)
+        object.__setattr__(self, "violating_element", violating_element)
+        object.__setattr__(self, "violating_pair", violating_pair)
 
     def to_json(self) -> dict:
         return {

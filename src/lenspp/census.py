@@ -51,11 +51,11 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from ._record import Record
 from .actions import RotationData, _free_by_planes, product_of_lens_spaces
 from .classify import _canonicalize, _transport_class, homeomorphic
 from .errors import CapacityError, HypothesisViolation, InvalidDimension
@@ -79,15 +79,24 @@ from .quotient_ring import ring_model
 CENSUS_PRIME_CAP = 7
 
 
-@dataclass(frozen=True)
-class ClassRepresentative:
+class ClassRepresentative(Record):
     """Least (R, Q) of one homeomorphism class, with its grouping keys."""
 
-    R: tuple[int, ...]
-    Q: tuple[int, ...]
-    canonical: tuple[tuple[int, ...], tuple[int, ...]]
-    fingerprint: tuple[tuple[int, tuple[int, ...]], ...]
-    count: int
+    __slots__ = ("R", "Q", "canonical", "fingerprint", "count")
+
+    def __init__(
+        self,
+        R: tuple[int, ...],
+        Q: tuple[int, ...],
+        canonical: tuple[tuple[int, ...], tuple[int, ...]],
+        fingerprint: tuple[tuple[int, tuple[int, ...]], ...],
+        count: int,
+    ):
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "canonical", canonical)
+        object.__setattr__(self, "fingerprint", fingerprint)
+        object.__setattr__(self, "count", count)
 
     def to_json(self, p: int, n: int, outside_hypotheses: bool) -> dict:
         return {
@@ -102,17 +111,40 @@ class ClassRepresentative:
         }
 
 
-@dataclass(frozen=True)
-class CensusRecord:
-    p: int
-    n: int
-    total_pairs: int
-    free_count: int
-    homotopy_classes: int
-    homeomorphism_classes: int
-    outside_hypotheses: bool
-    sampled: bool
-    representatives: tuple[ClassRepresentative, ...]
+class CensusRecord(Record):
+    __slots__ = (
+        "p",
+        "n",
+        "total_pairs",
+        "free_count",
+        "homotopy_classes",
+        "homeomorphism_classes",
+        "outside_hypotheses",
+        "sampled",
+        "representatives",
+    )
+
+    def __init__(
+        self,
+        p: int,
+        n: int,
+        total_pairs: int,
+        free_count: int,
+        homotopy_classes: int,
+        homeomorphism_classes: int,
+        outside_hypotheses: bool,
+        sampled: bool,
+        representatives: tuple[ClassRepresentative, ...],
+    ):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "total_pairs", total_pairs)
+        object.__setattr__(self, "free_count", free_count)
+        object.__setattr__(self, "homotopy_classes", homotopy_classes)
+        object.__setattr__(self, "homeomorphism_classes", homeomorphism_classes)
+        object.__setattr__(self, "outside_hypotheses", outside_hypotheses)
+        object.__setattr__(self, "sampled", sampled)
+        object.__setattr__(self, "representatives", representatives)
 
     def summary_json(self) -> dict:
         return {
@@ -478,16 +510,31 @@ def write_census(record: CensusRecord, out_dir: str | Path) -> list[Path]:
     return [ndjson, summary]
 
 
-@dataclass(frozen=True)
-class ApplicationReport:
+class ApplicationReport(Record):
     """Exhaustive check of the quadratic-residue homeomorphism criterion on
     products of 3-dimensional lens spaces L(p;1,r1) x L(p;1,r2)."""
 
-    p: int
-    quadruples: int
-    criterion_true: int
-    sufficiency_discrepancies: tuple[tuple[int, int, int, int], ...]
-    necessity_discrepancies: tuple[tuple[int, int, int, int], ...]
+    __slots__ = (
+        "p",
+        "quadruples",
+        "criterion_true",
+        "sufficiency_discrepancies",
+        "necessity_discrepancies",
+    )
+
+    def __init__(
+        self,
+        p: int,
+        quadruples: int,
+        criterion_true: int,
+        sufficiency_discrepancies: tuple[tuple[int, int, int, int], ...],
+        necessity_discrepancies: tuple[tuple[int, int, int, int], ...],
+    ):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "quadruples", quadruples)
+        object.__setattr__(self, "criterion_true", criterion_true)
+        object.__setattr__(self, "sufficiency_discrepancies", sufficiency_discrepancies)
+        object.__setattr__(self, "necessity_discrepancies", necessity_discrepancies)
 
     @property
     def ok(self) -> bool:

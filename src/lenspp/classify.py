@@ -42,9 +42,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import Record
 from .actions import RotationData, _lens_rotations, is_free
 from .errors import CapacityError, HypothesisViolation, InvalidDimension, InvalidRotation
 from .forms import (
@@ -79,14 +79,17 @@ LEVEL_HOMEO = "homeomorphism"
 _IDENT = (1, 0, 0, 1)
 
 
-@dataclass(frozen=True)
-class EquivalenceWitness:
+class EquivalenceWitness(Record):
     """A pair (A, B) realizing an equivalence; checked for the determinant
     constraints on construction, and verifiable against the k-invariants."""
 
-    A: Mat2
-    B: Mat2
-    level: str
+    __slots__ = ("A", "B", "level")
+
+    def __init__(self, A: Mat2, B: Mat2, level: str):
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "level", level)
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.A.is_invertible():
@@ -107,12 +110,20 @@ class EquivalenceWitness:
         return {"A": self.A.rows(), "B": self.B.rows()}
 
 
-@dataclass(frozen=True)
-class Verdict:
-    equivalent: bool
-    witness: EquivalenceWitness | None
-    checked_pairs: int
-    level: str
+class Verdict(Record):
+    __slots__ = ("equivalent", "witness", "checked_pairs", "level")
+
+    def __init__(
+        self,
+        equivalent: bool,
+        witness: EquivalenceWitness | None,
+        checked_pairs: int,
+        level: str,
+    ):
+        object.__setattr__(self, "equivalent", equivalent)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "checked_pairs", checked_pairs)
+        object.__setattr__(self, "level", level)
 
     def to_json(self) -> dict:
         return {

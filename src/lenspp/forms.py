@@ -9,22 +9,25 @@ multiplying the linear forms R[i]*a + Q[i]*b over each block of columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 from typing import Iterable, Sequence
 
+from ._record import Record
 from .actions import RotationData
 from .errors import HypothesisViolation
 from .gfp import Mat2, reduce_ints, require_odd_prime
 
 
-@dataclass(frozen=True)
-class HomogeneousForm:
+class HomogeneousForm(Record):
     """Dense homogeneous form; coeffs[k] multiplies a^(deg-k) * b^k."""
 
-    p: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("p", "coeffs")
+
+    def __init__(self, p: int, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "coeffs", coeffs)
+        self.__post_init__()
 
     def __post_init__(self):
         require_odd_prime(self.p)
@@ -155,12 +158,14 @@ def substitute(form: HomogeneousForm, A: Mat2) -> HomogeneousForm:
     return HomogeneousForm(form.p, apply_matrix(M, form.coeffs, form.p))
 
 
-@dataclass(frozen=True)
-class KInvariant:
+class KInvariant(Record):
     """The pair of degree-n forms classifying the quotient's Postnikov data mod p."""
 
-    first: HomogeneousForm
-    second: HomogeneousForm
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: HomogeneousForm, second: HomogeneousForm):
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
 
     def coeff_pair(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return (self.first.coeffs, self.second.coeffs)

@@ -13,11 +13,11 @@ are read off those minors with no elimination (wedge_span_key).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import index
 from typing import Iterable
 
+from ._record import Record
 from .errors import CapacityError, InvalidPrime
 
 # An exhaustive GL2 scan has (p^2-1)(p^2-p) elements; cap p so scans stay desk-sized.
@@ -108,12 +108,15 @@ def mat2_inv(a: tuple, p: int) -> tuple[int, int, int, int]:
     return (a[3] * s % p, -a[1] * s % p, -a[2] * s % p, a[0] * s % p)
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(Record):
     """2x2 matrix over GF(p); entries row-major (a11, a12, a21, a22)."""
 
-    p: int
-    entries: tuple[int, int, int, int]
+    __slots__ = ("p", "entries")
+
+    def __init__(self, p: int, entries: tuple[int, int, int, int]):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self):
         require_odd_prime(self.p)

@@ -13,9 +13,9 @@ the basis chosen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import Record
 from .errors import DegenerateIdeal
 from .forms import HomogeneousForm
 from .gfp import rref_with_pivots
@@ -92,8 +92,7 @@ def ring_model(p: int, n: int, pair: tuple) -> CohomRingModel:
     return CohomRingModel(p, n, HomogeneousForm(p, pair[0]), HomogeneousForm(p, pair[1]))
 
 
-@dataclass(frozen=True)
-class TotalClass:
+class TotalClass(Record):
     """Graded even-degree characteristic class, truncated.
 
     components maps cohomological degree 4k (as (degree, form) pairs sorted
@@ -102,9 +101,18 @@ class TotalClass:
     be omitted; component() fills them back in.
     """
 
-    p: int
-    truncation: int  # max polynomial degree kept
-    components: tuple[tuple[int, HomogeneousForm], ...]
+    __slots__ = ("p", "truncation", "components")
+
+    def __init__(
+        self,
+        p: int,
+        truncation: int,  # max polynomial degree kept
+        components: tuple[tuple[int, HomogeneousForm], ...],
+    ):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "truncation", truncation)
+        object.__setattr__(self, "components", components)
+        self.__post_init__()
 
     def __post_init__(self):
         comps = []

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import hashlib
 import itertools
@@ -28,6 +27,7 @@ from lenspp.census import (
 from conftest import gl2_elements, span_key
 from lenspp import actions, census, classify, cli, forms, gfp
 from lenspp.classify import (
+    Verdict,
     canonical_form,
     homeomorphic,
     homotopy_equivalent,
@@ -338,12 +338,17 @@ def test_census_known_class_memberships():
 
 
 def test_import_loads_no_process_pool():
-    """Neither importing lenspp nor running a census loads a process pool.
-    Run in a fresh interpreter: pytest may have imported the pool modules."""
+    """Neither importing lenspp nor running a census loads a process pool,
+    or dataclasses and the modules it pulls in to generate code: the record
+    classes are plain slotted classes.  Run in a fresh interpreter: pytest
+    may have imported these modules."""
     src = str(Path(census.__file__).resolve().parents[1])
+    unwanted = (
+        "concurrent.futures", "multiprocessing", "dataclasses", "inspect", "ast", "dis", "tokenize"
+    )
     script = (
         "import sys, lenspp, lenspp.cli; lenspp.census.run_census(3, 2); "
-        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+        f"print([m for m in {unwanted!r} if m in sys.modules])"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -864,7 +869,9 @@ def _flip_verdicts(monkeypatch, flips):
     def flipped(X, Y, marked=False):
         verdict = real(X, Y, marked)
         if (X.R[1], X.Q[3], Y.R[1], Y.Q[3]) in flips:
-            return dataclasses.replace(verdict, equivalent=not verdict.equivalent)
+            return Verdict(
+                not verdict.equivalent, verdict.witness, verdict.checked_pairs, verdict.level
+            )
         return verdict
 
     monkeypatch.setattr(census, "homeomorphic", flipped)
