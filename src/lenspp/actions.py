@@ -27,12 +27,6 @@ class RotationData(Record):
 
     __slots__ = ("p", "n", "R", "Q")
 
-    def __init__(self, p: int, n: int, R: tuple[int, ...], Q: tuple[int, ...]):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "Q", Q)
-
     def rotation_pairs(self) -> tuple[tuple[int, int], ...]:
         """Columns (R[i], Q[i]) for i = 0..2n-1."""
         return tuple(zip(self.R, self.Q))
@@ -41,22 +35,16 @@ class RotationData(Record):
 class FreenessReport(Record):
     __slots__ = ("free", "violating_element", "violating_pair")
 
-    def __init__(
-        self,
-        free: bool,
-        violating_element: tuple[int, int] | None,
-        violating_pair: tuple[int, int] | None,
-    ):
-        object.__setattr__(self, "free", free)
-        object.__setattr__(self, "violating_element", violating_element)
-        object.__setattr__(self, "violating_pair", violating_pair)
-
     def to_json(self) -> dict:
         return {
             "free": self.free,
             "violating_element": list(self.violating_element) if self.violating_element else None,
             "violating_pair": list(self.violating_pair) if self.violating_pair else None,
         }
+
+
+# the report of every free input; records are immutable, so one is shared
+_FREE = FreenessReport(True, None, None)
 
 
 def validate(data: RotationData) -> RotationData:
@@ -117,7 +105,8 @@ def is_free(data: RotationData) -> FreenessReport:
     both rotated trivially by some g != 0 iff their 2x2 block is singular,
     and then the g doing so are the annihilator line of the block's nonzero
     column (every g if both are zero), whose first element in scan order is
-    (-y/x, 1) for a column (x, y) with x != 0, and (1, 0) otherwise.
+    (-y/x, 1) for a column (x, y) with x != 0, and (1, 0) otherwise.  Every
+    free input gets the one shared report FreenessReport(True, None, None).
     """
     p, n = data.p, data.n
     cols = [(r % p, q % p) for r, q in zip(data.R, data.Q)]
@@ -131,7 +120,7 @@ def is_free(data: RotationData) -> FreenessReport:
             if best is None or (g[1], g[0]) < (best[1], best[0]):
                 best = g
     if best is None:
-        return FreenessReport(True, None, None)
+        return _FREE
     g1, g2 = best
     fixed = [(g1 * x + g2 * y) % p == 0 for x, y in cols]
     return FreenessReport(False, best, (fixed.index(True) + 1, fixed.index(True, n) - n + 1))

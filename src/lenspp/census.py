@@ -84,20 +84,6 @@ class ClassRepresentative(Record):
 
     __slots__ = ("R", "Q", "canonical", "fingerprint", "count")
 
-    def __init__(
-        self,
-        R: tuple[int, ...],
-        Q: tuple[int, ...],
-        canonical: tuple[tuple[int, ...], tuple[int, ...]],
-        fingerprint: tuple[tuple[int, tuple[int, ...]], ...],
-        count: int,
-    ):
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "canonical", canonical)
-        object.__setattr__(self, "fingerprint", fingerprint)
-        object.__setattr__(self, "count", count)
-
     def to_json(self, p: int, n: int, outside_hypotheses: bool) -> dict:
         return {
             "p": p,
@@ -123,28 +109,6 @@ class CensusRecord(Record):
         "sampled",
         "representatives",
     )
-
-    def __init__(
-        self,
-        p: int,
-        n: int,
-        total_pairs: int,
-        free_count: int,
-        homotopy_classes: int,
-        homeomorphism_classes: int,
-        outside_hypotheses: bool,
-        sampled: bool,
-        representatives: tuple[ClassRepresentative, ...],
-    ):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "total_pairs", total_pairs)
-        object.__setattr__(self, "free_count", free_count)
-        object.__setattr__(self, "homotopy_classes", homotopy_classes)
-        object.__setattr__(self, "homeomorphism_classes", homeomorphism_classes)
-        object.__setattr__(self, "outside_hypotheses", outside_hypotheses)
-        object.__setattr__(self, "sampled", sampled)
-        object.__setattr__(self, "representatives", representatives)
 
     def summary_json(self) -> dict:
         return {
@@ -521,20 +485,6 @@ class ApplicationReport(Record):
         "sufficiency_discrepancies",
         "necessity_discrepancies",
     )
-
-    def __init__(
-        self,
-        p: int,
-        quadruples: int,
-        criterion_true: int,
-        sufficiency_discrepancies: tuple[tuple[int, int, int, int], ...],
-        necessity_discrepancies: tuple[tuple[int, int, int, int], ...],
-    ):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "quadruples", quadruples)
-        object.__setattr__(self, "criterion_true", criterion_true)
-        object.__setattr__(self, "sufficiency_discrepancies", sufficiency_discrepancies)
-        object.__setattr__(self, "necessity_discrepancies", necessity_discrepancies)
 
     @property
     def ok(self) -> bool:

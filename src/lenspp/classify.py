@@ -85,12 +85,6 @@ class EquivalenceWitness(Record):
 
     __slots__ = ("A", "B", "level")
 
-    def __init__(self, A: Mat2, B: Mat2, level: str):
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "level", level)
-        self.__post_init__()
-
     def __post_init__(self):
         if not self.A.is_invertible():
             raise ValueError("witness substitution A must be invertible")
@@ -112,18 +106,6 @@ class EquivalenceWitness(Record):
 
 class Verdict(Record):
     __slots__ = ("equivalent", "witness", "checked_pairs", "level")
-
-    def __init__(
-        self,
-        equivalent: bool,
-        witness: EquivalenceWitness | None,
-        checked_pairs: int,
-        level: str,
-    ):
-        object.__setattr__(self, "equivalent", equivalent)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "checked_pairs", checked_pairs)
-        object.__setattr__(self, "level", level)
 
     def to_json(self) -> dict:
         return {

@@ -24,11 +24,6 @@ class HomogeneousForm(Record):
 
     __slots__ = ("p", "coeffs")
 
-    def __init__(self, p: int, coeffs: tuple[int, ...]):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", coeffs)
-        self.__post_init__()
-
     def __post_init__(self):
         require_odd_prime(self.p)
         if len(self.coeffs) == 0:
@@ -162,10 +157,6 @@ class KInvariant(Record):
     """The pair of degree-n forms classifying the quotient's Postnikov data mod p."""
 
     __slots__ = ("first", "second")
-
-    def __init__(self, first: HomogeneousForm, second: HomogeneousForm):
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
 
     def coeff_pair(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return (self.first.coeffs, self.second.coeffs)

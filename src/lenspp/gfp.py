@@ -113,11 +113,6 @@ class Mat2(Record):
 
     __slots__ = ("p", "entries")
 
-    def __init__(self, p: int, entries: tuple[int, int, int, int]):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "entries", entries)
-        self.__post_init__()
-
     def __post_init__(self):
         require_odd_prime(self.p)
         if len(self.entries) != 4:

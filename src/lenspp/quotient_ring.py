@@ -96,23 +96,13 @@ class TotalClass(Record):
     """Graded even-degree characteristic class, truncated.
 
     components maps cohomological degree 4k (as (degree, form) pairs sorted
-    by degree) to a form of polynomial degree 2k; degrees above 2*truncation
-    (cohomological) are discarded at construction time.  Zero components may
-    be omitted; component() fills them back in.
+    by degree) to a form of polynomial degree 2k; truncation is the highest
+    polynomial degree kept, and a component above it is refused at
+    construction time.  Zero components may be omitted; component() fills
+    them back in.
     """
 
     __slots__ = ("p", "truncation", "components")
-
-    def __init__(
-        self,
-        p: int,
-        truncation: int,  # max polynomial degree kept
-        components: tuple[tuple[int, HomogeneousForm], ...],
-    ):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(self, "components", components)
-        self.__post_init__()
 
     def __post_init__(self):
         comps = []

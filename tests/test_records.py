@@ -1,7 +1,9 @@
 """The record classes behave as frozen value records: positional and keyword
-construction, equality only within one class, the hash of the field tuple,
-the Name(field=value, ...) repr, refused assignment and deletion, and
-validation on construction through __post_init__."""
+construction, TypeError naming the class for wrong arguments, equality only
+within one class, the hash of the field tuple, the Name(field=value, ...)
+repr, refused assignment and deletion, and validation on construction
+through __post_init__.  Their fields are declared once, as __slots__, and
+Record's constructor is the only one."""
 
 import copy
 import pickle
@@ -21,7 +23,10 @@ from lenspp import (
     TotalClass,
     Verdict,
     forms,
+    is_free,
+    validate,
 )
+from lenspp._record import Record
 
 _A = Mat2(5, (0, 1, 1, 0))
 _B = Mat2(5, (1, 0, 0, 4))
@@ -88,6 +93,59 @@ def test_positional_and_keyword_construction_agree(cls, fields):
     assert x == y
     assert hash(x) == hash(y)
     assert {name: getattr(x, name) for name in fields} == fields
+
+
+def _wrong_calls(fields):
+    """(args, kwargs, the field the error names) of each wrong call."""
+    names, values = list(fields), list(fields.values())
+    return {
+        "missing positional": ((*values[:-1],), {}, names[-1]),
+        "missing keyword": ((), dict(list(fields.items())[1:]), names[0]),
+        "extra positional": ((*values, None), {}, None),
+        "unknown keyword": ((), {**fields, "extra": None}, "extra"),
+        "position and keyword": ((values[0],), fields, names[0]),
+    }
+
+
+_WRONG = [
+    pytest.param(cls, kind, *call, id=f"{cls.__name__}-{kind}")
+    for cls, fields in RECORDS
+    for kind, call in _wrong_calls(fields).items()
+]
+
+
+@pytest.mark.parametrize(("cls", "kind", "args", "kwargs", "field"), _WRONG)
+def test_wrong_arguments_raise_type_error_naming_the_class(cls, kind, args, kwargs, field):
+    with pytest.raises(TypeError) as raised:
+        cls(*args, **kwargs)
+    message = str(raised.value)
+    assert cls.__qualname__ in message
+    if field is not None:
+        assert repr(field) in message
+
+
+def _record_classes(base=Record):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _record_classes(cls)
+
+
+def test_records_share_one_constructor():
+    classes = [cls for cls in _record_classes() if cls.__module__.startswith("lenspp.")]
+    assert sorted(cls.__name__ for cls in classes) == sorted(_IDS)
+    assert [cls.__name__ for cls in classes if "__init__" in vars(cls)] == []
+
+
+@pytest.mark.parametrize("slots", [(), ("only",)], ids=["no field", "one field"])
+def test_a_record_needs_two_fields(slots):
+    with pytest.raises(TypeError, match="Thin needs at least two fields"):
+        type("Thin", (Record,), {"__slots__": slots})
+
+
+def test_is_free_answers_one_report_for_free_inputs():
+    x = is_free(validate(RotationData(5, 2, (1, 1, 0, 0), (0, 0, 1, 1))))
+    y = is_free(validate(RotationData(7, 2, (1, 2, 3, 4), (1, 1, 1, 1))))
+    assert x == y == FreenessReport(True, None, None)
 
 
 @pytest.mark.parametrize(("cls", "fields"), RECORDS, ids=_IDS)
