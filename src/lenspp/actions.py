@@ -15,7 +15,7 @@ by one pass over the columns, O(n) at any p.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from ._record import Record
 from .errors import InvalidDimension, InvalidRotation, InvalidSpan

@@ -34,10 +34,10 @@ minors (the wedge R^Q, which such a relabelling multiplies by its
 determinant), the reduced basis of its row space is read off the minors
 once per wedge, and each plane (|GL2| free spaces, p - 1 wedges) is
 classified once per process.  The free Q of one R fall into a few planes
-through R, so the key is filed under every vector of the plane in a table
-held for the current R (_classify_item, _keys_by_q): the scan computes one
-wedge per (R, plane), not one per space, and each other space is one dict
-lookup.
+through R, so the grouping step (_group) keeps a table from Q to key for
+the current R and _classify_item files the key under every vector of the
+plane there: the scan computes one wedge per (R, plane), not one per space,
+and each other space is one dict lookup.
 
 Outputs are deterministic byte-for-byte: the census runs in one process,
 both enumerations reach the grouping step in lex order of (R, Q) (the scan
@@ -51,9 +51,9 @@ import itertools
 import json
 import math
 import random
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator
 
 from ._record import Record
 from .actions import RotationData, _free_by_planes, product_of_lens_spaces
@@ -321,25 +321,19 @@ def _min_fingerprint(p: int, n: int, canon: tuple, t0: tuple) -> tuple:
     return min(_transport_class(model, g, t0) for g in _canonicalize(p, n, canon)[2])
 
 
-def _classify_item(p: int, n: int, R: tuple, Q: tuple) -> tuple[tuple, tuple]:
+def _classify_item(p: int, n: int, R: tuple, Q: tuple, table: dict) -> tuple[tuple, tuple]:
     """(canonical k pair, Pontrjagin fingerprint) for the free space (R, Q).
 
-    The key depends only on the plane spanned by R and Q, so the current R
-    keeps a table from Q to key (_keys_by_q), and a space whose plane is
-    filed there is one dict lookup.  The table is checked against (p, R)
-    with two comparisons and replaced when either changes.  A miss keys the
-    space by its 2x2 minors, the wedge R^Q (_classify_wedge), and, if the
-    table already holds a key, files the key under every vector of the
-    plane (_plane_vectors).  Both enumerations arrive in lex order, so R is
-    held over all of its pairs: the scan computes one wedge per (R, plane)
-    plus one for R's first plane, and a sample files a plane only for an R
-    drawn more than once.  The pair is trusted (validated, or produced by
-    the census scan or draw), so R's length fixes n."""
-    global _keys_by_q
-    held_p, held_R, table = _keys_by_q
-    if R != held_R or p != held_p:
-        table = {}
-        _keys_by_q = (p, R, table)
+    The key depends only on the plane spanned by R and Q, so table maps the
+    Q met so far with this R to their keys, and a space whose plane is
+    filed there is one dict lookup.  A miss keys the space by its 2x2
+    minors, the wedge R^Q (_classify_wedge), and, if the table already
+    holds a key, files the key under every vector of the plane
+    (_plane_vectors).  Both enumerations arrive in lex order, so _group
+    holds one table over all of R's pairs: the scan computes one wedge per
+    (R, plane) plus one for R's first plane, and a sample files a plane
+    only for an R drawn more than once.  The pair is trusted (validated, or
+    produced by the census scan or draw), so R's length fixes n."""
     key = table.get(Q)
     if key is None:
         plane, key = _classify_wedge(p, n, wedge(R, Q, p))
@@ -348,13 +342,6 @@ def _classify_item(p: int, n: int, R: tuple, Q: tuple) -> tuple[tuple, tuple]:
         else:
             table[Q] = key
     return key
-
-
-# (p, R, table): the census keys of the spaces (R, Q) met so far, by Q, for
-# the one (p, R) that _classify_item met last.  It fills the table and
-# replaces the whole tuple when p or R changes, so a reader always gets the
-# table of the (p, R) it read with it.
-_keys_by_q: tuple = (None, None, {})
 
 
 @lru_cache(maxsize=2**11)
@@ -403,10 +390,16 @@ def _classify_plane(p: int, n: int, plane: tuple) -> tuple[tuple, tuple]:
 def _group(p: int, n: int, pairs: Iterable[tuple[tuple, tuple]]) -> dict[tuple, list]:
     """{(canonical, fingerprint): [count, first R, first Q]} over the free
     pairs.  The first pair of a key is its least because the pairs arrive in
-    lex order: the scan's by construction, the draw's sorted by run_census."""
+    lex order: the scan's by construction, the draw's sorted by run_census.
+    R's table of keys (_classify_item) starts empty whenever R changes; the
+    scan hands the same R object to each of its Q, so identity is tested
+    first."""
     groups: dict[tuple, list] = {}
+    held_R = table = None
     for R, Q in pairs:
-        key = _classify_item(p, n, R, Q)
+        if R is not held_R and R != held_R:
+            held_R, table = R, {}
+        key = _classify_item(p, n, R, Q, table)
         got = groups.get(key)
         if got is None:
             groups[key] = [1, R, Q]

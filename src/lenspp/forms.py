@@ -9,9 +9,9 @@ multiplying the linear forms R[i]*a + Q[i]*b over each block of columns.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from operator import mul
-from typing import Iterable, Sequence
 
 from ._record import Record
 from .actions import RotationData

@@ -13,9 +13,9 @@ are read off those minors with no elimination (wedge_span_key).
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from functools import lru_cache
 from operator import index
-from typing import Iterable
 
 from ._record import Record
 from .errors import CapacityError, InvalidPrime

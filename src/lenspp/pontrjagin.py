@@ -15,7 +15,7 @@ does not run through the decider's reduction.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .actions import RotationData, _lens_rotations
 from .forms import HomogeneousForm, k_invariant

@@ -34,16 +34,25 @@ def test_every_module_lru_cache_is_bounded():
     assert not unbounded
 
 
+_STORES = (dict, list, set)
+
+
 def _store_sizes():
     """Entries held by each module-level dict, list or set of lenspp, one
-    level of nesting included (classify._ORBITS holds one dict per (p, n))."""
+    level of nesting included (classify._ORBITS holds one dict per (p, n)),
+    and by the dicts, lists and sets a module-level tuple holds."""
     sizes = {}
     for module in _modules():
         for attr, value in vars(module).items():
-            if not attr.startswith("__") and isinstance(value, (dict, list, set)):
+            if attr.startswith("__"):
+                continue
+            name = f"{module.__name__}.{attr}"
+            if isinstance(value, _STORES):
                 values = value.values() if isinstance(value, dict) else value
-                nested = sum(len(v) for v in values if isinstance(v, (dict, list, set)))
-                sizes[f"{module.__name__}.{attr}"] = len(value) + nested
+                nested = sum(len(v) for v in values if isinstance(v, _STORES))
+                sizes[name] = len(value) + nested
+            elif isinstance(value, tuple) and any(isinstance(v, _STORES) for v in value):
+                sizes[name] = sum(len(v) for v in value if isinstance(v, _STORES))
     return sizes
 
 

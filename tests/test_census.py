@@ -330,7 +330,7 @@ def test_census_p5_counts(tmp_path):
 def test_census_known_class_memberships():
     """L(5;1)xL(5;1) and L(5;1)xL(5;4) share a class; L(5;1)xL(5;2) does not."""
     a, b, c = (
-        _classify_item(d.p, d.n, d.R, d.Q)
+        _classify_item(d.p, d.n, d.R, d.Q, {})
         for d in (product_of_lens_spaces(5, (1, 1), rp) for rp in [(1, 1), (1, 4), (1, 2)])
     )
     assert a == b
@@ -359,6 +359,22 @@ def test_import_loads_no_process_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_loads_no_typing():
+    """lenspp's annotations are strings (from __future__ import annotations)
+    and it takes its abstract types from collections.abc, so importing the
+    CLI loads no typing.  Run with -S, since site itself may import typing."""
+    src = str(Path(census.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, lenspp.cli; print('typing' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def _independent(R, Q, p):
@@ -503,7 +519,7 @@ def test_census_reversed_order_recount():
     rec = run_census(3, 2)
     groups = {}
     for d in reversed(list(enumerate_free(3, 2))):
-        groups.setdefault(_classify_item(d.p, d.n, d.R, d.Q), []).append((d.R, d.Q))
+        groups.setdefault(_classify_item(d.p, d.n, d.R, d.Q, {}), []).append((d.R, d.Q))
     assert len(groups) == rec.homeomorphism_classes
     assert len({canon for canon, _ in groups}) == rec.homotopy_classes
     by_key = {(r.canonical, r.fingerprint): r for r in rec.representatives}
@@ -517,7 +533,7 @@ def _group_by_least_pair(p, n, pairs):
     in the order given and each key's least pair kept by comparison."""
     groups = {}
     for R, Q in pairs:
-        key = _classify_item(p, n, R, Q)
+        key = _classify_item(p, n, R, Q, {})
         got = groups.setdefault(key, [0, R, Q])
         got[0] += 1
         if (R, Q) < (got[1], got[2]):
@@ -550,13 +566,24 @@ def _relabel(d, m):
     return validate(RotationData(d.p, d.n, R, Q))
 
 
-def _fresh_keys_by_q(monkeypatch):
-    """Start _classify_item from an empty per-R table."""
-    monkeypatch.setattr(census, "_keys_by_q", (None, None, {}))
+def _group_watching_tables(p, n, pairs, watch):
+    """census._group(p, n, pairs), calling watch(R, Q, table, key) after each
+    _classify_item call the grouping makes, with the per-R table that call
+    was handed."""
+    real = census._classify_item
+
+    def watched(p, n, R, Q, table):
+        key = real(p, n, R, Q, table)
+        watch(R, Q, table, key)
+        return key
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(census, "_classify_item", watched)
+        return census._group(p, n, pairs)
 
 
 @pytest.mark.parametrize("p", [3, 5])
-def test_census_classifies_each_plane_once(monkeypatch, p):
+def test_census_classifies_each_plane_once(p):
     """Each GL2 orbit of free pairs is one plane, classified once; each of
     its p - 1 wedges is read off once.  The scan looks a wedge up once per
     (R, plane), for each of the p^2 - 1 nonzero R of a free plane, plus once
@@ -567,7 +594,6 @@ def test_census_classifies_each_plane_once(monkeypatch, p):
     gl2 = (p * p - 1) * (p * p - p)
     census._classify_wedge.cache_clear()
     census._classify_plane.cache_clear()
-    _fresh_keys_by_q(monkeypatch)
     census._plane_vectors.cache_clear()
     rec = run_census(p, 2)
     planes = census._classify_plane.cache_info()
@@ -581,7 +607,7 @@ def test_census_classifies_each_plane_once(monkeypatch, p):
     assert (filed.misses, filed.hits + filed.misses) == (planes.misses, (p * p - 1) * planes.misses)
 
 
-def test_relabelled_spaces_share_one_plane(monkeypatch):
+def test_relabelled_spaces_share_one_plane():
     """The |GL2| bases of one plane have p - 1 wedges, one per determinant,
     and one plane entry.  gl2_elements lists the matrices in row-major
     order, so the new R = a*R + b*Q stays fixed over the p^2 - p second rows
@@ -589,62 +615,64 @@ def test_relabelled_spaces_share_one_plane(monkeypatch):
     first space keying only itself and its second filing the plane."""
     p = 5
     (d,) = enumerate_free(p, 2, sample=1, seed=4)
+    pairs = [(x.R, x.Q) for x in (_relabel(d, m) for m in gl2_elements(p))]
     census._classify_wedge.cache_clear()
     census._classify_plane.cache_clear()
-    _fresh_keys_by_q(monkeypatch)
-    keys = {_classify_item(p, 2, x.R, x.Q) for x in (_relabel(d, m) for m in gl2_elements(p))}
+    groups = census._group(p, 2, pairs)
     planes = census._classify_plane.cache_info()
     wedges = census._classify_wedge.cache_info()
-    assert len(keys) == 1
+    assert [count for count, _, _ in groups.values()] == [len(pairs)]
     assert (planes.misses, planes.hits) == (1, p - 2)
     assert (wedges.misses, wedges.hits) == (p - 1, 2 * (p * p - 1) - (p - 1))
 
 
-def _assert_classify_item_is_the_wedge_path(p, n, pairs):
-    """_classify_item, through its per-R table, gives each pair the key of
-    the direct path: the plane read off the pair's own wedge.  Returns the
-    per-R table each call left held, the empty one before the first call
-    included."""
+def _assert_grouping_is_the_wedge_path(p, n, pairs):
+    """census._group gives each pair the key of the direct path, the plane
+    read off the pair's own wedge, and hands _classify_item a new, empty
+    table exactly when R changes, the first pair included; a table handed
+    on for an R is never handed on again.  Returns where R changed."""
     direct = {}
-    tables = [census._keys_by_q[2]]
-    for R, Q in pairs:
+    tables = []
+
+    def watch(R, Q, table, key):
         w = wedge(R, Q, p)
         if w not in direct:
             direct[w] = census._classify_plane(p, n, gfp.wedge_span_key(w, 2 * n, p))
-        assert _classify_item(p, n, R, Q) == direct[w], (R, Q)
-        tables.append(census._keys_by_q[2])
-    return tables
+        assert key == direct[w], (R, Q)
+        tables.append((table, len(table)))
+
+    _group_watching_tables(p, n, pairs, watch)
+    rs = [None] + [R for R, _ in pairs]
+    changed = [a != b for a, b in zip(rs, rs[1:])]
+    held = [None] + [table for table, _ in tables]
+    assert [a is not b for a, b in zip(held, held[1:])] == changed
+    # an empty table keys the first pair it is handed, and only that pair
+    assert all(size == 1 for (_, size), new in zip(tables, changed) if new)
+    assert len({id(table) for table, _ in tables}) == sum(changed)
+    return changed
 
 
 @pytest.mark.parametrize("p", [3, 5])
-def test_classify_item_matches_the_wedge_path_exhaustive(monkeypatch, p):
-    """Every free pair, first in scan order, where R's table fills plane by
-    plane, then with Q outermost, where R changes on almost every call.  In
-    both orders the table is replaced exactly when R changes, the first
-    call included."""
+def test_classify_item_matches_the_wedge_path_exhaustive(p):
+    """Every free pair grouped, first in scan order, where R's table fills
+    plane by plane, then with Q outermost, where R changes on almost every
+    pair."""
     pairs = list(census._scan(p, 2, 0, p**4))
     by_q = sorted(pairs, key=lambda pair: (pair[1], pair[0]))
     for order in (pairs, by_q):
-        _fresh_keys_by_q(monkeypatch)
-        tables = _assert_classify_item_is_the_wedge_path(p, 2, order)
-        rs = [None] + [R for R, _ in order]
-        replaced = [a is not b for a, b in zip(tables, tables[1:])]
-        assert replaced == [a != b for a, b in zip(rs, rs[1:])]
-    assert sum(replaced) > len(pairs) // 2
+        changed = _assert_grouping_is_the_wedge_path(p, 2, order)
+    assert sum(changed) > len(pairs) // 2
 
 
-def test_classify_item_matches_the_wedge_path_on_seeded_r_slices_p7(monkeypatch):
+def test_classify_item_matches_the_wedge_path_on_seeded_r_slices_p7():
+    """Eight seeded R-slices, grouped one after another."""
     rng = random.Random(7)
-    _fresh_keys_by_q(monkeypatch)
-    checked = 0
-    for k in rng.sample(range(1, 7**4), 8):
-        pairs = list(census._scan(7, 2, k, k + 1))
-        _assert_classify_item_is_the_wedge_path(7, 2, pairs)
-        checked += len(pairs)
-    assert checked > 5000
+    pairs = [pair for k in rng.sample(range(1, 7**4), 8) for pair in census._scan(7, 2, k, k + 1)]
+    _assert_grouping_is_the_wedge_path(7, 2, pairs)
+    assert len(pairs) > 5000
 
 
-def test_sampled_census_files_a_plane_only_for_a_repeated_r(monkeypatch):
+def test_sampled_census_files_a_plane_only_for_a_repeated_r():
     """run_census classifies a sample in lex order, so an R drawn k times is
     held over its k pairs: its first Q keys only itself, and each later Q
     off the planes filed so far files its own, so each draw of an R after
@@ -658,17 +686,16 @@ def test_sampled_census_files_a_plane_only_for_a_repeated_r(monkeypatch):
         filings += len(set(planes[1:]))
     repeats = len(drawn) - len({R for R, _ in drawn})
     assert filings == repeats == 360
-    _fresh_keys_by_q(monkeypatch)
     census._plane_vectors.cache_clear()
     run_census(5, 3, sample=3000, seed=0)
     filed = census._plane_vectors.cache_info()
     assert (filed.hits + filed.misses, filed.misses) == (filings, 359)
 
 
-def test_plane_vector_cache_holds_every_free_plane_at_the_cap(monkeypatch):
+def test_plane_vector_cache_holds_every_free_plane_at_the_cap():
     """An exhaustive census at CENSUS_PRIME_CAP files each of its free planes
     p^2 - 1 times, once per nonzero R, so the plane-vector cache must hold
-    all of them; the per-R table holds one R, so an R met again after
+    all of them; the grouping holds one R's table, so an R met again after
     another starts from an empty table and looks its wedge up again."""
     p = census.CENSUS_PRIME_CAP
     planes = free_count(p, 2) // len(gl2_elements(p))
@@ -676,14 +703,17 @@ def test_plane_vector_cache_holds_every_free_plane_at_the_cap(monkeypatch):
     assert census._plane_vectors.cache_parameters()["maxsize"] >= planes
     assert gfp.plane_column.cache_parameters()["maxsize"] >= gfp.GL2_PRIME_CAP**2
     (R1, Q1), (R2, Q2) = [next(census._scan(p, 2, k, k + 1)) for k in (1000, 2000)]
-    _fresh_keys_by_q(monkeypatch)
+    pairs = [(R1, Q1), (R1, Q1), (R2, Q2), (R1, Q1)]
     lookups = []
-    for R, Q in [(R1, Q1), (R1, Q1), (R2, Q2), (R1, Q1)]:
-        _classify_item(p, 2, R, Q)
+    held = []
+
+    def watch(R, Q, table, key):
         info = census._classify_wedge.cache_info()
         lookups.append(info.hits + info.misses)
-        held_p, held_R, table = census._keys_by_q
-        assert (held_p, held_R, list(table)) == (p, R, [Q])
+        held.append((R, list(table)))
+
+    _group_watching_tables(p, 2, pairs, watch)
+    assert held == [(R, [Q]) for R, Q in pairs]
     assert [b - a for a, b in zip(lookups, lookups[1:])] == [0, 1, 1]
 
 
@@ -715,14 +745,14 @@ def _classify_by_rref(p, n, R, Q):
 
 def test_classify_item_matches_the_rref_path_p3():
     for d in enumerate_free(3, 2):
-        assert _classify_item(3, 2, d.R, d.Q) == _classify_by_rref(3, 2, d.R, d.Q), (d.R, d.Q)
+        assert _classify_item(3, 2, d.R, d.Q, {}) == _classify_by_rref(3, 2, d.R, d.Q), (d.R, d.Q)
 
 
 @pytest.mark.parametrize("p, n, sample", [(5, 2, 400), (7, 2, 200), (5, 3, 8)])
 def test_classify_item_matches_the_rref_path_on_seeded_pairs(p, n, sample):
     census._classify_wedge.cache_clear()
     for d in enumerate_free(p, n, sample=sample, seed=17):
-        assert _classify_item(p, n, d.R, d.Q) == _classify_by_rref(p, n, d.R, d.Q), (d.R, d.Q)
+        assert _classify_item(p, n, d.R, d.Q, {}) == _classify_by_rref(p, n, d.R, d.Q), (d.R, d.Q)
 
 
 def test_classify_item_matches_the_rref_path_p7_n3():
@@ -738,7 +768,7 @@ def test_classify_item_matches_the_rref_path_p7_n3():
     census._classify_wedge.cache_clear()
     try:
         for x in spaces:
-            assert _classify_item(7, 3, x.R, x.Q) == _classify_by_rref(7, 3, x.R, x.Q), (x.R, x.Q)
+            assert _classify_item(7, 3, x.R, x.Q, {}) == _classify_by_rref(7, 3, x.R, x.Q), (x.R, x.Q)
     finally:
         classify._ORBITS.pop((7, 3), None)
 
@@ -783,7 +813,7 @@ def test_census_counts_invariant_under_group_relabeling():
     sizes = {}
     for d in enumerate_free(p, n):
         x = _relabel(d, m)
-        key = _classify_item(p, n, x.R, x.Q)
+        key = _classify_item(p, n, x.R, x.Q, {})
         sizes[key] = sizes.get(key, 0) + 1
     assert sorted(sizes.values()) == sorted(r.count for r in rec.representatives)
     assert len(sizes) == rec.homeomorphism_classes
@@ -797,7 +827,7 @@ def test_census_members_match_their_representative():
     members = {key: [] for key in by_key}
     pending = set(by_key)
     for d in enumerate_free(5, 2):
-        key = _classify_item(d.p, d.n, d.R, d.Q)
+        key = _classify_item(d.p, d.n, d.R, d.Q, {})
         if key in pending:
             members[key].append(d)
             if len(members[key]) == 3:
@@ -958,14 +988,14 @@ def _classify_with_forms(d, memo):
 def test_classify_item_matches_form_path_p3():
     memo = {}
     for d in enumerate_free(3, 2):
-        assert _classify_item(d.p, d.n, d.R, d.Q) == _classify_with_forms(d, memo), (d.R, d.Q)
+        assert _classify_item(d.p, d.n, d.R, d.Q, {}) == _classify_with_forms(d, memo), (d.R, d.Q)
 
 
 @pytest.mark.parametrize("n,sample", [(2, 300), (3, 8)])
 def test_classify_item_matches_form_path_p5(n, sample):
     memo = {}
     for d in enumerate_free(5, n, sample=sample, seed=11):
-        assert _classify_item(d.p, d.n, d.R, d.Q) == _classify_with_forms(d, memo), (d.R, d.Q)
+        assert _classify_item(d.p, d.n, d.R, d.Q, {}) == _classify_with_forms(d, memo), (d.R, d.Q)
 
 
 def test_classify_item_matches_form_path_p7_n3():
@@ -981,7 +1011,7 @@ def test_classify_item_matches_form_path_p7_n3():
     memo = {}
     try:
         for x in spaces:
-            assert _classify_item(x.p, x.n, x.R, x.Q) == _classify_with_forms(x, memo), (x.R, x.Q)
+            assert _classify_item(x.p, x.n, x.R, x.Q, {}) == _classify_with_forms(x, memo), (x.R, x.Q)
     finally:
         classify._ORBITS.pop((7, 3), None)
 
